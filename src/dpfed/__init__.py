@@ -27,7 +27,6 @@ from .fl_core import (
     LogisticRegressionModel,
     RoundMetrics,
     ServerState,
-    clip_gradient,
     fedavg_aggregate,
     heterogeneous_update,
     load_csv_shard,

@@ -128,7 +128,32 @@ class LogisticRegressionModel:
         return np.concatenate([grad_w.reshape(shard.n, -1), probs], axis=1)
 
     def gradient(self, w: np.ndarray, shard: DatasetShard) -> np.ndarray:
-        return self.per_example_gradients(w, shard).mean(axis=0)
+        """Mean cross-entropy gradient of one ``(dim,)`` vector, or of each row
+        of a ``(k, dim)`` stack (one row of the result per model).
+
+        All k models share two matmuls over the shard; the ``(n, dim)``
+        per-example matrix is never built.  Logits are laid out as
+        ``(k, classes, n)`` so the softmax reduces over a middle axis of
+        whole example rows.
+        """
+        w = np.asarray(w, dtype=float)
+        if w.ndim not in (1, 2) or w.shape[-1] != self.dim:
+            raise ValueError(
+                f"expected a parameter vector of length {self.dim} or a stack of them, got {w.shape}"
+            )
+        stack = w.reshape(-1, self.dim)
+        k, c, n = stack.shape[0], self.classes, shard.n
+        split = c * self.features
+        weights = stack[:, :split].reshape(k * c, self.features)
+        logits = (weights @ shard.features.T).reshape(k, c, n) + stack[:, split:, None]
+        logits -= logits.max(axis=1, keepdims=True)
+        probs = np.exp(logits)
+        probs /= probs.sum(axis=1, keepdims=True)
+        probs[:, shard.labels, np.arange(n)] -= 1.0
+        resid = probs.reshape(k * c, n)
+        grad_w = (resid @ shard.features).reshape(k, split)
+        grad = np.concatenate([grad_w, resid.sum(axis=1).reshape(k, c)], axis=1) / n
+        return grad.reshape(w.shape)
 
     def accuracy(self, w: np.ndarray, shard: DatasetShard) -> float:
         pred = self._log_probs(w, shard.features).argmax(axis=1)
@@ -212,19 +237,6 @@ class RoundResult:
     client_models: dict[int, np.ndarray]
 
 
-def clip_gradient(g: np.ndarray, c: float) -> np.ndarray:
-    """Scale ``g`` by ``min(1, c / ||g||)``; direction preserved."""
-    if not c > 0:
-        raise ValueError(f"clip bound must be positive, got {c}")
-    g = np.asarray(g, dtype=float)
-    if not np.all(np.isfinite(g)):
-        raise ValueError("gradient entries must be finite")
-    norm = float(np.linalg.norm(g))
-    if norm <= c:
-        return g
-    return g * (c / norm)
-
-
 def _clip_rows(grads: np.ndarray, c: float) -> np.ndarray:
     norms = np.linalg.norm(grads, axis=1, keepdims=True)
     factors = np.minimum(1.0, c / np.maximum(norms, 1e-300))
@@ -259,12 +271,7 @@ def local_update(
         if batch_n == 0:
             continue
         batch = cfg.shard.subset(np.flatnonzero(mask))
-        if hasattr(model, "per_example_gradients"):
-            grads = np.asarray(model.per_example_gradients(w, batch), dtype=float)
-        else:
-            grads = np.stack(
-                [np.asarray(model.gradient(w, batch.subset(np.array([j])))) for j in range(batch_n)]
-            )
+        grads = np.asarray(model.per_example_gradients(w, batch), dtype=float)
         summed = _clip_rows(grads, cfg.clip_c).sum(axis=0)
         if cfg.mechanism is not None:
             summed = summed + sample_noise_array(cfg.mechanism, stream, w.size)

@@ -60,7 +60,10 @@ class CurveTrainConfig:
     """Stochastic curve-training settings with a loss oracle.
 
     ``model`` needs ``gradient(w, shard)`` (and ``loss(w, shard)`` for
-    evaluation); ``shard`` is passed through opaquely.
+    evaluation); ``shard`` is passed through opaquely.  ``gradient`` must
+    broadcast over a leading axis: given a ``(k, d)`` stack of parameter
+    vectors it returns the ``(k, d)`` stack of their gradients, because every
+    curve of a merge level is trained in one call per step.
     """
 
     steps: int
@@ -79,18 +82,22 @@ def curve_point(spec: CurveSpec, p: float) -> np.ndarray:
     """Evaluate the curve at parameter ``p`` in [0, 1]."""
     if not (0.0 <= p <= 1.0):
         raise ValueError(f"curve parameter must lie in [0, 1], got {p}")
-    w1, w2, theta = spec.endpoint_w1, spec.endpoint_w2, spec.bend_theta
-    if spec.kind is CurveKind.QUADRATIC_BEZIER:
-        return (1.0 - p) ** 2 * w1 + 2.0 * p * (1.0 - p) * theta + p**2 * w2
-    if p <= 0.5:
-        return 2.0 * (p * theta + (0.5 - p) * w1)
-    return 2.0 * ((p - 0.5) * w2 + (1.0 - p) * theta)
+    a, b, c = _coefficients(spec.kind, p)
+    return a * spec.endpoint_w1 + b * spec.bend_theta + c * spec.endpoint_w2
 
 
-def _bend_factor(kind: CurveKind, p: float) -> float:
+def _coefficients(kind: CurveKind, p):
+    """Weights of (w1, theta, w2) in the curve point at ``p`` (a scalar or an
+    array).  The curve is linear in theta, so the theta weight is also the
+    chain-rule factor ``dphi/dtheta`` of bend training."""
     if kind is CurveKind.QUADRATIC_BEZIER:
-        return 2.0 * p * (1.0 - p)
-    return 2.0 * p if p <= 0.5 else 2.0 * (1.0 - p)
+        return (1.0 - p) ** 2, 2.0 * p * (1.0 - p), p**2
+    left = p <= 0.5
+    return (
+        np.where(left, 2.0 * (0.5 - p), 0.0),
+        np.where(left, 2.0 * p, 2.0 * (1.0 - p)),
+        np.where(left, 0.0, 2.0 * (p - 0.5)),
+    )
 
 
 def train_curve(spec: CurveSpec, cfg: CurveTrainConfig, stream: NoiseStream) -> np.ndarray:
@@ -98,13 +105,21 @@ def train_curve(spec: CurveSpec, cfg: CurveTrainConfig, stream: NoiseStream) -> 
 
     The input spec is not mutated and the endpoints never move.
     """
-    theta = spec.bend_theta.copy()
-    work = CurveSpec(spec.kind, spec.endpoint_w1, spec.endpoint_w2, theta)
-    rng = stream.rng
-    for _ in range(cfg.steps):
-        p_hat = float(rng.random())
-        grad = np.asarray(cfg.model.gradient(curve_point(work, p_hat), cfg.shard), dtype=float)
-        theta -= cfg.learning_rate * _bend_factor(spec.kind, p_hat) * grad
+    one = CurveSpec(spec.kind, spec.endpoint_w1[None], spec.endpoint_w2[None], spec.bend_theta[None])
+    return _train_bends(one, cfg, [stream.rng])[0]
+
+
+def _train_bends(spec: CurveSpec, cfg: CurveTrainConfig, rngs) -> np.ndarray:
+    """Train the k bends of a stacked ``(k, d)`` spec together; curve j draws
+    its ``cfg.steps`` curve parameters from ``rngs[j]``.  Each step makes one
+    ``gradient`` call on the ``(k, d)`` stack of curve points."""
+    w1, w2, theta = spec.endpoint_w1, spec.endpoint_w2, spec.bend_theta.copy()
+    p_hat = np.stack([rng.random(cfg.steps) for rng in rngs], axis=1)[:, :, None]
+    a, b, c = _coefficients(spec.kind, p_hat)
+    rate = cfg.learning_rate * b
+    for step in range(cfg.steps):
+        grad = cfg.model.gradient(a[step] * w1 + b[step] * theta + c[step] * w2, cfg.shard)
+        theta -= rate[step] * np.asarray(grad, dtype=float)
     return theta
 
 
@@ -144,31 +159,27 @@ def mode_connect_aggregate(
 
     Callers supply models ordered as they should be paired (ascending client
     id unless an upstream shuffle reordered them); adjacent models pair up and
-    an odd leftover carries to the next level.  With ``cfg`` absent or zero
-    steps the merge reduces to iterated pairwise midpoints.
+    an odd leftover carries to the next level.  All curves of one level train
+    together as one ``(pairs, d)`` stack.  With ``cfg`` absent or zero steps
+    the merge reduces to iterated pairwise midpoints.
     """
     level = [np.asarray(m, dtype=float) for m in models]
     if not level:
         raise ValueError("at least one model is required")
+    level = np.stack(level)
     merge_round = 0
     while len(level) > 1:
-        nxt = []
-        for i in range(0, len(level) - 1, 2):
-            spec = CurveSpec(kind, level[i], level[i + 1])
-            if cfg is None or cfg.steps == 0:
-                nxt.append(spec.bend_theta)
-            else:
-                sub = stream or NoiseStream(0, purpose="curve-train")
-                pair_stream = NoiseStream(
-                    sub.master_seed,
-                    sub.round_index,
-                    merge_round * 1024 + i,
-                    sub.purpose,
-                )
-                nxt.append(train_curve(spec, cfg, pair_stream))
-        if len(level) % 2:
-            nxt.append(level[-1])
-        level = nxt
+        paired = len(level) // 2 * 2
+        spec = CurveSpec(kind, level[0:paired:2], level[1:paired:2])
+        bends = spec.bend_theta
+        if cfg is not None and cfg.steps > 0:
+            sub = stream or NoiseStream(0, purpose="curve-train")
+            rngs = [
+                NoiseStream(sub.master_seed, sub.round_index, merge_round * 1024 + i, sub.purpose).rng
+                for i in range(0, paired, 2)
+            ]
+            bends = _train_bends(spec, cfg, rngs)
+        level = np.concatenate([bends, level[paired:]])
         merge_round += 1
     return level[0]
 

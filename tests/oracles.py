@@ -136,6 +136,43 @@ class QuadraticBowl:
         return 2.0 * (np.asarray(w, dtype=float) - self.center)
 
 
+def train_curve_reference(spec, cfg, stream):
+    """Bend training one curve at a time: a scalar ``p`` and one single-vector
+    ``gradient`` call per step, with the chain-rule factor written out here."""
+    from dpfed.mode_connectivity import CurveKind, CurveSpec, curve_point
+
+    theta = spec.bend_theta.copy()
+    work = CurveSpec(spec.kind, spec.endpoint_w1, spec.endpoint_w2, theta)
+    rng = stream.rng
+    for _ in range(cfg.steps):
+        p = float(rng.random())
+        if spec.kind is CurveKind.QUADRATIC_BEZIER:
+            factor = 2.0 * p * (1.0 - p)
+        else:
+            factor = 2.0 * min(p, 1.0 - p)
+        theta -= cfg.learning_rate * factor * cfg.model.gradient(curve_point(work, p), cfg.shard)
+    return theta
+
+
+def mode_connect_reference(models, cfg, stream, kind):
+    """Pairwise merge, one pair after another through ``train_curve_reference``."""
+    from dpfed.mechanisms import NoiseStream
+    from dpfed.mode_connectivity import CurveSpec
+
+    level = [np.asarray(m, dtype=float) for m in models]
+    merge_round = 0
+    while len(level) > 1:
+        nxt = []
+        for i in range(0, len(level) - 1, 2):
+            pair_stream = NoiseStream(stream.master_seed, stream.round_index, merge_round * 1024 + i, stream.purpose)
+            nxt.append(train_curve_reference(CurveSpec(kind, level[i], level[i + 1]), cfg, pair_stream))
+        if len(level) % 2:
+            nxt.append(level[-1])
+        level = nxt
+        merge_round += 1
+    return level[0]
+
+
 def curve_loss_monte_carlo(spec, loss_fn, n=10_000, seed=123):
     """E_{p~U(0,1)} loss(phi(p)) estimated on a fixed uniform sample."""
     from dpfed.mode_connectivity import curve_point

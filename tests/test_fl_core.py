@@ -12,7 +12,7 @@ from dpfed.fl_core import (
     DatasetShard,
     LogisticRegressionModel,
     ServerState,
-    clip_gradient,
+    _clip_rows,
     fedavg_aggregate,
     heterogeneous_update,
     load_csv_shard,
@@ -79,19 +79,33 @@ class TestLossModel:
             if model.dim > 50:
                 continue
             shard = DatasetShard(rng.normal(size=(12, f)), rng.integers(0, classes, 12))
-            w = rng.normal(scale=0.5, size=model.dim)
-            got = model.gradient(w, shard)
-            want = central_difference_gradient(lambda v: model.loss(v, shard), w)
-            denom = max(np.max(np.abs(want)), 1e-8)
-            assert np.max(np.abs(got - want)) / denom < 1e-4
+            stack = rng.normal(scale=0.5, size=(3, model.dim))
+            stacked = model.gradient(stack, shard)
+            assert stacked.shape == stack.shape
+            for w, row in zip(stack, stacked):
+                got = model.gradient(w, shard)
+                assert np.allclose(row, got, rtol=1e-12)
+                want = central_difference_gradient(lambda v: model.loss(v, shard), w)
+                denom = max(np.max(np.abs(want)), 1e-8)
+                assert np.max(np.abs(got - want)) / denom < 1e-4
 
     def test_per_example_gradients_average(self):
         model = LogisticRegressionModel(3, 4)
         shard = tiny_shard(3)
-        w = np.random.default_rng(1).normal(size=model.dim)
-        per = model.per_example_gradients(w, shard)
-        assert per.shape == (shard.n, model.dim)
-        assert np.allclose(per.mean(axis=0), model.gradient(w, shard), rtol=1e-12)
+        stack = np.random.default_rng(1).normal(size=(4, model.dim))
+        stacked = model.gradient(stack, shard)
+        for w, row in zip(stack, stacked):
+            per = model.per_example_gradients(w, shard)
+            assert per.shape == (shard.n, model.dim)
+            assert np.allclose(per.mean(axis=0), model.gradient(w, shard), rtol=1e-12)
+            assert np.allclose(row, model.gradient(w, shard), rtol=1e-12)
+
+    def test_gradient_shape_checked(self):
+        model = LogisticRegressionModel(3, 4)
+        shard = tiny_shard(3)
+        for shape in [(model.dim - 1,), (2, model.dim + 1), (2, 2, model.dim), ()]:
+            with pytest.raises(ValueError):
+                model.gradient(np.zeros(shape), shard)
 
     def test_accuracy_range(self):
         model = LogisticRegressionModel(3, 4)
@@ -101,32 +115,32 @@ class TestLossModel:
 
 
 class TestClip:
+    @staticmethod
+    def clip(g, c):
+        return _clip_rows(np.asarray(g, dtype=float)[None], c)[0]
+
     def test_forced_scaling(self):
         g = np.array([2.0, 0.0])
-        out = clip_gradient(g, 1.0)
+        out = self.clip(g, 1.0)
         assert np.allclose(out, [1.0, 0.0], rtol=1e-15)
 
     def test_unchanged_inside_ball(self):
         g = np.array([0.3, 0.4])
-        assert np.array_equal(clip_gradient(g, 1.0), g)
+        assert np.array_equal(self.clip(g, 1.0), g)
 
     def test_zero_vector(self):
-        assert np.array_equal(clip_gradient(np.zeros(3), 1.0), np.zeros(3))
+        assert np.array_equal(self.clip(np.zeros(3), 1.0), np.zeros(3))
 
     def test_norm_bound_random(self):
         rng = np.random.default_rng(2)
         for _ in range(50):
             g = rng.normal(size=8) * rng.uniform(0.1, 10)
             c = rng.uniform(0.1, 3)
-            out = clip_gradient(g, c)
+            out = self.clip(g, c)
             assert np.linalg.norm(out) <= c + 1e-12
             if np.linalg.norm(g) > 0:
                 cos = np.dot(out, g) / (np.linalg.norm(out) * np.linalg.norm(g) + 1e-300)
                 assert cos == pytest.approx(1.0, abs=1e-12)
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            clip_gradient(np.array([np.nan, 1.0]), 1.0)
 
 
 class TestLocalUpdate:

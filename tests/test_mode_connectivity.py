@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from dpfed.fl_core import DatasetShard, LogisticRegressionModel
 from dpfed.mechanisms import NoiseStream
 from dpfed.mode_connectivity import (
     CurveKind,
@@ -15,11 +16,20 @@ from dpfed.mode_connectivity import (
     theta_star,
     train_curve,
 )
-from oracles import QuadraticBowl, curve_loss_monte_carlo
+from oracles import QuadraticBowl, curve_loss_monte_carlo, mode_connect_reference, train_curve_reference
 
 
 def make_spec(kind=CurveKind.POLYGONAL_CHAIN, theta=None):
     return CurveSpec(kind, np.array([1.0, 0.0]), np.array([-1.0, 0.0]), theta)
+
+
+def logistic_setup(n_models, seed=0, classes=3, features=5):
+    """A logistic loss oracle, its shard and ``n_models`` random parameter vectors."""
+    rng = np.random.default_rng(seed)
+    model = LogisticRegressionModel(classes, features)
+    shard = DatasetShard(rng.normal(size=(40, features)), rng.integers(0, classes, 40))
+    models = list(rng.normal(scale=0.5, size=(n_models, model.dim)))
+    return CurveTrainConfig(steps=100, learning_rate=0.05, model=model, shard=shard), models
 
 
 class TestCurvePoint:
@@ -99,6 +109,15 @@ class TestTrainCurve:
         cfg = CurveTrainConfig(steps=50, learning_rate=0.1, model=QuadraticBowl(w))
         theta = train_curve(spec, cfg, NoiseStream(2, purpose="curve"))
         assert np.array_equal(theta, w)
+
+    @pytest.mark.parametrize("kind", list(CurveKind))
+    def test_matches_one_curve_reference(self, kind):
+        cfg, (w1, w2, th) = logistic_setup(3, seed=4)
+        spec = CurveSpec(kind, w1, w2, th)
+        got = train_curve(spec, cfg, NoiseStream(4, purpose="curve"))
+        want = train_curve_reference(spec, cfg, NoiseStream(4, purpose="curve"))
+        assert not np.allclose(got, th)
+        assert np.max(np.abs(got - want)) <= 1e-12
 
     def test_input_spec_not_mutated(self):
         spec = make_spec(theta=np.array([0.4, -0.2]))
@@ -181,6 +200,16 @@ class TestModeConnectAggregate:
         trained = mode_connect_aggregate(models, cfg, stream=NoiseStream(6, purpose="agg"))
         plain = mode_connect_aggregate(models, None)
         assert bowl.loss(trained) < bowl.loss(plain)
+
+    @pytest.mark.parametrize("n_models", [5, 7])
+    @pytest.mark.parametrize("kind", list(CurveKind))
+    def test_stacked_levels_match_pairwise_reference(self, kind, n_models):
+        cfg, models = logistic_setup(n_models, seed=n_models)
+        stream = NoiseStream(8, 3, 0, "curve-train")
+        got = mode_connect_aggregate(models, cfg, stream=stream, kind=kind)
+        want = mode_connect_reference(models, cfg, stream, kind)
+        assert not np.allclose(got, mode_connect_aggregate(models, None, kind=kind))
+        assert np.max(np.abs(got - want)) <= 1e-12
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
