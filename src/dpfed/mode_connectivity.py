@@ -167,16 +167,17 @@ def mode_connect_aggregate(
     if not level:
         raise ValueError("at least one model is required")
     level = np.stack(level)
+    sub = stream or NoiseStream(0, purpose="curve-train")
     merge_round = 0
     while len(level) > 1:
-        paired = len(level) // 2 * 2
+        paired = len(level) - len(level) % 2
         spec = CurveSpec(kind, level[0:paired:2], level[1:paired:2])
         bends = spec.bend_theta
         if cfg is not None and cfg.steps > 0:
-            sub = stream or NoiseStream(0, purpose="curve-train")
+            # Keyed by (level, pair): a stream per pair whatever the level's size.
             rngs = [
-                NoiseStream(sub.master_seed, sub.round_index, merge_round * 1024 + i, sub.purpose).rng
-                for i in range(0, paired, 2)
+                NoiseStream(sub.master_seed, sub.round_index, pair, f"{sub.purpose}:level{merge_round}").rng
+                for pair in range(paired // 2)
             ]
             bends = _train_bends(spec, cfg, rngs)
         level = np.concatenate([bends, level[paired:]])

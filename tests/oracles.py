@@ -164,7 +164,9 @@ def mode_connect_reference(models, cfg, stream, kind):
     while len(level) > 1:
         nxt = []
         for i in range(0, len(level) - 1, 2):
-            pair_stream = NoiseStream(stream.master_seed, stream.round_index, merge_round * 1024 + i, stream.purpose)
+            pair_stream = NoiseStream(
+                stream.master_seed, stream.round_index, i // 2, f"{stream.purpose}:level{merge_round}"
+            )
             nxt.append(train_curve_reference(CurveSpec(kind, level[i], level[i + 1]), cfg, pair_stream))
         if len(level) % 2:
             nxt.append(level[-1])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dpfed.fl_core import DatasetShard, LogisticRegressionModel
+from dpfed import mode_connectivity
 from dpfed.mechanisms import NoiseStream
 from dpfed.mode_connectivity import (
     CurveKind,
@@ -210,6 +211,23 @@ class TestModeConnectAggregate:
         want = mode_connect_reference(models, cfg, stream, kind)
         assert not np.allclose(got, mode_connect_aggregate(models, None, kind=kind))
         assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_pair_streams_never_collide(self, monkeypatch):
+        # 1026 models: pair 512 of level 0 and pair 0 of level 1 once shared
+        # the key 1024.  Every trained pair must own a distinct stream.
+        keys = []
+
+        class RecordingStream(NoiseStream):
+            def __post_init__(self):
+                super().__post_init__()
+                keys.append((self.master_seed, self.round_index, self.client_index, self.purpose))
+
+        monkeypatch.setattr(mode_connectivity, "NoiseStream", RecordingStream)
+        models = [np.array([float(i), 0.0]) for i in range(1026)]
+        cfg = CurveTrainConfig(steps=1, learning_rate=0.01, model=QuadraticBowl(np.zeros(2)))
+        mode_connect_aggregate(models, cfg, stream=NoiseStream(3, 1, 0, "curve-train"))
+        assert len(keys) == len(models) - 1
+        assert len(set(keys)) == len(keys)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
