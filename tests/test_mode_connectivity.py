@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from dpfed.fl_core import DatasetShard, LogisticRegressionModel
 from dpfed import mode_connectivity
+from dpfed.fl_core import DatasetShard, LogisticRegressionModel
 from dpfed.mechanisms import NoiseStream
 from dpfed.mode_connectivity import (
     CurveKind,
@@ -213,8 +213,9 @@ class TestModeConnectAggregate:
         assert np.max(np.abs(got - want)) <= 1e-12
 
     def test_pair_streams_never_collide(self, monkeypatch):
-        # 1026 models: pair 512 of level 0 and pair 0 of level 1 once shared
-        # the key 1024.  Every trained pair must own a distinct stream.
+        # 1026 models make a first level large enough that a key of
+        # level * 1024 + model index would repeat across levels.  Every
+        # trained pair must own a distinct stream.
         keys = []
 
         class RecordingStream(NoiseStream):
