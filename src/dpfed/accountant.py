@@ -137,13 +137,20 @@ class RdpLedger:
         idx = int(np.argmin(candidates))
         return float(candidates[idx]), float(self.alpha_grid[idx])
 
+    def _epsilon_after(self, curve, budget: PrivacyBudget) -> tuple[np.ndarray, float]:
+        """The composed curve after ``curve`` and its epsilon at the budget delta."""
+        trial = self.gamma + self._check_curve(curve)
+        candidates = trial + math.log(1.0 / budget.delta) / (self.alpha_grid - 1.0)
+        return trial, float(np.min(candidates))
+
+    def affords(self, curve, budget: PrivacyBudget) -> bool:
+        """Whether :meth:`spend` would commit ``curve``; never mutates."""
+        return self._epsilon_after(curve, budget)[1] <= budget.epsilon
+
     def spend(self, curve, budget: PrivacyBudget) -> SpendDecision:
         """Tentatively compose ``curve``; Halt (ledger unchanged) if the
         budget epsilon would be exceeded, else commit and report headroom."""
-        arr = self._check_curve(curve)
-        trial = self.gamma + arr
-        candidates = trial + math.log(1.0 / budget.delta) / (self.alpha_grid - 1.0)
-        eps_after = float(np.min(candidates))
+        trial, eps_after = self._epsilon_after(curve, budget)
         if eps_after > budget.epsilon:
             return SpendDecision(halted=True)
         self.gamma = trial

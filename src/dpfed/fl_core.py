@@ -1,10 +1,17 @@
 """Deterministic federated-learning simulator.
 
 One training round: the server selects a client subset, broadcasts the global
-model, each selected client runs privatized local epochs (per-example
-gradient clipping, one noise draw per coordinate per epoch at sensitivity c,
-averaged, SGD step), the ledger charges one Renyi curve per noise application,
-and the server aggregates by FedAvg or pairwise mode-connectivity merging.
+model, each selected client runs privatized local epochs (the per-example
+gradients are clipped to l2 norm c and summed, one noise draw is added per
+coordinate per epoch at sensitivity c, the sum is averaged and an SGD step
+taken), the ledger charges one Renyi curve per noise application, and the
+server aggregates by FedAvg or pairwise mode-connectivity merging.
+
+Clipping uses ghost norms: for logistic regression the per-example gradient
+is the outer product of the softmax residual ``p_i`` with ``(x_i, 1)``, so
+``||g_i||^2 = ||p_i||^2 (||x_i||^2 + 1)``.  The clipped sum then takes two
+matmuls over the batch, and the ``(n, dim)`` per-example matrix is never
+built (Goodfellow, arXiv:1510.01799; Li et al., arXiv:2110.05679).
 
 Every random decision flows through a :class:`NoiseStream` keyed by (master
 seed, round, client, purpose), so a configuration plus master seed fully
@@ -27,7 +34,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .accountant import RdpLedger, cached_rdp_curve
+from .accountant import cached_rdp_curve
 from .mechanisms import MechanismParams, NoiseStream, sample_noise_array
 from .mode_connectivity import CurveTrainConfig, mode_connect_aggregate
 
@@ -120,12 +127,34 @@ class LogisticRegressionModel:
         lp = self._log_probs(w, shard.features)
         return float(-lp[np.arange(shard.n), shard.labels].mean())
 
+    def _residuals(self, w: np.ndarray, features: np.ndarray, labels: np.ndarray) -> np.ndarray:
+        """(n, classes) softmax residual: probabilities minus the one-hot labels."""
+        probs = np.exp(self._log_probs(w, features))
+        probs[np.arange(features.shape[0]), labels] -= 1.0
+        return probs
+
     def per_example_gradients(self, w: np.ndarray, shard: DatasetShard) -> np.ndarray:
-        """(n, dim) matrix of per-example cross-entropy gradients."""
-        probs = np.exp(self._log_probs(w, shard.features))
-        probs[np.arange(shard.n), shard.labels] -= 1.0
+        """(n, dim) matrix of per-example cross-entropy gradients (the
+        reference the ghost-norm kernel is tested against)."""
+        probs = self._residuals(w, shard.features, shard.labels)
         grad_w = np.einsum("nc,nf->ncf", probs, shard.features)
         return np.concatenate([grad_w.reshape(shard.n, -1), probs], axis=1)
+
+    def clipped_gradient_sum(
+        self, w: np.ndarray, features: np.ndarray, labels: np.ndarray, c: float
+    ) -> np.ndarray:
+        """``(dim,)`` sum over the rows of each per-example gradient clipped to
+        l2 norm ``c``.
+
+        Row i's gradient is the residual ``p_i`` times ``(x_i, 1)``, so its
+        norm is ``||p_i|| sqrt(||x_i||^2 + 1)``; scaling the residual rows by
+        their clip factors gives the clipped sum as ``P.T @ X`` (weights) and
+        ``P.sum(0)`` (bias), without the ``(n, dim)`` per-example matrix.
+        """
+        resid = self._residuals(w, features, labels)
+        norms = np.sqrt((resid * resid).sum(axis=1) * ((features * features).sum(axis=1) + 1.0))
+        resid *= np.minimum(1.0, c / np.maximum(norms, 1e-300))[:, None]
+        return np.concatenate([(resid.T @ features).ravel(), resid.sum(axis=0)])
 
     def gradient(self, w: np.ndarray, shard: DatasetShard) -> np.ndarray:
         """Mean cross-entropy gradient of one ``(dim,)`` vector, or of each row
@@ -237,12 +266,6 @@ class RoundResult:
     client_models: dict[int, np.ndarray]
 
 
-def _clip_rows(grads: np.ndarray, c: float) -> np.ndarray:
-    norms = np.linalg.norm(grads, axis=1, keepdims=True)
-    factors = np.minimum(1.0, c / np.maximum(norms, 1e-300))
-    return grads * factors
-
-
 def local_update(
     cfg: ClientConfig,
     global_w: np.ndarray,
@@ -253,33 +276,29 @@ def local_update(
 ) -> ClientUpdate:
     """Run the client's privatized local epochs from the broadcast model.
 
-    Each epoch draws a Poisson-style subsample at rate q, clips per-example
-    gradients at c, sums, adds one noise draw per coordinate (sensitivity c),
-    averages and steps.  Empty subsamples skip the epoch without spending.
-    When ``w_max``/``eps_max`` are given, the heterogeneous penalty pulls the
-    step toward ``w_max``.
+    Each epoch draws a Poisson-style subsample at rate q, sums the batch's
+    per-example gradients clipped at c with the ghost-norm kernel
+    ``model.clipped_gradient_sum``, adds one noise draw per coordinate
+    (sensitivity c), averages and takes one :func:`heterogeneous_update`
+    step.  Empty subsamples skip the epoch without spending.  The step pulls
+    toward ``w_max`` only when ``w_max``/``eps_max`` are given and the
+    client's budget is below ``eps_max``.
     """
     w = np.asarray(global_w, dtype=float).copy()
+    if eps_max is None or w_max is None:
+        w_max, eps_max = w, cfg.epsilon_k
+    features, labels = cfg.shard.features, cfg.shard.labels
     rng = stream.rng
-    lam_k = 0.0
-    if eps_max is not None and w_max is not None:
-        lam_k = heterogeneity_penalty(cfg.epsilon_k, eps_max)
     draws = 0
     for _ in range(cfg.local_epochs_I):
-        mask = rng.random(cfg.shard.n) < cfg.sample_rate_q
-        batch_n = int(mask.sum())
-        if batch_n == 0:
+        idx = np.flatnonzero(rng.random(cfg.shard.n) < cfg.sample_rate_q)
+        if idx.size == 0:
             continue
-        batch = cfg.shard.subset(np.flatnonzero(mask))
-        grads = np.asarray(model.per_example_gradients(w, batch), dtype=float)
-        summed = _clip_rows(grads, cfg.clip_c).sum(axis=0)
+        summed = model.clipped_gradient_sum(w, features[idx], labels[idx], cfg.clip_c)
         if cfg.mechanism is not None:
             summed = summed + sample_noise_array(cfg.mechanism, stream, w.size)
             draws += 1
-        step = summed / batch_n
-        if lam_k > 0.0:
-            step = step + lam_k * (w - w_max)
-        w -= cfg.learning_rate * step
+        w = heterogeneous_update(cfg, w, summed / idx.size, w_max, eps_max)
     return ClientUpdate(client_id=cfg.id, params=w, noise_draws=draws)
 
 
@@ -369,8 +388,7 @@ def run_round(
         if cfg.mechanism is None or upd.noise_draws == 0:
             continue
         curve = upd.noise_draws * cached_rdp_curve(cfg.mechanism, ledgers[cfg.id].alpha_grid)
-        trial = RdpLedger(ledgers[cfg.id].alpha_grid, ledgers[cfg.id].gamma.copy())
-        if trial.spend(curve, budgets[cfg.id]).halted:
+        if not ledgers[cfg.id].affords(curve, budgets[cfg.id]):
             raise BudgetExhaustedError(
                 f"privacy budget exhausted at round {server.round_t} for client {cfg.id}"
             )

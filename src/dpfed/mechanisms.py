@@ -171,11 +171,6 @@ def density_as_published(params: MechanismParams, x) -> float | np.ndarray:
     return out if arr.ndim else float(out)
 
 
-def sample_noise(params: MechanismParams, stream: NoiseStream) -> float:
-    """One draw from ``density(params, .)`` using ``stream``'s generator."""
-    return float(sample_noise_array(params, stream, 1)[0])
-
-
 def sample_noise_array(params: MechanismParams, stream: NoiseStream, size: int) -> np.ndarray:
     """Vectorized sampler; ``size`` i.i.d. draws from the mechanism's density."""
     rng = stream.rng

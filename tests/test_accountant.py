@@ -153,6 +153,35 @@ class TestSpend:
         assert ledger.spend(curve, budget).halted
 
 
+    def test_affords_agrees_with_spend_and_never_mutates(self):
+        params = MechanismParams(MechanismKind.GAUSSIAN, 1.0, 1.0)
+        curve = rdp_curve(params, INT_GRID)
+        start = np.random.default_rng(3).uniform(0.0, 0.5, INT_GRID.size)
+        eps_after, _ = RdpLedger(INT_GRID, start + curve).to_dp(DELTA)
+        for eps, affordable in [
+            (eps_after * (1.0 - 1e-9), False),
+            (eps_after, True),
+            (eps_after * (1.0 + 1e-9), True),
+        ]:
+            budget = PrivacyBudget(eps, DELTA, 1)
+            ledger = RdpLedger(INT_GRID, start.copy())
+            gamma = ledger.gamma
+            for _ in range(3):
+                assert ledger.affords(curve, budget) is affordable
+            assert ledger.gamma is gamma
+            assert np.array_equal(gamma, start)
+            assert ledger.rounds_composed == 0
+            assert ledger.spend(curve, budget).halted is not affordable
+
+    def test_affords_checks_the_curve(self):
+        ledger = RdpLedger(np.array([2.0, 4.0]))
+        budget = PrivacyBudget(1.0, DELTA, 1)
+        with pytest.raises(ValueError):
+            ledger.affords([1.0], budget)
+        with pytest.raises(ValueError):
+            ledger.affords([-0.1, 0.0], budget)
+
+
 class TestCalibration:
     def test_gaussian_spot_inverse(self):
         budget = PrivacyBudget(5.3026, DELTA, 1)

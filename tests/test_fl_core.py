@@ -3,6 +3,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpfed.accountant import PrivacyBudget, RdpLedger, calibrate_noise, default_alpha_grid
 from dpfed.fl_core import (
@@ -12,7 +14,6 @@ from dpfed.fl_core import (
     DatasetShard,
     LogisticRegressionModel,
     ServerState,
-    _clip_rows,
     fedavg_aggregate,
     heterogeneous_update,
     load_csv_shard,
@@ -115,29 +116,124 @@ class TestLossModel:
         assert 0.0 <= acc <= 1.0
 
 
+def clipped_sum_oracle(model, w, shard, c):
+    """Per-example gradients, each clipped to l2 norm c by an explicit norm, summed."""
+    grads = model.per_example_gradients(w, shard)
+    norms = np.linalg.norm(grads, axis=1, keepdims=True)
+    return (grads * np.minimum(1.0, c / np.maximum(norms, 1e-300))).sum(axis=0)
+
+
+def assert_matches_oracle(got, want):
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+def saturated_row_model():
+    """A model under which the row ``(5, 0, 0, 0)`` with label 0 has a logit
+    margin of 1000: its softmax is exactly one-hot and its residual zero."""
+    model = LogisticRegressionModel(3, 4)
+    w = np.zeros(model.dim)
+    w[0] = 200.0
+    return model, w, np.array([5.0, 0.0, 0.0, 0.0]), 0
+
+
+class TestGhostClipping:
+    def test_matches_oracle_when_clipping_binds(self):
+        model = LogisticRegressionModel(3, 4)
+        shard = tiny_shard(21)
+        w = np.random.default_rng(6).normal(scale=2.0, size=model.dim)
+        c = 0.05
+        norms = np.linalg.norm(model.per_example_gradients(w, shard), axis=1)
+        assert (norms > c).any() and (norms < c).any()  # binds on some rows, not all
+        got = model.clipped_gradient_sum(w, shard.features, shard.labels, c)
+        assert_matches_oracle(got, clipped_sum_oracle(model, w, shard, c))
+
+    def test_matches_plain_sum_when_clipping_is_slack(self):
+        model = LogisticRegressionModel(3, 4)
+        shard = tiny_shard(22)
+        w = np.random.default_rng(7).normal(scale=0.3, size=model.dim)
+        norms = np.linalg.norm(model.per_example_gradients(w, shard), axis=1)
+        c = 2.0 * norms.max()
+        got = model.clipped_gradient_sum(w, shard.features, shard.labels, c)
+        assert_matches_oracle(got, model.per_example_gradients(w, shard).sum(axis=0))
+        assert_matches_oracle(got, shard.n * model.gradient(w, shard))
+
+    def test_single_row(self):
+        model = LogisticRegressionModel(4, 3)
+        shard = tiny_shard(23, n=1, f=3, classes=4)
+        w = np.random.default_rng(8).normal(size=model.dim)
+        for c in (0.01, 1.0, 100.0):
+            got = model.clipped_gradient_sum(w, shard.features, shard.labels, c)
+            assert got.shape == (model.dim,)
+            assert_matches_oracle(got, clipped_sum_oracle(model, w, shard, c))
+
+    def test_zero_residual_row(self):
+        model, w, x0, y0 = saturated_row_model()
+        rng = np.random.default_rng(9)
+        features = np.vstack([x0, rng.normal(scale=0.01, size=(9, 4))])
+        labels = np.concatenate([[y0], rng.integers(0, 3, 9)])
+        shard = DatasetShard(features, labels)
+        assert not model.per_example_gradients(w, shard)[0].any()
+        for c in (0.1, 10.0):
+            got = model.clipped_gradient_sum(w, features, labels, c)
+            assert_matches_oracle(got, clipped_sum_oracle(model, w, shard, c))
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(1, 30),
+        f=st.integers(1, 8),
+        classes=st.integers(2, 5),
+        c=st.floats(1e-3, 10.0),
+        w_scale=st.floats(0.0, 5.0),
+        x_scale=st.floats(1e-2, 10.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_property_rows_bounded_and_sum_matches(self, n, f, classes, c, w_scale, x_scale, seed):
+        rng = np.random.default_rng(seed)
+        model = LogisticRegressionModel(classes, f)
+        shard = DatasetShard(rng.normal(scale=x_scale, size=(n, f)), rng.integers(0, classes, n))
+        w = rng.normal(scale=w_scale, size=model.dim)
+        for i in range(n):
+            row = model.clipped_gradient_sum(w, shard.features[i : i + 1], shard.labels[i : i + 1], c)
+            assert np.linalg.norm(row) <= c + 1e-12
+        got = model.clipped_gradient_sum(w, shard.features, shard.labels, c)
+        assert_matches_oracle(got, clipped_sum_oracle(model, w, shard, c))
+
+
 class TestClip:
+    """Clipping of single gradients, through the kernel on one-row batches."""
+
     @staticmethod
-    def clip(g, c):
-        return _clip_rows(np.asarray(g, dtype=float)[None], c)[0]
+    def one_row(seed, x_scale=1.0):
+        rng = np.random.default_rng(seed)
+        model = LogisticRegressionModel(3, 4)
+        x = rng.normal(scale=x_scale, size=(1, 4))
+        y = rng.integers(0, 3, 1)
+        w = rng.normal(size=model.dim)
+        g = model.per_example_gradients(w, DatasetShard(x, y))[0]
+        return model, w, x, y, g
 
     def test_forced_scaling(self):
-        g = np.array([2.0, 0.0])
-        out = self.clip(g, 1.0)
-        assert np.allclose(out, [1.0, 0.0], rtol=1e-15)
+        model, w, x, y, g = self.one_row(0)
+        c = 0.5 * np.linalg.norm(g)
+        out = model.clipped_gradient_sum(w, x, y, c)
+        assert np.allclose(out, g * (c / np.linalg.norm(g)), rtol=1e-15)
+        assert np.linalg.norm(out) == pytest.approx(c, rel=1e-14)
 
     def test_unchanged_inside_ball(self):
-        g = np.array([0.3, 0.4])
-        assert np.array_equal(self.clip(g, 1.0), g)
+        model, w, x, y, g = self.one_row(1)
+        assert np.array_equal(model.clipped_gradient_sum(w, x, y, 2.0 * np.linalg.norm(g)), g)
 
     def test_zero_vector(self):
-        assert np.array_equal(self.clip(np.zeros(3), 1.0), np.zeros(3))
+        model, w, x0, y0 = saturated_row_model()
+        out = model.clipped_gradient_sum(w, x0[None], np.array([y0]), 1.0)
+        assert np.array_equal(out, np.zeros(model.dim))
 
     def test_norm_bound_random(self):
         rng = np.random.default_rng(2)
-        for _ in range(50):
-            g = rng.normal(size=8) * rng.uniform(0.1, 10)
+        for seed in range(50):
+            model, w, x, y, g = self.one_row(seed, x_scale=rng.uniform(0.1, 10))
             c = rng.uniform(0.1, 3)
-            out = self.clip(g, c)
+            out = model.clipped_gradient_sum(w, x, y, c)
             assert np.linalg.norm(out) <= c + 1e-12
             if np.linalg.norm(g) > 0:
                 cos = np.dot(out, g) / (np.linalg.norm(out) * np.linalg.norm(g) + 1e-300)
@@ -173,6 +269,37 @@ class TestLocalUpdate:
         assert np.all(np.linalg.norm(clipped, axis=1) <= c + 1e-12)
         want = w0 - 0.1 * clipped.mean(axis=0)
         assert np.allclose(upd.params, want, rtol=1e-12)
+
+    def test_heterogeneous_step(self):
+        # q=1, I=1: exactly one heterogeneous_update step on the mean clipped gradient
+        model = LogisticRegressionModel(3, 4)
+        shard = tiny_shard(24)
+        cfg = make_client(shard, epsilon_k=2.0, clip_c=0.5)
+        rng = np.random.default_rng(4)
+        w0, w_max = rng.normal(scale=0.5, size=(2, model.dim))
+        upd = local_update(cfg, w0, model, NoiseStream(0, 0, 0, "local-update"), w_max=w_max, eps_max=8.0)
+        mean = clipped_sum_oracle(model, w0, shard, 0.5) / shard.n
+        want = heterogeneous_update(cfg, w0, mean, w_max, 8.0)
+        assert np.allclose(upd.params, want, rtol=1e-12)
+        assert not np.allclose(upd.params, w0 - 0.1 * mean, rtol=1e-6)
+
+    def test_creates_no_shard(self, monkeypatch):
+        created = []
+        init = DatasetShard.__init__
+
+        def counting_init(self, *args, **kwargs):
+            created.append(1)
+            init(self, *args, **kwargs)
+
+        model = LogisticRegressionModel(3, 4)
+        mech = MechanismParams(MechanismKind.GAUSSIAN, 1.0, 5.0)
+        cfg = make_client(tiny_shard(25), mech, sample_rate_q=0.5, local_epochs_I=3)
+        monkeypatch.setattr(DatasetShard, "__init__", counting_init)
+        w0 = model.init_params()
+        upd = local_update(cfg, w0, model, NoiseStream(5, 0, 0, "local-update"))
+        assert upd.noise_draws == 3
+        assert created == []
+        assert not np.array_equal(upd.params, w0)
 
     def test_determinism(self):
         model = LogisticRegressionModel(3, 4)

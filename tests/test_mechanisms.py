@@ -13,7 +13,6 @@ from dpfed.mechanisms import (
     pure_dp_epsilon,
     rdp,
     rdp_as_published,
-    sample_noise,
     sample_noise_array,
 )
 from oracles import (
@@ -176,7 +175,9 @@ class TestSampling:
 
     def test_scalar_draw_matches_stream(self):
         p = gauss(2.0)
-        assert sample_noise(p, NoiseStream(1, purpose="x")) == sample_noise(p, NoiseStream(1, purpose="x"))
+        a = sample_noise_array(p, NoiseStream(1, purpose="x"), 1)
+        assert a.shape == (1,)
+        assert np.array_equal(a, sample_noise_array(p, NoiseStream(1, purpose="x"), 1))
 
 
 class TestRdp:
