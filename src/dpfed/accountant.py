@@ -20,10 +20,9 @@ DP level gamma, N clients) are provided as a sandwich:
     gamma_u = log(1 + C(alpha,2) * 4 (e^gamma - 1)^2 / N) / (alpha - 1)
     gamma_l = log(1 + C(alpha,2) * (e^gamma - 1)^2 / (N e^gamma)) / (alpha - 1)
 
-Amplification is reported post hoc by default; ``calibrate_noise`` accepts an
-opt-in ``shuffle_clients`` argument that calibrates against the entrywise
-minimum of the mechanism curve and the upper amplification bound (Gaussian is
-excluded: it has no finite pure-DP level to amplify).
+They are reported, not used to calibrate: gamma must be the pure-DP level of
+a whole report, here a d-dimensional noisy update, while
+``mechanisms.pure_dp_epsilon`` is the level of one coordinate.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mechanisms import MechanismKind, MechanismParams, pure_dp_epsilon, rdp
+from .mechanisms import MechanismKind, MechanismParams, rdp
 
 KNOB_BOUNDS = (1e-4, 1e6)
 
@@ -90,8 +89,9 @@ class SpendDecision:
 class RdpLedger:
     """Cumulative composed Renyi divergence per grid order.
 
-    Single-writer: compose/spend mutate in place; gamma entries never
-    decrease.
+    Single-writer: gamma entries never decrease.  ``compose`` adds in place;
+    ``spend`` replaces ``gamma`` with a new array, so a reference to the old
+    one is a snapshot that can be restored.
     """
 
     alpha_grid: np.ndarray
@@ -142,10 +142,6 @@ class RdpLedger:
         trial = self.gamma + self._check_curve(curve)
         candidates = trial + math.log(1.0 / budget.delta) / (self.alpha_grid - 1.0)
         return trial, float(np.min(candidates))
-
-    def affords(self, curve, budget: PrivacyBudget) -> bool:
-        """Whether :meth:`spend` would commit ``curve``; never mutates."""
-        return self._epsilon_after(curve, budget)[1] <= budget.epsilon
 
     def spend(self, curve, budget: PrivacyBudget) -> SpendDecision:
         """Tentatively compose ``curve``; Halt (ledger unchanged) if the
@@ -206,7 +202,6 @@ def calibrate_noise(
     budget: PrivacyBudget,
     grid=None,
     tolerance: float = 1e-4,
-    shuffle_clients: int | None = None,
 ) -> CalibrationResult:
     """Minimal-noise scale whose ``budget.horizon_T``-fold composition meets
     the budget.
@@ -216,19 +211,10 @@ def calibrate_noise(
     the feasible side, and perturbing it one tolerance step toward less noise
     violates the budget.  Raises :class:`InfeasibleBudgetError` when even the
     maximum-noise knob cannot meet the budget (never clamps silently).
-
-    ``shuffle_clients`` opts into calibrating against the entrywise minimum of
-    the mechanism curve and the shuffle-amplified upper bound on the integer
-    grid orders (pure-DP mechanisms only).
     """
     arr = validate_alpha_grid(default_alpha_grid() if grid is None else grid)
     if not tolerance > 0:
         raise ValueError(f"tolerance must be positive, got {tolerance}")
-    if shuffle_clients is not None:
-        if kind is MechanismKind.GAUSSIAN:
-            raise ValueError("shuffle-amplified calibration needs a finite pure-DP level; Gaussian has none")
-        if shuffle_clients < 1:
-            raise ValueError("shuffle_clients must be a positive integer")
 
     log_conv = math.log(1.0 / budget.delta) / (arr - 1.0)
     evals = 0
@@ -236,10 +222,7 @@ def calibrate_noise(
     def composed_epsilon(knob: float) -> float:
         nonlocal evals
         evals += 1
-        params = _params_from_knob(kind, sensitivity, knob)
-        curve = rdp_curve(params, arr)
-        if shuffle_clients is not None:
-            curve = np.minimum(curve, _amplified_curve(params, arr, shuffle_clients))
+        curve = rdp_curve(_params_from_knob(kind, sensitivity, knob), arr)
         return float(np.min(budget.horizon_T * curve + log_conv))
 
     lo, hi = KNOB_BOUNDS
@@ -259,10 +242,7 @@ def calibrate_noise(
         else:
             lo = mid
     params = _params_from_knob(kind, sensitivity, hi)
-    curve = rdp_curve(params, arr)
-    if shuffle_clients is not None:
-        curve = np.minimum(curve, _amplified_curve(params, arr, shuffle_clients))
-    candidates = budget.horizon_T * curve + log_conv
+    candidates = budget.horizon_T * rdp_curve(params, arr) + log_conv
     idx = int(np.argmin(candidates))
     return CalibrationResult(
         mechanism=params,
@@ -270,18 +250,6 @@ def calibrate_noise(
         minimizing_alpha=float(arr[idx]),
         iterations=evals,
     )
-
-
-def _amplified_curve(params: MechanismParams, grid: np.ndarray, n_clients: int) -> np.ndarray:
-    """Shuffle-amplified upper bound on the integer grid orders; non-integer
-    orders keep the un-amplified value (the lemma is stated for integer
-    alpha)."""
-    base = np.full_like(grid, math.inf)
-    pure = pure_dp_epsilon(params)
-    for i, a in enumerate(grid):
-        if float(a).is_integer() and a >= 2:
-            base[i] = shuffle_amplify_upper(pure, int(a), n_clients)
-    return base
 
 
 def _binom2(alpha: int) -> float:

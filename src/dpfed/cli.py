@@ -41,6 +41,7 @@ from .fl_core import (
     ServerState,
     load_csv_shard,
     make_synthetic_federation,
+    pool_shards,
     run_round,
 )
 from .mechanisms import MechanismKind, MechanismParams, NoiseStream
@@ -318,6 +319,8 @@ def run_experiment(cfg: ExperimentConfig, csv_stream=None) -> ExperimentResult:
         budgets[cid] = PrivacyBudget(eps_k if not cfg.noise_disabled else math.inf, cfg.delta, cfg.horizon)
         ledgers[cid] = RdpLedger(grid)
 
+    # The pooled train loss is the sizes-weighted mean of the shard losses.
+    pool = pool_shards(shards)
     sizes = np.array([s.n for s in shards], dtype=float)
     server = ServerState(
         global_model=model.init_params(),
@@ -344,6 +347,7 @@ def run_experiment(cfg: ExperimentConfig, csv_stream=None) -> ExperimentResult:
                 ledgers,
                 cfg.seed,
                 budgets,
+                pool,
                 eval_shard=eval_shard,
                 shuffle=cfg.shuffle,
                 curve_cfg=curve_cfg,

@@ -11,7 +11,13 @@ Clipping uses ghost norms: for logistic regression the per-example gradient
 is the outer product of the softmax residual ``p_i`` with ``(x_i, 1)``, so
 ``||g_i||^2 = ||p_i||^2 (||x_i||^2 + 1)``.  The clipped sum then takes two
 matmuls over the batch, and the ``(n, dim)`` per-example matrix is never
-built (Goodfellow, arXiv:1510.01799; Li et al., arXiv:2110.05679).
+built (Goodfellow, arXiv:1510.01799; Li et al., arXiv:2110.05679).  Each
+shard computes its data term ``||x_i||^2 + 1`` once, when it is built.  The
+softmax is laid out class-major, ``(classes, n)``, so its reductions run over
+whole example rows.
+
+The CSV ``train_loss`` is the mean cross-entropy over the pooled rows of all
+clients, one pass per round over a pool built once per run.
 
 Every random decision flows through a :class:`NoiseStream` keyed by (master
 seed, round, client, purpose), so a configuration plus master seed fully
@@ -30,7 +36,7 @@ from __future__ import annotations
 import csv
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -45,10 +51,14 @@ class BudgetExhaustedError(RuntimeError):
 
 @dataclass
 class DatasetShard:
-    """Feature matrix plus integer labels."""
+    """Feature matrix plus integer labels.
+
+    ``ghost_term`` holds each row's ghost-norm data term ``||x_i||^2 + 1``.
+    """
 
     features: np.ndarray
     labels: np.ndarray
+    ghost_term: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.features = np.asarray(self.features, dtype=float)
@@ -63,6 +73,7 @@ class DatasetShard:
             raise ValueError("labels must be integers")
         if np.any(self.labels < 0):
             raise ValueError("labels must be non-negative")
+        self.ghost_term = (self.features * self.features).sum(axis=1) + 1.0
 
     @property
     def n(self) -> int:
@@ -117,44 +128,58 @@ class LogisticRegressionModel:
         split = self.classes * self.features
         return w[:split].reshape(self.classes, self.features), w[split:]
 
-    def _log_probs(self, w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    def _shifted_logits(self, w: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """``(classes, n)`` logits ``W @ x.T + b``, each column less its max."""
         weights, bias = self._unpack(w)
-        logits = x @ weights.T + bias
-        logits -= logits.max(axis=1, keepdims=True)
-        return logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
+        logits = weights @ x.T
+        logits += bias[:, None]
+        logits -= logits.max(axis=0)
+        return logits
+
+    def _log_probs(self, w: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """``(classes, n)`` log-softmax of the logits."""
+        logits = self._shifted_logits(w, x)
+        logits -= np.log(np.exp(logits).sum(axis=0))
+        return logits
 
     def loss(self, w: np.ndarray, shard: DatasetShard) -> float:
-        lp = self._log_probs(w, shard.features)
-        return float(-lp[np.arange(shard.n), shard.labels].mean())
+        # Exponentiates in place: the pooled train loss then holds one
+        # (classes, n) array at a time.
+        logits = self._shifted_logits(w, shard.features)
+        picked = logits[shard.labels, np.arange(shard.n)]
+        log_norm = np.log(np.exp(logits, out=logits).sum(axis=0))
+        return float((log_norm - picked).mean())
 
     def _residuals(self, w: np.ndarray, features: np.ndarray, labels: np.ndarray) -> np.ndarray:
-        """(n, classes) softmax residual: probabilities minus the one-hot labels."""
+        """(classes, n) softmax residual: probabilities minus the one-hot labels."""
         probs = np.exp(self._log_probs(w, features))
-        probs[np.arange(features.shape[0]), labels] -= 1.0
+        probs[labels, np.arange(features.shape[0])] -= 1.0
         return probs
 
     def per_example_gradients(self, w: np.ndarray, shard: DatasetShard) -> np.ndarray:
         """(n, dim) matrix of per-example cross-entropy gradients (the
         reference the ghost-norm kernel is tested against)."""
-        probs = self._residuals(w, shard.features, shard.labels)
+        probs = self._residuals(w, shard.features, shard.labels).T
         grad_w = np.einsum("nc,nf->ncf", probs, shard.features)
         return np.concatenate([grad_w.reshape(shard.n, -1), probs], axis=1)
 
     def clipped_gradient_sum(
-        self, w: np.ndarray, features: np.ndarray, labels: np.ndarray, c: float
+        self, w: np.ndarray, features: np.ndarray, labels: np.ndarray, ghost_term: np.ndarray, c: float
     ) -> np.ndarray:
         """``(dim,)`` sum over the rows of each per-example gradient clipped to
         l2 norm ``c``.
 
         Row i's gradient is the residual ``p_i`` times ``(x_i, 1)``, so its
-        norm is ``||p_i|| sqrt(||x_i||^2 + 1)``; scaling the residual rows by
-        their clip factors gives the clipped sum as ``P.T @ X`` (weights) and
-        ``P.sum(0)`` (bias), without the ``(n, dim)`` per-example matrix.
+        norm is ``||p_i|| sqrt(ghost_term[i])`` with ``ghost_term`` the rows'
+        ``||x_i||^2 + 1`` (:attr:`DatasetShard.ghost_term`); scaling the
+        residual columns by their clip factors gives the clipped sum as
+        ``P @ X`` (weights) and ``P.sum(1)`` (bias), without the ``(n, dim)``
+        per-example matrix.
         """
         resid = self._residuals(w, features, labels)
-        norms = np.sqrt((resid * resid).sum(axis=1) * ((features * features).sum(axis=1) + 1.0))
-        resid *= np.minimum(1.0, c / np.maximum(norms, 1e-300))[:, None]
-        return np.concatenate([(resid.T @ features).ravel(), resid.sum(axis=0)])
+        norms = np.sqrt((resid * resid).sum(axis=0) * ghost_term)
+        resid *= np.minimum(1.0, c / np.maximum(norms, 1e-300))
+        return np.concatenate([(resid @ features).ravel(), resid.sum(axis=1)])
 
     def gradient(self, w: np.ndarray, shard: DatasetShard) -> np.ndarray:
         """Mean cross-entropy gradient of one ``(dim,)`` vector, or of each row
@@ -185,7 +210,7 @@ class LogisticRegressionModel:
         return grad.reshape(w.shape)
 
     def accuracy(self, w: np.ndarray, shard: DatasetShard) -> float:
-        pred = self._log_probs(w, shard.features).argmax(axis=1)
+        pred = self._log_probs(w, shard.features).argmax(axis=0)
         return float((pred == shard.labels).mean())
 
 
@@ -278,7 +303,8 @@ def local_update(
 
     Each epoch draws a Poisson-style subsample at rate q, sums the batch's
     per-example gradients clipped at c with the ghost-norm kernel
-    ``model.clipped_gradient_sum``, adds one noise draw per coordinate
+    ``model.clipped_gradient_sum`` (fed the shard's precomputed
+    ``ghost_term`` rows), adds one noise draw per coordinate
     (sensitivity c), averages and takes one :func:`heterogeneous_update`
     step.  Empty subsamples skip the epoch without spending.  The step pulls
     toward ``w_max`` only when ``w_max``/``eps_max`` are given and the
@@ -287,18 +313,21 @@ def local_update(
     w = np.asarray(global_w, dtype=float).copy()
     if eps_max is None or w_max is None:
         w_max, eps_max = w, cfg.epsilon_k
-    features, labels = cfg.shard.features, cfg.shard.labels
+    shard = cfg.shard
     rng = stream.rng
     draws = 0
     for _ in range(cfg.local_epochs_I):
-        idx = np.flatnonzero(rng.random(cfg.shard.n) < cfg.sample_rate_q)
+        idx = np.flatnonzero(rng.random(shard.n) < cfg.sample_rate_q)
         if idx.size == 0:
             continue
-        summed = model.clipped_gradient_sum(w, features[idx], labels[idx], cfg.clip_c)
+        summed = model.clipped_gradient_sum(
+            w, shard.features[idx], shard.labels[idx], shard.ghost_term[idx], cfg.clip_c
+        )
         if cfg.mechanism is not None:
-            summed = summed + sample_noise_array(cfg.mechanism, stream, w.size)
+            summed += sample_noise_array(cfg.mechanism, stream, w.size)
             draws += 1
-        w = heterogeneous_update(cfg, w, summed / idx.size, w_max, eps_max)
+        summed /= idx.size
+        w = heterogeneous_update(cfg, w, summed, w_max, eps_max)
     return ClientUpdate(client_id=cfg.id, params=w, noise_draws=draws)
 
 
@@ -358,6 +387,7 @@ def run_round(
     ledgers,
     master_seed: int,
     budgets,
+    pool: DatasetShard,
     eval_shard: DatasetShard | None = None,
     shuffle: bool = False,
     curve_cfg: CurveTrainConfig | None = None,
@@ -365,7 +395,13 @@ def run_round(
     mechanism_label: str | None = None,
 ) -> RoundResult:
     """Execute one federated round; raises ``BudgetExhaustedError`` when any
-    selected client's ledger cannot cover its noise applications."""
+    selected client's ledger cannot cover its noise applications, and then
+    leaves every ledger as it was before the round.
+
+    ``pool`` holds every client's rows (:func:`pool_shards`).  The reported
+    ``train_loss`` is the mean cross-entropy over these pooled rows, and
+    ``eval_accuracy`` is scored on them when ``eval_shard`` is None.
+    """
     clients = sorted(clients, key=lambda c: c.id)
     n_sel = math.ceil(server.selection_fraction * len(clients))
     sel_rng = NoiseStream(master_seed, server.round_t, 0, "client-selection").rng
@@ -382,19 +418,22 @@ def run_round(
         stream = NoiseStream(master_seed, server.round_t, cfg.id, "local-update")
         updates.append(local_update(cfg, server.global_model, model, stream, w_max=w_max, eps_max=eps_max))
 
-    # Two-phase spend: commit only if every selected client stays in budget.
-    curves = {}
+    # All or nothing: on the first halt, restore the ledgers spent this round.
+    # ``spend`` replaces ``gamma`` with a new array, so the saved one is intact.
+    spent = []
     for cfg, upd in zip(selected, updates):
         if cfg.mechanism is None or upd.noise_draws == 0:
             continue
-        curve = upd.noise_draws * cached_rdp_curve(cfg.mechanism, ledgers[cfg.id].alpha_grid)
-        if not ledgers[cfg.id].affords(curve, budgets[cfg.id]):
+        ledger = ledgers[cfg.id]
+        before = (ledger, ledger.gamma, ledger.rounds_composed)
+        curve = upd.noise_draws * cached_rdp_curve(cfg.mechanism, ledger.alpha_grid)
+        if ledger.spend(curve, budgets[cfg.id]).halted:
+            for led, gamma, rounds in spent:
+                led.gamma, led.rounds_composed = gamma, rounds
             raise BudgetExhaustedError(
                 f"privacy budget exhausted at round {server.round_t} for client {cfg.id}"
             )
-        curves[cfg.id] = curve
-    for cid, curve in curves.items():
-        ledgers[cid].spend(curve, budgets[cid])
+        spent.append(before)
 
     pairs = [(u.client_id, u.params) for u in updates]
     if shuffle:
@@ -419,20 +458,11 @@ def run_round(
         eps_now, _ = ledgers[cfg.id].to_dp(budgets[cfg.id].delta)
         cumulative = max(cumulative, eps_now)
 
-    train_loss = float(
-        sum(server.weights[c.id] * model.loss(new_global, c.shard) for c in clients)
-    )
-    acc_data = eval_shard
-    if acc_data is None:
-        acc_data = DatasetShard(
-            np.concatenate([c.shard.features for c in clients]),
-            np.concatenate([c.shard.labels for c in clients]),
-        )
     metrics = RoundMetrics(
         round_index=server.round_t,
         cumulative_epsilon=cumulative,
-        train_loss=train_loss,
-        eval_accuracy=model.accuracy(new_global, acc_data),
+        train_loss=model.loss(new_global, pool),
+        eval_accuracy=model.accuracy(new_global, pool if eval_shard is None else eval_shard),
         mechanism=mechanism_label
         or (selected[0].mechanism.kind.value if selected[0].mechanism else "disabled"),
         noise_scale=max((c.mechanism.scale for c in clients if c.mechanism), default=math.inf),
@@ -440,6 +470,41 @@ def run_round(
     )
     new_server = replace(server, global_model=new_global, round_t=server.round_t + 1)
     return RoundResult(server=new_server, metrics=metrics, client_models=prior_models)
+
+
+def pool_shards(shards: list[DatasetShard]) -> DatasetShard:
+    """Every row of ``shards``, in order, as one shard.
+
+    When the shards are consecutive row slices of one array, as
+    :func:`make_synthetic_federation` deals them, the pool is a view of that
+    array; otherwise the rows are copied.
+    """
+    return DatasetShard(
+        _joined_rows([s.features for s in shards]), _joined_rows([s.labels for s in shards])
+    )
+
+
+def _joined_rows(parts: list[np.ndarray]) -> np.ndarray:
+    """``np.concatenate(parts)``, or a view of the parts' common base array
+    when they are consecutive whole-row slices of it."""
+    base = parts[0].base
+    if not isinstance(base, np.ndarray) or not base.flags.c_contiguous:
+        return np.concatenate(parts)
+    start = end = parts[0].ctypes.data - base.ctypes.data
+    for part in parts:
+        if (
+            part.base is not base
+            or part.dtype != base.dtype
+            or part.shape[1:] != base.shape[1:]
+            or not part.flags.c_contiguous
+            or part.ctypes.data - base.ctypes.data != end
+        ):
+            return np.concatenate(parts)
+        end += part.nbytes
+    row = base.strides[0]
+    if start % row:
+        return np.concatenate(parts)
+    return base[start // row : end // row]
 
 
 def make_synthetic_federation(

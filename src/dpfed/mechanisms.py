@@ -257,7 +257,12 @@ def rdp_as_published(params: MechanismParams, alpha: float) -> float:
 
 
 def pure_dp_epsilon(params: MechanismParams) -> float:
-    """Pure-DP level of one application; ``math.inf`` for Gaussian."""
+    """Pure-DP level of one coordinate of one application; ``math.inf`` for
+    Gaussian.
+
+    A d-dimensional release with l2 sensitivity c has a larger level (up to
+    sqrt(d) c / b for Laplace and d lam for Staircase).
+    """
     if params.kind is MechanismKind.GAUSSIAN:
         return math.inf
     if params.kind is MechanismKind.LAPLACE:

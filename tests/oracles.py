@@ -123,6 +123,16 @@ def central_difference_gradient(fn, w, h=1e-6):
     return grad
 
 
+def softmax_loss_and_accuracy_reference(weights, bias, features, labels):
+    """Mean cross-entropy and accuracy of multinomial logistic regression,
+    row-major: ``(n, classes)`` logits reduced over the trailing class axis."""
+    logits = features @ weights.T + bias
+    logits = logits - logits.max(axis=1, keepdims=True)
+    log_probs = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
+    loss = -log_probs[np.arange(len(labels)), labels].mean()
+    return float(loss), float((log_probs.argmax(axis=1) == labels).mean())
+
+
 class QuadraticBowl:
     """Loss oracle ``||w - center||^2`` satisfying the LossModel contract."""
 

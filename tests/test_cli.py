@@ -18,6 +18,17 @@ from dpfed.cli import (
 )
 
 
+def write_csv_dataset(tmp_path, rows):
+    """A CSV of ``rows`` rows, three features and a binary label; returns its path."""
+    rng = np.random.default_rng(0)
+    lines = ["f0,f1,f2,label"]
+    for _ in range(rows):
+        lines.append(",".join([f"{v:.4f}" for v in rng.normal(size=3)] + [str(int(rng.integers(0, 2)))]))
+    path = tmp_path / "data.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return str(path)
+
+
 def small_cfg(**kw):
     args = dict(mechanism="gaussian", rounds=5, seed=3)
     args.update(kw)
@@ -133,18 +144,32 @@ class TestRunExperiment:
         assert result.summary["rounds_run"] < 50
 
     def test_csv_dataset(self, tmp_path):
-        rng = np.random.default_rng(0)
-        rows = ["f0,f1,f2,label"]
-        for _ in range(80):
-            rows.append(
-                ",".join([f"{v:.4f}" for v in rng.normal(size=3)] + [str(int(rng.integers(0, 2)))])
-            )
-        path = tmp_path / "data.csv"
-        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
-        cfg = small_cfg(dataset=str(path), clients=4, rounds=3, sample_rate=1.0)
+        cfg = small_cfg(dataset=write_csv_dataset(tmp_path, 80), clients=4, rounds=3, sample_rate=1.0)
         result = run_experiment(cfg)
         assert result.exit_code == 0
         assert len(result.metrics) == 3
+
+    def test_pooled_train_loss_is_the_size_weighted_shard_mean(self, tmp_path, monkeypatch):
+        from dpfed import cli as cli_mod
+
+        rounds = []
+        real_run_round = cli_mod.run_round
+
+        def recording(server, clients, model, *args, **kwargs):
+            result = real_run_round(server, clients, model, *args, **kwargs)
+            rounds.append((result, clients, model))
+            return result
+
+        monkeypatch.setattr(cli_mod, "run_round", recording)
+        # 83 rows: 4 held out, 79 dealt to 4 clients as 20, 20, 20, 19
+        cfg = small_cfg(dataset=write_csv_dataset(tmp_path, 83), clients=4, rounds=3, sample_rate=0.5)
+        assert run_experiment(cfg).exit_code == 0
+        assert len(rounds) == 3
+        for result, clients, model in rounds:
+            assert len({c.shard.n for c in clients}) > 1
+            w, weights = result.server.global_model, result.server.weights
+            want = sum(weights[c.id] * model.loss(w, c.shard) for c in clients)
+            assert result.metrics.train_loss == pytest.approx(want, rel=1e-12)
 
 
 class TestSweep:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpfed.accountant import PrivacyBudget, RdpLedger, calibrate_noise, default_alpha_grid
+from dpfed.accountant import PrivacyBudget, RdpLedger, calibrate_noise, default_alpha_grid, rdp_curve
 from dpfed.fl_core import (
     Aggregator,
     BudgetExhaustedError,
@@ -19,11 +19,12 @@ from dpfed.fl_core import (
     load_csv_shard,
     local_update,
     make_synthetic_federation,
+    pool_shards,
     run_round,
     shuffle_updates,
 )
 from dpfed.mechanisms import MechanismKind, MechanismParams, NoiseStream
-from oracles import central_difference_gradient
+from oracles import central_difference_gradient, softmax_loss_and_accuracy_reference
 
 
 def tiny_shard(seed=0, n=40, f=4, classes=3):
@@ -62,6 +63,29 @@ class TestShard:
         assert shard.n == 2
         assert shard.features[1, 1] == 3.5
         assert shard.labels.tolist() == [0, 2]
+
+    def test_ghost_term_indexes_like_recomputed(self):
+        shards, _ = make_synthetic_federation(2, 200, 20, 10, seed=3)
+        rng = np.random.default_rng(4)
+        for shard in shards:
+            assert np.array_equal(shard.ghost_term, ghost_term(shard.features))
+            for q in (0.05, 0.5):
+                idx = np.flatnonzero(rng.random(shard.n) < q)
+                assert np.array_equal(shard.ghost_term[idx], ghost_term(shard.features[idx]))
+
+    def test_pool_is_a_view_of_dealt_rows(self):
+        shards, _ = make_synthetic_federation(3, 7, 2, 3, seed=5)
+        pool = pool_shards(shards)
+        assert np.shares_memory(pool.features, shards[0].features)
+        assert np.shares_memory(pool.labels, shards[0].labels)
+        assert np.array_equal(pool.features, np.concatenate([s.features for s in shards]))
+        assert np.array_equal(pool.labels, np.concatenate([s.labels for s in shards]))
+        # out of order or copied shards are joined by copying
+        for parts in (shards[::-1], [tiny_shard(1), tiny_shard(2)]):
+            pool = pool_shards(parts)
+            assert not np.shares_memory(pool.features, parts[0].features)
+            assert np.array_equal(pool.features, np.concatenate([s.features for s in parts]))
+            assert np.array_equal(pool.labels, np.concatenate([s.labels for s in parts]))
 
     def test_csv_header_required(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -109,6 +133,19 @@ class TestLossModel:
             with pytest.raises(ValueError):
                 model.gradient(np.zeros(shape), shard)
 
+    def test_loss_and_accuracy_match_row_major_reference(self):
+        rng = np.random.default_rng(29)
+        for classes, f, n in [(2, 1, 1), (3, 4, 40), (10, 20, 2000)]:
+            model = LogisticRegressionModel(classes, f)
+            shard = DatasetShard(rng.normal(scale=3.0, size=(n, f)), rng.integers(0, classes, n))
+            w = rng.normal(size=model.dim)
+            split = classes * f
+            want_loss, want_acc = softmax_loss_and_accuracy_reference(
+                w[:split].reshape(classes, f), w[split:], shard.features, shard.labels
+            )
+            assert model.loss(w, shard) == pytest.approx(want_loss, rel=1e-12)
+            assert model.accuracy(w, shard) == want_acc
+
     def test_accuracy_range(self):
         model = LogisticRegressionModel(3, 4)
         shard = tiny_shard(4)
@@ -121,6 +158,11 @@ def clipped_sum_oracle(model, w, shard, c):
     grads = model.per_example_gradients(w, shard)
     norms = np.linalg.norm(grads, axis=1, keepdims=True)
     return (grads * np.minimum(1.0, c / np.maximum(norms, 1e-300))).sum(axis=0)
+
+
+def ghost_term(x):
+    """The ghost-norm data term ``||x_i||^2 + 1``, recomputed on the rows given."""
+    return (x * x).sum(axis=1) + 1.0
 
 
 def assert_matches_oracle(got, want):
@@ -144,7 +186,7 @@ class TestGhostClipping:
         c = 0.05
         norms = np.linalg.norm(model.per_example_gradients(w, shard), axis=1)
         assert (norms > c).any() and (norms < c).any()  # binds on some rows, not all
-        got = model.clipped_gradient_sum(w, shard.features, shard.labels, c)
+        got = model.clipped_gradient_sum(w, shard.features, shard.labels, shard.ghost_term, c)
         assert_matches_oracle(got, clipped_sum_oracle(model, w, shard, c))
 
     def test_matches_plain_sum_when_clipping_is_slack(self):
@@ -153,7 +195,7 @@ class TestGhostClipping:
         w = np.random.default_rng(7).normal(scale=0.3, size=model.dim)
         norms = np.linalg.norm(model.per_example_gradients(w, shard), axis=1)
         c = 2.0 * norms.max()
-        got = model.clipped_gradient_sum(w, shard.features, shard.labels, c)
+        got = model.clipped_gradient_sum(w, shard.features, shard.labels, shard.ghost_term, c)
         assert_matches_oracle(got, model.per_example_gradients(w, shard).sum(axis=0))
         assert_matches_oracle(got, shard.n * model.gradient(w, shard))
 
@@ -162,7 +204,7 @@ class TestGhostClipping:
         shard = tiny_shard(23, n=1, f=3, classes=4)
         w = np.random.default_rng(8).normal(size=model.dim)
         for c in (0.01, 1.0, 100.0):
-            got = model.clipped_gradient_sum(w, shard.features, shard.labels, c)
+            got = model.clipped_gradient_sum(w, shard.features, shard.labels, shard.ghost_term, c)
             assert got.shape == (model.dim,)
             assert_matches_oracle(got, clipped_sum_oracle(model, w, shard, c))
 
@@ -174,7 +216,7 @@ class TestGhostClipping:
         shard = DatasetShard(features, labels)
         assert not model.per_example_gradients(w, shard)[0].any()
         for c in (0.1, 10.0):
-            got = model.clipped_gradient_sum(w, features, labels, c)
+            got = model.clipped_gradient_sum(w, features, labels, shard.ghost_term, c)
             assert_matches_oracle(got, clipped_sum_oracle(model, w, shard, c))
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -193,9 +235,11 @@ class TestGhostClipping:
         shard = DatasetShard(rng.normal(scale=x_scale, size=(n, f)), rng.integers(0, classes, n))
         w = rng.normal(scale=w_scale, size=model.dim)
         for i in range(n):
-            row = model.clipped_gradient_sum(w, shard.features[i : i + 1], shard.labels[i : i + 1], c)
+            row = model.clipped_gradient_sum(
+                w, shard.features[i : i + 1], shard.labels[i : i + 1], shard.ghost_term[i : i + 1], c
+            )
             assert np.linalg.norm(row) <= c + 1e-12
-        got = model.clipped_gradient_sum(w, shard.features, shard.labels, c)
+        got = model.clipped_gradient_sum(w, shard.features, shard.labels, shard.ghost_term, c)
         assert_matches_oracle(got, clipped_sum_oracle(model, w, shard, c))
 
 
@@ -215,17 +259,17 @@ class TestClip:
     def test_forced_scaling(self):
         model, w, x, y, g = self.one_row(0)
         c = 0.5 * np.linalg.norm(g)
-        out = model.clipped_gradient_sum(w, x, y, c)
+        out = model.clipped_gradient_sum(w, x, y, ghost_term(x), c)
         assert np.allclose(out, g * (c / np.linalg.norm(g)), rtol=1e-15)
         assert np.linalg.norm(out) == pytest.approx(c, rel=1e-14)
 
     def test_unchanged_inside_ball(self):
         model, w, x, y, g = self.one_row(1)
-        assert np.array_equal(model.clipped_gradient_sum(w, x, y, 2.0 * np.linalg.norm(g)), g)
+        assert np.array_equal(model.clipped_gradient_sum(w, x, y, ghost_term(x), 2.0 * np.linalg.norm(g)), g)
 
     def test_zero_vector(self):
         model, w, x0, y0 = saturated_row_model()
-        out = model.clipped_gradient_sum(w, x0[None], np.array([y0]), 1.0)
+        out = model.clipped_gradient_sum(w, x0[None], np.array([y0]), ghost_term(x0[None]), 1.0)
         assert np.array_equal(out, np.zeros(model.dim))
 
     def test_norm_bound_random(self):
@@ -233,7 +277,7 @@ class TestClip:
         for seed in range(50):
             model, w, x, y, g = self.one_row(seed, x_scale=rng.uniform(0.1, 10))
             c = rng.uniform(0.1, 3)
-            out = model.clipped_gradient_sum(w, x, y, c)
+            out = model.clipped_gradient_sum(w, x, y, ghost_term(x), c)
             assert np.linalg.norm(out) <= c + 1e-12
             if np.linalg.norm(g) > 0:
                 cos = np.dot(out, g) / (np.linalg.norm(out) * np.linalg.norm(g) + 1e-300)
@@ -427,6 +471,7 @@ def build_federation(
     aggregator=Aggregator.FEDAVG,
     eps_list=None,
     seed=100,
+    horizons=None,
 ):
     shards, eval_shard = make_synthetic_federation(n_clients, 60, 5, 3, seed=seed)
     model = LogisticRegressionModel(3, 5)
@@ -434,9 +479,9 @@ def build_federation(
     clients, ledgers, budgets = [], {}, {}
     for cid, shard in enumerate(shards):
         eps_k = eps_list[cid] if eps_list else epsilon
+        budget = PrivacyBudget(eps_k, 1e-5, horizons[cid] if horizons else horizon)
         mech = None
         if mech_kind is not None:
-            budget = PrivacyBudget(eps_k, 1e-5, horizon)
             mech = calibrate_noise(mech_kind, 1.0, budget).mechanism
         clients.append(
             ClientConfig(
@@ -451,7 +496,7 @@ def build_federation(
             )
         )
         ledgers[cid] = RdpLedger(grid)
-        budgets[cid] = PrivacyBudget(eps_k, 1e-5, horizon)
+        budgets[cid] = budget
     server = ServerState(
         global_model=model.init_params(),
         round_t=0,
@@ -459,37 +504,37 @@ def build_federation(
         aggregator=aggregator,
         selection_fraction=1.0,
     )
-    return server, clients, model, ledgers, budgets, eval_shard
+    return server, clients, model, ledgers, budgets, pool_shards(shards), eval_shard
 
 
 class TestRunRound:
     def test_noiseless_full_participation_loss_non_increasing(self):
-        server, clients, model, ledgers, budgets, eval_shard = build_federation()
+        server, clients, model, ledgers, budgets, pool, eval_shard = build_federation()
         for cfg in clients:
             cfg.sample_rate_q = 1.0
             cfg.local_epochs_I = 1
             cfg.clip_c = 1000.0
         losses = []
         for _ in range(20):
-            result = run_round(server, clients, model, ledgers, 7, budgets, eval_shard=eval_shard)
+            result = run_round(server, clients, model, ledgers, 7, budgets, pool, eval_shard=eval_shard)
             server = result.server
             losses.append(result.metrics.train_loss)
         assert all(b <= a + 1e-9 for a, b in zip(losses, losses[1:]))
 
     def test_budget_ceiling_and_halt(self):
         horizon = 10  # 5 rounds x 2 local epochs
-        server, clients, model, ledgers, budgets, eval_shard = build_federation(
+        server, clients, model, ledgers, budgets, pool, eval_shard = build_federation(
             mech_kind=MechanismKind.GAUSSIAN, horizon=horizon
         )
         metrics = []
         for _ in range(5):
-            result = run_round(server, clients, model, ledgers, 3, budgets, eval_shard=eval_shard)
+            result = run_round(server, clients, model, ledgers, 3, budgets, pool, eval_shard=eval_shard)
             server = result.server
             metrics.append(result.metrics)
         assert all(m.cumulative_epsilon <= 8.0 for m in metrics)
         assert metrics[-1].cumulative_epsilon == pytest.approx(8.0, abs=1e-3)
         with pytest.raises(BudgetExhaustedError):
-            run_round(server, clients, model, ledgers, 3, budgets, eval_shard=eval_shard)
+            run_round(server, clients, model, ledgers, 3, budgets, pool, eval_shard=eval_shard)
         # ledgers unchanged by the aborted round
         eps_after, _ = ledgers[0].to_dp(1e-5)
         assert eps_after <= 8.0
@@ -497,12 +542,12 @@ class TestRunRound:
     def test_metrics_count_and_determinism(self):
         rows = []
         for attempt in range(2):
-            server, clients, model, ledgers, budgets, eval_shard = build_federation(
+            server, clients, model, ledgers, budgets, pool, eval_shard = build_federation(
                 mech_kind=MechanismKind.STAIRCASE
             )
             acc = []
             for _ in range(3):
-                result = run_round(server, clients, model, ledgers, 11, budgets, eval_shard=eval_shard)
+                result = run_round(server, clients, model, ledgers, 11, budgets, pool, eval_shard=eval_shard)
                 server = result.server
                 acc.append(result.metrics)
             rows.append(acc)
@@ -511,24 +556,24 @@ class TestRunRound:
             assert a == b
 
     def test_selection_fraction(self):
-        server, clients, model, ledgers, budgets, eval_shard = build_federation()
+        server, clients, model, ledgers, budgets, pool, eval_shard = build_federation()
         server.selection_fraction = 0.5
-        result = run_round(server, clients, model, ledgers, 4, budgets, eval_shard=eval_shard)
+        result = run_round(server, clients, model, ledgers, 4, budgets, pool, eval_shard=eval_shard)
         # only ceil(0.5 * 4) = 2 clients trained: the others left no local model
         assert len(result.client_models) == 2
 
     def test_mode_connect_round_runs(self):
-        server, clients, model, ledgers, budgets, eval_shard = build_federation(
+        server, clients, model, ledgers, budgets, pool, eval_shard = build_federation(
             aggregator=Aggregator.MODE_CONNECT
         )
-        result = run_round(server, clients, model, ledgers, 5, budgets, eval_shard=eval_shard)
+        result = run_round(server, clients, model, ledgers, 5, budgets, pool, eval_shard=eval_shard)
         assert result.server.global_model.shape == server.global_model.shape
 
     def test_heterogeneous_epsilons_round(self):
-        server, clients, model, ledgers, budgets, eval_shard = build_federation(
+        server, clients, model, ledgers, budgets, pool, eval_shard = build_federation(
             mech_kind=MechanismKind.GAUSSIAN, eps_list=[2.0, 4.0, 6.0, 8.0]
         )
-        result = run_round(server, clients, model, ledgers, 6, budgets, eval_shard=eval_shard)
+        result = run_round(server, clients, model, ledgers, 6, budgets, pool, eval_shard=eval_shard)
         # system epsilon is the per-client maximum
         per_client = [ledgers[c.id].to_dp(1e-5)[0] for c in clients]
         assert result.metrics.cumulative_epsilon == pytest.approx(max(per_client), rel=1e-12)
@@ -537,11 +582,50 @@ class TestRunRound:
         assert scales == sorted(scales, reverse=True)
 
     def test_shuffled_round_fedavg_invariant(self):
-        a_server, clients, model, ledgers, budgets, eval_shard = build_federation()
-        a = run_round(a_server, clients, model, ledgers, 9, budgets, eval_shard=eval_shard)
-        b_server, clients2, model2, ledgers2, budgets2, eval_shard2 = build_federation()
+        a_server, clients, model, ledgers, budgets, pool, eval_shard = build_federation()
+        a = run_round(a_server, clients, model, ledgers, 9, budgets, pool, eval_shard=eval_shard)
+        b_server, clients2, model2, ledgers2, budgets2, pool2, eval_shard2 = build_federation()
         b = run_round(
-            b_server, clients2, model2, ledgers2, 9, budgets2, eval_shard=eval_shard2, shuffle=True
+            b_server, clients2, model2, ledgers2, 9, budgets2, pool2, eval_shard=eval_shard2, shuffle=True
         )
         # equal weights: FedAvg is order-invariant, so shuffling changes nothing
         assert np.allclose(a.server.global_model, b.server.global_model, rtol=1e-12)
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(
+        eps_list=st.lists(st.floats(1.0, 8.0), min_size=2, max_size=4),
+        rounds=st.lists(st.integers(1, 3), min_size=2, max_size=4),
+        first_extra=st.integers(1, 2),
+        epochs=st.integers(1, 2),
+    )
+    def test_property_halt_rolls_back_the_whole_round(self, eps_list, rounds, first_extra, epochs):
+        # Client k is calibrated to exactly rounds[k] rounds.  Client 0 is
+        # charged first and outlasts some later client, so in the halting
+        # round it has been charged before the halt.
+        n = min(len(eps_list), len(rounds))
+        eps_list, rounds = eps_list[:n], rounds[:n]
+        rounds[0] = min(rounds[1:]) + first_extra
+        server, clients, model, ledgers, budgets, pool, eval_shard = build_federation(
+            n_clients=n,
+            mech_kind=MechanismKind.GAUSSIAN,
+            eps_list=eps_list,
+            horizons=[r * epochs for r in rounds],
+        )
+        for cfg in clients:
+            cfg.sample_rate_q = 1.0  # every epoch draws noise once
+            cfg.local_epochs_I = epochs
+        grid = default_alpha_grid()
+        for t in range(min(rounds) + 1):
+            before = {cid: (led.gamma.copy(), led.rounds_composed) for cid, led in ledgers.items()}
+            if t == min(rounds):
+                with pytest.raises(BudgetExhaustedError):
+                    run_round(server, clients, model, ledgers, 21, budgets, pool, eval_shard=eval_shard)
+                for cid, (gamma, composed) in before.items():
+                    assert np.array_equal(ledgers[cid].gamma, gamma)
+                    assert ledgers[cid].rounds_composed == composed
+                return
+            server = run_round(server, clients, model, ledgers, 21, budgets, pool, eval_shard=eval_shard).server
+            for cfg in clients:
+                charge = epochs * rdp_curve(cfg.mechanism, grid)
+                assert np.array_equal(ledgers[cfg.id].gamma, before[cfg.id][0] + charge)
+                assert ledgers[cfg.id].rounds_composed == before[cfg.id][1] + 1
