@@ -289,7 +289,8 @@ def run_experiment(cfg: ExperimentConfig, csv_stream=None) -> ExperimentResult:
     """
     kind = MechanismKind.parse(cfg.mechanism)
     shards, eval_shard = _build_federation(cfg)
-    classes = int(max(s.labels.max() for s in shards)) + 1
+    # Every row counts, held-out ones too: mode-connect curves train on them.
+    classes = int(max(s.labels.max() for s in [*shards, eval_shard])) + 1
     if cfg.dataset == "synthetic":
         classes = SYNTH_CLASSES
     model = LogisticRegressionModel(classes, shards[0].features.shape[1])

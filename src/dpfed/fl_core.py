@@ -7,14 +7,23 @@ coordinate per epoch at sensitivity c, the sum is averaged and an SGD step
 taken), the ledger charges one Renyi curve per noise application, and the
 server aggregates by FedAvg or pairwise mode-connectivity merging.
 
+The model's parameters are laid out one row per class, ``(w_c, b_c)``: a
+vector is a ``(classes, features + 1)`` matrix and a stack of k vectors a
+``(k * classes, features + 1)`` one.  Each shard keeps its rows with a
+trailing ones column, ``(x_i, 1)``, so the logits of one model or of a whole
+stack are one matmul, bias included, and so is each gradient.  Noise is drawn
+in the published ``[W | b]`` coordinate order and gathered into the row
+layout through the model's ``from_published`` index map.
+
 Clipping uses ghost norms: for logistic regression the per-example gradient
 is the outer product of the softmax residual ``p_i`` with ``(x_i, 1)``, so
 ``||g_i||^2 = ||p_i||^2 (||x_i||^2 + 1)``.  The clipped sum then takes two
 matmuls over the batch, and the ``(n, dim)`` per-example matrix is never
 built (Goodfellow, arXiv:1510.01799; Li et al., arXiv:2110.05679).  Each
 shard computes its data term ``||x_i||^2 + 1`` once, when it is built.  The
-softmax is laid out class-major, ``(classes, n)``, so its reductions run over
-whole example rows.
+softmax is laid out class-major, ``(k, classes, n)``, so its reductions run
+over whole example rows; one residual helper serves the clipped sum, the
+stacked mean gradient and the per-example reference.
 
 The CSV ``train_loss`` is the mean cross-entropy over the pooled rows of all
 clients, one pass per round over a pool built once per run.
@@ -53,12 +62,22 @@ class BudgetExhaustedError(RuntimeError):
 class DatasetShard:
     """Feature matrix plus integer labels.
 
-    ``ghost_term`` holds each row's ghost-norm data term ``||x_i||^2 + 1``.
+    Three per-row terms are built once, with the shard:
+
+    * ``augmented``: the rows with a trailing ones column, ``(x_i, 1)``, which
+      one matmul with the model's per-class ``(w_c, b_c)`` rows turns into
+      logits;
+    * ``ghost_term``: each row's ghost-norm data term ``||x_i||^2 + 1``;
+    * ``label_index``: each row's label as a flat position in a class-major
+      ``(classes, n)`` array, ``labels[i] * n + i``, where the softmax
+      residual subtracts its one-hot 1.
     """
 
     features: np.ndarray
     labels: np.ndarray
+    augmented: np.ndarray = field(init=False, repr=False, compare=False)
     ghost_term: np.ndarray = field(init=False, repr=False, compare=False)
+    label_index: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.features = np.asarray(self.features, dtype=float)
@@ -73,7 +92,10 @@ class DatasetShard:
             raise ValueError("labels must be integers")
         if np.any(self.labels < 0):
             raise ValueError("labels must be non-negative")
+        self.augmented = np.ones((self.n, self.features.shape[1] + 1))
+        self.augmented[:, :-1] = self.features
         self.ghost_term = (self.features * self.features).sum(axis=1) + 1.0
+        self.label_index = _label_index(self.labels)
 
     @property
     def n(self) -> int:
@@ -81,6 +103,12 @@ class DatasetShard:
 
     def subset(self, idx: np.ndarray) -> "DatasetShard":
         return DatasetShard(self.features[idx], self.labels[idx])
+
+
+def _label_index(labels: np.ndarray) -> np.ndarray:
+    """Each row's label as a flat position in a class-major ``(classes, n)``
+    array: ``labels[i] * n + i``."""
+    return labels * len(labels) + np.arange(len(labels))
 
 
 def load_csv_shard(path) -> DatasetShard:
@@ -107,8 +135,14 @@ def _read_csv_shard(fh) -> DatasetShard:
 class LogisticRegressionModel:
     """Multinomial logistic regression with cross-entropy loss.
 
-    The flat parameter vector packs a (classes, features) weight matrix
-    followed by a (classes,) bias.
+    The flat parameter vector holds one row per class, ``(w_c, b_c)``: the
+    class's feature weights followed by its bias.  A vector is thus a
+    ``(classes, features + 1)`` matrix and a ``(k, dim)`` stack a
+    ``(k * classes, features + 1)`` one, and a single matmul with a shard's
+    :attr:`DatasetShard.augmented` rows ``(x_i, 1)`` gives every logit, bias
+    included.  ``from_published`` gathers a vector in the published
+    ``[W | b]`` packing (the ``(classes, features)`` weight matrix, then the
+    ``(classes,)`` bias) into this layout: ``rows = published[from_published]``.
     """
 
     def __init__(self, classes: int, features: int):
@@ -116,101 +150,88 @@ class LogisticRegressionModel:
             raise ValueError("need at least 2 classes and 1 feature")
         self.classes = classes
         self.features = features
-        self.dim = classes * features + classes
+        self.dim = classes * (features + 1)
+        weights = np.arange(classes * features).reshape(classes, features)
+        bias = np.arange(classes * features, self.dim)[:, None]
+        self.from_published = np.hstack([weights, bias]).ravel()
 
     def init_params(self) -> np.ndarray:
         return np.zeros(self.dim)
 
-    def _unpack(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _shifted_logits(self, w: np.ndarray, rows: np.ndarray, stack: bool = False) -> np.ndarray:
+        """``(k, classes, n)`` logits of each model on the augmented ``rows``,
+        each (model, example) column less its max.  ``w`` is one ``(dim,)``
+        vector (k = 1) or, with ``stack``, a ``(k, dim)`` stack."""
         w = np.asarray(w, dtype=float)
-        if w.shape != (self.dim,):
-            raise ValueError(f"expected a parameter vector of length {self.dim}, got {w.shape}")
-        split = self.classes * self.features
-        return w[:split].reshape(self.classes, self.features), w[split:]
-
-    def _shifted_logits(self, w: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """``(classes, n)`` logits ``W @ x.T + b``, each column less its max."""
-        weights, bias = self._unpack(w)
-        logits = weights @ x.T
-        logits += bias[:, None]
-        logits -= logits.max(axis=0)
+        if w.shape[-1:] != (self.dim,) or not (w.ndim == 1 or stack and w.ndim == 2):
+            stacks = " or a stack of them" if stack else ""
+            raise ValueError(f"expected a parameter vector of length {self.dim}{stacks}, got {w.shape}")
+        logits = (w.reshape(-1, self.features + 1) @ rows.T).reshape(-1, self.classes, rows.shape[0])
+        logits -= logits.max(axis=1, keepdims=True)
         return logits
 
-    def _log_probs(self, w: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """``(classes, n)`` log-softmax of the logits."""
-        logits = self._shifted_logits(w, x)
-        logits -= np.log(np.exp(logits).sum(axis=0))
-        return logits
+    def _residuals(self, w: np.ndarray, rows: np.ndarray, hot: np.ndarray, stack: bool = False) -> np.ndarray:
+        """``(k * classes, n)`` softmax residuals, probabilities minus the
+        one-hot labels; row ``j * classes + c`` is model j's class c.
+
+        ``hot`` holds each row's label as a flat position in one model's
+        ``(classes, n)`` block, ``labels[i] * n + i``
+        (:attr:`DatasetShard.label_index`).
+        """
+        probs = self._shifted_logits(w, rows, stack)
+        np.exp(probs, out=probs)
+        probs /= probs.sum(axis=1, keepdims=True)
+        if len(probs) > 1:
+            hot = (np.arange(0, probs.size, probs[0].size)[:, None] + hot).ravel()
+        probs.reshape(-1)[hot] -= 1.0
+        return probs.reshape(-1, rows.shape[0])
 
     def loss(self, w: np.ndarray, shard: DatasetShard) -> float:
         # Exponentiates in place: the pooled train loss then holds one
         # (classes, n) array at a time.
-        logits = self._shifted_logits(w, shard.features)
-        picked = logits[shard.labels, np.arange(shard.n)]
+        logits = self._shifted_logits(w, shard.augmented)[0]
+        picked = logits.reshape(-1)[shard.label_index]
         log_norm = np.log(np.exp(logits, out=logits).sum(axis=0))
         return float((log_norm - picked).mean())
-
-    def _residuals(self, w: np.ndarray, features: np.ndarray, labels: np.ndarray) -> np.ndarray:
-        """(classes, n) softmax residual: probabilities minus the one-hot labels."""
-        probs = np.exp(self._log_probs(w, features))
-        probs[labels, np.arange(features.shape[0])] -= 1.0
-        return probs
 
     def per_example_gradients(self, w: np.ndarray, shard: DatasetShard) -> np.ndarray:
         """(n, dim) matrix of per-example cross-entropy gradients (the
         reference the ghost-norm kernel is tested against)."""
-        probs = self._residuals(w, shard.features, shard.labels).T
-        grad_w = np.einsum("nc,nf->ncf", probs, shard.features)
-        return np.concatenate([grad_w.reshape(shard.n, -1), probs], axis=1)
+        resid = self._residuals(w, shard.augmented, shard.label_index)
+        return np.einsum("cn,nf->ncf", resid, shard.augmented).reshape(shard.n, self.dim)
 
     def clipped_gradient_sum(
-        self, w: np.ndarray, features: np.ndarray, labels: np.ndarray, ghost_term: np.ndarray, c: float
+        self, w: np.ndarray, rows: np.ndarray, labels: np.ndarray, ghost_term: np.ndarray, c: float
     ) -> np.ndarray:
-        """``(dim,)`` sum over the rows of each per-example gradient clipped to
-        l2 norm ``c``.
+        """``(dim,)`` sum over the augmented ``rows`` of each per-example
+        gradient clipped to l2 norm ``c``.
 
-        Row i's gradient is the residual ``p_i`` times ``(x_i, 1)``, so its
-        norm is ``||p_i|| sqrt(ghost_term[i])`` with ``ghost_term`` the rows'
-        ``||x_i||^2 + 1`` (:attr:`DatasetShard.ghost_term`); scaling the
-        residual columns by their clip factors gives the clipped sum as
-        ``P @ X`` (weights) and ``P.sum(1)`` (bias), without the ``(n, dim)``
-        per-example matrix.
+        Row i's gradient is the outer product of its residual ``p_i`` with
+        ``(x_i, 1)``, so its norm is ``||p_i|| sqrt(ghost_term[i])`` with
+        ``ghost_term`` the rows' ``||x_i||^2 + 1``
+        (:attr:`DatasetShard.ghost_term`); scaling the residual columns by
+        their clip factors gives the clipped sum as one matmul ``P @ rows``,
+        without the ``(n, dim)`` per-example matrix.
         """
-        resid = self._residuals(w, features, labels)
+        resid = self._residuals(w, rows, _label_index(labels))
         norms = np.sqrt((resid * resid).sum(axis=0) * ghost_term)
         resid *= np.minimum(1.0, c / np.maximum(norms, 1e-300))
-        return np.concatenate([(resid @ features).ravel(), resid.sum(axis=1)])
+        return (resid @ rows).ravel()
 
     def gradient(self, w: np.ndarray, shard: DatasetShard) -> np.ndarray:
         """Mean cross-entropy gradient of one ``(dim,)`` vector, or of each row
         of a ``(k, dim)`` stack (one row of the result per model).
 
         All k models share two matmuls over the shard; the ``(n, dim)``
-        per-example matrix is never built.  Logits are laid out as
-        ``(k, classes, n)`` so the softmax reduces over a middle axis of
-        whole example rows.
+        per-example matrix is never built.
         """
         w = np.asarray(w, dtype=float)
-        if w.ndim not in (1, 2) or w.shape[-1] != self.dim:
-            raise ValueError(
-                f"expected a parameter vector of length {self.dim} or a stack of them, got {w.shape}"
-            )
-        stack = w.reshape(-1, self.dim)
-        k, c, n = stack.shape[0], self.classes, shard.n
-        split = c * self.features
-        weights = stack[:, :split].reshape(k * c, self.features)
-        logits = (weights @ shard.features.T).reshape(k, c, n) + stack[:, split:, None]
-        logits -= logits.max(axis=1, keepdims=True)
-        probs = np.exp(logits)
-        probs /= probs.sum(axis=1, keepdims=True)
-        probs[:, shard.labels, np.arange(n)] -= 1.0
-        resid = probs.reshape(k * c, n)
-        grad_w = (resid @ shard.features).reshape(k, split)
-        grad = np.concatenate([grad_w, resid.sum(axis=1).reshape(k, c)], axis=1) / n
+        grad = self._residuals(w, shard.augmented, shard.label_index, stack=True) @ shard.augmented
+        grad /= shard.n
         return grad.reshape(w.shape)
 
     def accuracy(self, w: np.ndarray, shard: DatasetShard) -> float:
-        pred = self._log_probs(w, shard.features).argmax(axis=0)
+        pred = self._shifted_logits(w, shard.augmented)[0].argmax(axis=0)
         return float((pred == shard.labels).mean())
 
 
@@ -321,10 +342,12 @@ def local_update(
         if idx.size == 0:
             continue
         summed = model.clipped_gradient_sum(
-            w, shard.features[idx], shard.labels[idx], shard.ghost_term[idx], cfg.clip_c
+            w, shard.augmented[idx], shard.labels[idx], shard.ghost_term[idx], cfg.clip_c
         )
         if cfg.mechanism is not None:
-            summed += sample_noise_array(cfg.mechanism, stream, w.size)
+            # Drawn in the published [W | b] coordinate order, then gathered
+            # into the model's row layout.
+            summed += sample_noise_array(cfg.mechanism, stream, w.size)[model.from_published]
             draws += 1
         summed /= idx.size
         w = heterogeneous_update(cfg, w, summed, w_max, eps_max)

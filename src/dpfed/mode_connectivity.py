@@ -63,7 +63,15 @@ class CurveTrainConfig:
     evaluation); ``shard`` is passed through opaquely.  ``gradient`` must
     broadcast over a leading axis: given a ``(k, d)`` stack of parameter
     vectors it returns the ``(k, d)`` stack of their gradients, because every
-    curve of a merge level is trained in one call per step.
+    curve of a merge level is trained in one call per step.  Each step builds
+    its ``(k, d)`` stack of curve points in place, in one buffer.
+
+    For :class:`dpfed.fl_core.LogisticRegressionModel` a vector holds one
+    ``(w_c, b_c)`` row per class, so the stack is a
+    ``(k * classes, features + 1)`` matrix, and the shard (a
+    :class:`dpfed.fl_core.DatasetShard`) keeps its rows with a trailing ones
+    column: a step's logits for all k curve points are one matmul, and so
+    are their gradients.
     """
 
     steps: int
@@ -117,9 +125,13 @@ def _train_bends(spec: CurveSpec, cfg: CurveTrainConfig, rngs) -> np.ndarray:
     p_hat = np.stack([rng.random(cfg.steps) for rng in rngs], axis=1)[:, :, None]
     a, b, c = _coefficients(spec.kind, p_hat)
     rate = cfg.learning_rate * b
+    point, term = np.empty_like(theta), np.empty_like(theta)
     for step in range(cfg.steps):
-        grad = cfg.model.gradient(a[step] * w1 + b[step] * theta + c[step] * w2, cfg.shard)
-        theta -= rate[step] * np.asarray(grad, dtype=float)
+        # The curve point a w1 + b theta + c w2, assembled in place.
+        np.multiply(a[step], w1, out=point)
+        point += np.multiply(b[step], theta, out=term)
+        point += np.multiply(c[step], w2, out=term)
+        theta -= np.multiply(rate[step], cfg.model.gradient(point, cfg.shard), out=term)
     return theta
 
 

@@ -133,6 +133,29 @@ def softmax_loss_and_accuracy_reference(weights, bias, features, labels):
     return float(loss), float((log_probs.argmax(axis=1) == labels).mean())
 
 
+def published_softmax_oracle(w, features, labels, classes):
+    """Per-example cross-entropy gradients ``(n, dim)``, mean loss and
+    accuracy of multinomial logistic regression, one example at a time.
+
+    ``w`` uses the published ``[W | b]`` packing: the ``(classes, features)``
+    weight matrix row by row, then the ``(classes,)`` bias; so does each
+    gradient row.
+    """
+    n, f = features.shape
+    weights, bias = w[: classes * f].reshape(classes, f), w[classes * f :]
+    grads, losses, hits = [], [], 0
+    for x, y in zip(features, labels):
+        z = weights @ x + bias
+        z = z - z.max()
+        e = np.exp(z)
+        losses.append(math.log(e.sum()) - z[y])
+        hits += int(z.argmax() == y)
+        p = e / e.sum()
+        p[y] -= 1.0
+        grads.append(np.concatenate([np.outer(p, x).ravel(), p]))
+    return np.array(grads), float(np.mean(losses)), hits / n
+
+
 class QuadraticBowl:
     """Loss oracle ``||w - center||^2`` satisfying the LossModel contract."""
 

@@ -12,6 +12,7 @@ from dpfed.cli import (
     SWEEP_HEADER,
     ConfigError,
     ExperimentConfig,
+    _build_federation,
     parse_config,
     run_experiment,
     sweep,
@@ -274,6 +275,26 @@ class TestCommandLine:
         obj = json.loads(proc.stdout)
         want = 3 * 7 * math.e / (math.e**2 - 1.0)
         assert obj["l1_bound"] == pytest.approx(want, rel=1e-9)
+
+    def test_modeconnect_with_a_label_only_held_out_rows_carry(self, tmp_path):
+        # Mode-connect curves train on the held-out rows, so a label that only
+        # they carry still needs a class of its own.
+        path = write_csv_dataset(tmp_path, 80)
+        cfg = small_cfg(dataset=path, clients=2, rounds=2, aggregator="modeconnect")
+        lines = (tmp_path / "data.csv").read_text(encoding="utf-8").splitlines()
+        held_out = ",".join(f"{v:.4f}" for v in _build_federation(cfg)[1].features[0])
+        [row] = [i for i, line in enumerate(lines) if line.startswith(held_out + ",")]
+        lines[row] = held_out + ",2"
+        (tmp_path / "data.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        shards, eval_shard = _build_federation(cfg)
+        assert 2 in eval_shard.labels and all(2 not in s.labels for s in shards)
+
+        proc = run_cli(
+            "run", "--dataset", path, "--clients", "2", "--rounds", "2", "--seed", "3",
+            "--mechanism", "gaussian", "--aggregator", "modeconnect",
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1])["rounds_run"] == 2
 
     def test_sweep_subcommand(self, tmp_path):
         a = tmp_path / "a.cfg"

@@ -23,8 +23,12 @@ from dpfed.fl_core import (
     run_round,
     shuffle_updates,
 )
-from dpfed.mechanisms import MechanismKind, MechanismParams, NoiseStream
-from oracles import central_difference_gradient, softmax_loss_and_accuracy_reference
+from dpfed.mechanisms import MechanismKind, MechanismParams, NoiseStream, sample_noise_array
+from oracles import (
+    central_difference_gradient,
+    published_softmax_oracle,
+    softmax_loss_and_accuracy_reference,
+)
 
 
 def tiny_shard(seed=0, n=40, f=4, classes=3):
@@ -139,9 +143,9 @@ class TestLossModel:
             model = LogisticRegressionModel(classes, f)
             shard = DatasetShard(rng.normal(scale=3.0, size=(n, f)), rng.integers(0, classes, n))
             w = rng.normal(size=model.dim)
-            split = classes * f
+            rows = w.reshape(classes, f + 1)
             want_loss, want_acc = softmax_loss_and_accuracy_reference(
-                w[:split].reshape(classes, f), w[split:], shard.features, shard.labels
+                rows[:, :f], rows[:, f], shard.features, shard.labels
             )
             assert model.loss(w, shard) == pytest.approx(want_loss, rel=1e-12)
             assert model.accuracy(w, shard) == want_acc
@@ -152,12 +156,55 @@ class TestLossModel:
         acc = model.accuracy(model.init_params(), shard)
         assert 0.0 <= acc <= 1.0
 
+    def test_row_layout_holds_each_class_weights_then_bias(self):
+        model = LogisticRegressionModel(3, 2)
+        published = np.arange(model.dim)  # W = [[0, 1], [2, 3], [4, 5]], b = [6, 7, 8]
+        assert published[model.from_published].tolist() == [0, 1, 6, 2, 3, 7, 4, 5, 8]
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        k=st.integers(1, 4),
+        classes=st.integers(2, 6),
+        f=st.integers(1, 8),
+        n=st.integers(1, 30),
+        c=st.floats(1e-3, 10.0),
+        w_scale=st.floats(0.0, 3.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_property_matches_published_oracle(self, k, classes, f, n, c, w_scale, seed):
+        # Parameters are drawn in the published [W | b] packing and moved to
+        # the row layout by the model's index map; the oracle's gradients are
+        # moved the same way.
+        rng = np.random.default_rng(seed)
+        model = LogisticRegressionModel(classes, f)
+        shard = DatasetShard(rng.normal(size=(n, f)), rng.integers(0, classes, n))
+        published = rng.normal(scale=w_scale, size=(k, model.dim))
+        stack = published[:, model.from_published]
+        oracles = [published_softmax_oracle(p, shard.features, shard.labels, classes) for p in published]
+        for got, (per_example, _, _) in zip(model.gradient(stack, shard), oracles):
+            assert_matches_oracle(got, per_example.mean(axis=0)[model.from_published])
+        w, (per_example, loss, acc) = stack[0], oracles[0]
+        assert model.loss(w, shard) == pytest.approx(loss, rel=1e-12)
+        assert model.accuracy(w, shard) == acc
+        assert_matches_oracle(model.per_example_gradients(w, shard), per_example[:, model.from_published])
+        got = model.clipped_gradient_sum(w, shard.augmented, shard.labels, shard.ghost_term, c)
+        assert_matches_oracle(got, clip_rows_and_sum(per_example, c)[model.from_published])
+
+
+def clip_rows_and_sum(grads, c):
+    """The rows of ``grads``, each clipped to l2 norm c by an explicit norm, summed."""
+    norms = np.linalg.norm(grads, axis=1, keepdims=True)
+    return (grads * np.minimum(1.0, c / np.maximum(norms, 1e-300))).sum(axis=0)
+
 
 def clipped_sum_oracle(model, w, shard, c):
     """Per-example gradients, each clipped to l2 norm c by an explicit norm, summed."""
-    grads = model.per_example_gradients(w, shard)
-    norms = np.linalg.norm(grads, axis=1, keepdims=True)
-    return (grads * np.minimum(1.0, c / np.maximum(norms, 1e-300))).sum(axis=0)
+    return clip_rows_and_sum(model.per_example_gradients(w, shard), c)
+
+
+def augment(x):
+    """The rows ``x`` with a trailing ones column, as :attr:`DatasetShard.augmented` holds them."""
+    return np.hstack([x, np.ones((len(x), 1))])
 
 
 def ghost_term(x):
@@ -186,7 +233,7 @@ class TestGhostClipping:
         c = 0.05
         norms = np.linalg.norm(model.per_example_gradients(w, shard), axis=1)
         assert (norms > c).any() and (norms < c).any()  # binds on some rows, not all
-        got = model.clipped_gradient_sum(w, shard.features, shard.labels, shard.ghost_term, c)
+        got = model.clipped_gradient_sum(w, shard.augmented, shard.labels, shard.ghost_term, c)
         assert_matches_oracle(got, clipped_sum_oracle(model, w, shard, c))
 
     def test_matches_plain_sum_when_clipping_is_slack(self):
@@ -195,7 +242,7 @@ class TestGhostClipping:
         w = np.random.default_rng(7).normal(scale=0.3, size=model.dim)
         norms = np.linalg.norm(model.per_example_gradients(w, shard), axis=1)
         c = 2.0 * norms.max()
-        got = model.clipped_gradient_sum(w, shard.features, shard.labels, shard.ghost_term, c)
+        got = model.clipped_gradient_sum(w, shard.augmented, shard.labels, shard.ghost_term, c)
         assert_matches_oracle(got, model.per_example_gradients(w, shard).sum(axis=0))
         assert_matches_oracle(got, shard.n * model.gradient(w, shard))
 
@@ -204,7 +251,7 @@ class TestGhostClipping:
         shard = tiny_shard(23, n=1, f=3, classes=4)
         w = np.random.default_rng(8).normal(size=model.dim)
         for c in (0.01, 1.0, 100.0):
-            got = model.clipped_gradient_sum(w, shard.features, shard.labels, shard.ghost_term, c)
+            got = model.clipped_gradient_sum(w, shard.augmented, shard.labels, shard.ghost_term, c)
             assert got.shape == (model.dim,)
             assert_matches_oracle(got, clipped_sum_oracle(model, w, shard, c))
 
@@ -216,7 +263,7 @@ class TestGhostClipping:
         shard = DatasetShard(features, labels)
         assert not model.per_example_gradients(w, shard)[0].any()
         for c in (0.1, 10.0):
-            got = model.clipped_gradient_sum(w, features, labels, shard.ghost_term, c)
+            got = model.clipped_gradient_sum(w, shard.augmented, labels, shard.ghost_term, c)
             assert_matches_oracle(got, clipped_sum_oracle(model, w, shard, c))
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -236,10 +283,10 @@ class TestGhostClipping:
         w = rng.normal(scale=w_scale, size=model.dim)
         for i in range(n):
             row = model.clipped_gradient_sum(
-                w, shard.features[i : i + 1], shard.labels[i : i + 1], shard.ghost_term[i : i + 1], c
+                w, shard.augmented[i : i + 1], shard.labels[i : i + 1], shard.ghost_term[i : i + 1], c
             )
             assert np.linalg.norm(row) <= c + 1e-12
-        got = model.clipped_gradient_sum(w, shard.features, shard.labels, shard.ghost_term, c)
+        got = model.clipped_gradient_sum(w, shard.augmented, shard.labels, shard.ghost_term, c)
         assert_matches_oracle(got, clipped_sum_oracle(model, w, shard, c))
 
 
@@ -259,17 +306,18 @@ class TestClip:
     def test_forced_scaling(self):
         model, w, x, y, g = self.one_row(0)
         c = 0.5 * np.linalg.norm(g)
-        out = model.clipped_gradient_sum(w, x, y, ghost_term(x), c)
+        out = model.clipped_gradient_sum(w, augment(x), y, ghost_term(x), c)
         assert np.allclose(out, g * (c / np.linalg.norm(g)), rtol=1e-15)
         assert np.linalg.norm(out) == pytest.approx(c, rel=1e-14)
 
     def test_unchanged_inside_ball(self):
         model, w, x, y, g = self.one_row(1)
-        assert np.array_equal(model.clipped_gradient_sum(w, x, y, ghost_term(x), 2.0 * np.linalg.norm(g)), g)
+        out = model.clipped_gradient_sum(w, augment(x), y, ghost_term(x), 2.0 * np.linalg.norm(g))
+        assert np.array_equal(out, g)
 
     def test_zero_vector(self):
         model, w, x0, y0 = saturated_row_model()
-        out = model.clipped_gradient_sum(w, x0[None], np.array([y0]), ghost_term(x0[None]), 1.0)
+        out = model.clipped_gradient_sum(w, augment(x0[None]), np.array([y0]), ghost_term(x0[None]), 1.0)
         assert np.array_equal(out, np.zeros(model.dim))
 
     def test_norm_bound_random(self):
@@ -277,7 +325,7 @@ class TestClip:
         for seed in range(50):
             model, w, x, y, g = self.one_row(seed, x_scale=rng.uniform(0.1, 10))
             c = rng.uniform(0.1, 3)
-            out = model.clipped_gradient_sum(w, x, y, ghost_term(x), c)
+            out = model.clipped_gradient_sum(w, augment(x), y, ghost_term(x), c)
             assert np.linalg.norm(out) <= c + 1e-12
             if np.linalg.norm(g) > 0:
                 cos = np.dot(out, g) / (np.linalg.norm(out) * np.linalg.norm(g) + 1e-300)
@@ -326,6 +374,25 @@ class TestLocalUpdate:
         want = heterogeneous_update(cfg, w0, mean, w_max, 8.0)
         assert np.allclose(upd.params, want, rtol=1e-12)
         assert not np.allclose(upd.params, w0 - 0.1 * mean, rtol=1e-6)
+
+    def test_noise_lands_through_the_index_map(self):
+        # q = 1, one epoch, lam = 0: one noisy step.  The oracle takes it in
+        # the published [W | b] packing, with the noise the same stream
+        # draws, and then moves it to the row layout.
+        model = LogisticRegressionModel(3, 4)
+        shard = tiny_shard(26)
+        mech = MechanismParams(MechanismKind.LAPLACE, 1.0, 2.0)
+        cfg = make_client(shard, mech)
+        published = np.random.default_rng(27).normal(scale=0.5, size=model.dim)
+        upd = local_update(cfg, published[model.from_published], model, NoiseStream(4, 0, 0, "local-update"))
+        assert upd.noise_draws == 1
+
+        stream = NoiseStream(4, 0, 0, "local-update")
+        stream.rng.random(shard.n)  # the subsample draw, which keeps every row at q = 1
+        noise = sample_noise_array(mech, stream, model.dim)
+        per_example, _, _ = published_softmax_oracle(published, shard.features, shard.labels, 3)
+        want = published - 0.1 * (clip_rows_and_sum(per_example, 1.0) + noise) / shard.n
+        assert_matches_oracle(upd.params, want[model.from_published])
 
     def test_creates_no_shard(self, monkeypatch):
         created = []
