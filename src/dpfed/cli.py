@@ -36,12 +36,12 @@ from .fl_core import (
     BudgetExhaustedError,
     ClientConfig,
     DatasetShard,
+    Federation,
     LogisticRegressionModel,
     RoundMetrics,
     ServerState,
     load_csv_shard,
     make_synthetic_federation,
-    pool_shards,
     run_round,
 )
 from .mechanisms import MechanismKind, MechanismParams, NoiseStream
@@ -253,7 +253,7 @@ def _calibrate_cached(kind: MechanismKind, sensitivity: float, budget: PrivacyBu
     return hit
 
 
-def _build_federation(cfg: ExperimentConfig) -> tuple[list[DatasetShard], DatasetShard]:
+def _build_federation(cfg: ExperimentConfig) -> Federation:
     if cfg.dataset == "synthetic":
         return make_synthetic_federation(
             cfg.clients,
@@ -264,14 +264,16 @@ def _build_federation(cfg: ExperimentConfig) -> tuple[list[DatasetShard], Datase
             eval_fraction=EVAL_FRACTION,
             center_scale=SYNTH_CENTER_SCALE,
         )
-    pool = load_csv_shard(cfg.dataset)
-    order = NoiseStream(cfg.seed, 0, 0, "csv-deal").rng.permutation(pool.n)
-    eval_n = max(1, round(EVAL_FRACTION * pool.n / (1.0 + EVAL_FRACTION)))
-    if pool.n - eval_n < cfg.clients:
+    rows = load_csv_shard(cfg.dataset)
+    order = NoiseStream(cfg.seed, 0, 0, "csv-deal").rng.permutation(rows.n)
+    eval_n = max(1, round(EVAL_FRACTION * rows.n / (1.0 + EVAL_FRACTION)))
+    if rows.n - 2 * eval_n < cfg.clients:
         raise ConfigError(f"invalid value for 'dataset': {cfg.dataset!r} has too few rows for {cfg.clients} clients")
-    eval_idx, train_idx = order[:eval_n], order[eval_n:]
-    shards = [pool.subset(np.sort(train_idx[k :: cfg.clients])) for k in range(cfg.clients)]
-    return shards, pool.subset(np.sort(eval_idx))
+    eval_idx, val_idx, train_idx = np.split(order, [eval_n, 2 * eval_n])
+    roles = [train_idx[k :: cfg.clients] for k in range(cfg.clients)] + [val_idx, eval_idx]
+    role_order = np.concatenate([np.sort(r) for r in roles])
+    data = DatasetShard(rows.features[role_order], rows.labels[role_order])
+    return Federation.deal(data, [len(r) for r in roles[: cfg.clients]], eval_n)
 
 
 @dataclass
@@ -288,18 +290,16 @@ def run_experiment(cfg: ExperimentConfig, csv_stream=None) -> ExperimentResult:
     stops the loop with exit code 1 (the documented halt signal).
     """
     kind = MechanismKind.parse(cfg.mechanism)
-    shards, eval_shard = _build_federation(cfg)
-    # Every row counts, held-out ones too: mode-connect curves train on them.
-    classes = int(max(s.labels.max() for s in [*shards, eval_shard])) + 1
-    if cfg.dataset == "synthetic":
-        classes = SYNTH_CLASSES
-    model = LogisticRegressionModel(classes, shards[0].features.shape[1])
+    fed = _build_federation(cfg)
+    # Every row counts: a label only validation or eval rows carry needs a class.
+    classes = SYNTH_CLASSES if cfg.dataset == "synthetic" else int(fed.data.labels.max()) + 1
+    model = LogisticRegressionModel(classes, fed.data.features.shape[1])
 
     eps_list = cfg.heterogeneous_epsilons or (cfg.epsilon,) * cfg.clients
     budgets, clients, ledgers = {}, [], {}
     grid = default_alpha_grid()
     calibrated_scale: float | None = None
-    for cid, (shard, eps_k) in enumerate(zip(shards, eps_list)):
+    for cid, (shard, eps_k) in enumerate(zip(fed.clients, eps_list)):
         mech: MechanismParams | None = None
         if not cfg.noise_disabled:
             budget = PrivacyBudget(eps_k, cfg.delta, cfg.horizon)
@@ -321,8 +321,7 @@ def run_experiment(cfg: ExperimentConfig, csv_stream=None) -> ExperimentResult:
         ledgers[cid] = RdpLedger(grid)
 
     # The pooled train loss is the sizes-weighted mean of the shard losses.
-    pool = pool_shards(shards)
-    sizes = np.array([s.n for s in shards], dtype=float)
+    sizes = np.array([s.n for s in fed.clients], dtype=float)
     server = ServerState(
         global_model=model.init_params(),
         round_t=0,
@@ -332,7 +331,7 @@ def run_experiment(cfg: ExperimentConfig, csv_stream=None) -> ExperimentResult:
     )
     curve_cfg = None
     if server.aggregator is Aggregator.MODE_CONNECT:
-        curve_cfg = CurveTrainConfig(CURVE_TRAIN_STEPS, CURVE_TRAIN_LR, model, eval_shard)
+        curve_cfg = CurveTrainConfig(CURVE_TRAIN_STEPS, CURVE_TRAIN_LR, model, fed.validation)
 
     if csv_stream is not None:
         csv_stream.write(CSV_HEADER + "\n")
@@ -348,8 +347,8 @@ def run_experiment(cfg: ExperimentConfig, csv_stream=None) -> ExperimentResult:
                 ledgers,
                 cfg.seed,
                 budgets,
-                pool,
-                eval_shard=eval_shard,
+                fed.pool,
+                fed.eval,
                 shuffle=cfg.shuffle,
                 curve_cfg=curve_cfg,
                 prior_models=prior_models,

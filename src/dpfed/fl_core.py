@@ -25,8 +25,9 @@ softmax is laid out class-major, ``(k, classes, n)``, so its reductions run
 over whole example rows; one residual helper serves the clipped sum, the
 stacked mean gradient and the per-example reference.
 
-The CSV ``train_loss`` is the mean cross-entropy over the pooled rows of all
-clients, one pass per round over a pool built once per run.
+A run's rows are built once, as one shard whose row ranges are its data roles
+(:class:`Federation`): the clients, whose pool gives the CSV ``train_loss``,
+the server's validation rows that curves train on, and the eval rows.
 
 Every random decision flows through a :class:`NoiseStream` keyed by (master
 seed, round, client, purpose), so a configuration plus master seed fully
@@ -66,7 +67,7 @@ class DatasetShard:
 
     * ``augmented``: the rows with a trailing ones column, ``(x_i, 1)``, which
       one matmul with the model's per-class ``(w_c, b_c)`` rows turns into
-      logits;
+      logits; ``features`` is a view of its leading columns;
     * ``ghost_term``: each row's ghost-norm data term ``||x_i||^2 + 1``;
     * ``label_index``: each row's label as a flat position in a class-major
       ``(classes, n)`` array, ``labels[i] * n + i``, where the softmax
@@ -92,17 +93,28 @@ class DatasetShard:
             raise ValueError("labels must be integers")
         if np.any(self.labels < 0):
             raise ValueError("labels must be non-negative")
+        # The ghost term's temporary is freed before ``augmented`` is made.
+        self.ghost_term = (self.features * self.features).sum(axis=1) + 1.0
         self.augmented = np.ones((self.n, self.features.shape[1] + 1))
         self.augmented[:, :-1] = self.features
-        self.ghost_term = (self.features * self.features).sum(axis=1) + 1.0
+        self.features = self.augmented[:, :-1]
         self.label_index = _label_index(self.labels)
 
     @property
     def n(self) -> int:
         return self.features.shape[0]
 
-    def subset(self, idx: np.ndarray) -> "DatasetShard":
-        return DatasetShard(self.features[idx], self.labels[idx])
+    def row_range(self, start: int, stop: int) -> "DatasetShard":
+        """Rows ``start:stop`` as a view; only ``label_index`` is built anew."""
+        if not 0 <= start < stop <= self.n:
+            raise ValueError(f"row range {start}:{stop} is empty or outside the shard's {self.n} rows")
+        view = object.__new__(DatasetShard)
+        view.augmented = self.augmented[start:stop]
+        view.features = view.augmented[:, :-1]
+        view.labels = self.labels[start:stop]
+        view.ghost_term = self.ghost_term[start:stop]
+        view.label_index = _label_index(view.labels)
+        return view
 
 
 def _label_index(labels: np.ndarray) -> np.ndarray:
@@ -115,20 +127,16 @@ def load_csv_shard(path) -> DatasetShard:
     """Read a shard from CSV: header row, feature columns, then a ``label``
     column of integers; comma-separated UTF-8."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        return _read_csv_shard(fh)
-
-
-def _read_csv_shard(fh) -> DatasetShard:
-    reader = csv.reader(fh)
-    header = next(reader, None)
-    if not header or header[-1].strip() != "label":
-        raise ValueError("shard CSV needs a header whose last column is 'label'")
-    feats, labels = [], []
-    for row in reader:
-        if not row:
-            continue
-        feats.append([float(v) for v in row[:-1]])
-        labels.append(int(row[-1]))
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if not header or header[-1].strip() != "label":
+            raise ValueError("shard CSV needs a header whose last column is 'label'")
+        feats, labels = [], []
+        for row in reader:
+            if not row:
+                continue
+            feats.append([float(v) for v in row[:-1]])
+            labels.append(int(row[-1]))
     return DatasetShard(np.array(feats), np.array(labels, dtype=np.int64))
 
 
@@ -411,7 +419,7 @@ def run_round(
     master_seed: int,
     budgets,
     pool: DatasetShard,
-    eval_shard: DatasetShard | None = None,
+    eval_shard: DatasetShard,
     shuffle: bool = False,
     curve_cfg: CurveTrainConfig | None = None,
     prior_models: dict[int, np.ndarray] | None = None,
@@ -421,9 +429,9 @@ def run_round(
     selected client's ledger cannot cover its noise applications, and then
     leaves every ledger as it was before the round.
 
-    ``pool`` holds every client's rows (:func:`pool_shards`).  The reported
-    ``train_loss`` is the mean cross-entropy over these pooled rows, and
-    ``eval_accuracy`` is scored on them when ``eval_shard`` is None.
+    ``train_loss`` is the mean cross-entropy over ``pool`` (every client
+    row) and ``eval_accuracy`` is scored on the held-out ``eval_shard``;
+    mode-connect curves train on ``curve_cfg.shard``, never on ``eval_shard``.
     """
     clients = sorted(clients, key=lambda c: c.id)
     n_sel = math.ceil(server.selection_fraction * len(clients))
@@ -485,7 +493,7 @@ def run_round(
         round_index=server.round_t,
         cumulative_epsilon=cumulative,
         train_loss=model.loss(new_global, pool),
-        eval_accuracy=model.accuracy(new_global, pool if eval_shard is None else eval_shard),
+        eval_accuracy=model.accuracy(new_global, eval_shard),
         mechanism=mechanism_label
         or (selected[0].mechanism.kind.value if selected[0].mechanism else "disabled"),
         noise_scale=max((c.mechanism.scale for c in clients if c.mechanism), default=math.inf),
@@ -495,39 +503,36 @@ def run_round(
     return RoundResult(server=new_server, metrics=metrics, client_models=prior_models)
 
 
-def pool_shards(shards: list[DatasetShard]) -> DatasetShard:
-    """Every row of ``shards``, in order, as one shard.
+@dataclass(frozen=True)
+class Federation:
+    """Every data role of a run as a row range of ``data``, whose rows are in
+    role order: clients 0..K-1 (together, the ``pool``), the server's
+    ``validation`` rows, then the held-out ``eval`` rows."""
 
-    When the shards are consecutive row slices of one array, as
-    :func:`make_synthetic_federation` deals them, the pool is a view of that
-    array; otherwise the rows are copied.
-    """
-    return DatasetShard(
-        _joined_rows([s.features for s in shards]), _joined_rows([s.labels for s in shards])
-    )
+    data: DatasetShard
+    clients: list[DatasetShard]
+    pool: DatasetShard
+    validation: DatasetShard
+    eval: DatasetShard
+
+    @classmethod
+    def deal(cls, data: DatasetShard, client_sizes, validation_n: int) -> "Federation":
+        """Client ranges of ``client_sizes`` rows, ``validation_n`` validation rows, the rest eval."""
+        bounds = np.cumsum([0, *client_sizes])
+        pool_n = int(bounds[-1])
+        return cls(
+            data=data,
+            clients=[data.row_range(a, b) for a, b in zip(bounds[:-1], bounds[1:])],
+            pool=data.row_range(0, pool_n),
+            validation=data.row_range(pool_n, pool_n + validation_n),
+            eval=data.row_range(pool_n + validation_n, data.n),
+        )
 
 
-def _joined_rows(parts: list[np.ndarray]) -> np.ndarray:
-    """``np.concatenate(parts)``, or a view of the parts' common base array
-    when they are consecutive whole-row slices of it."""
-    base = parts[0].base
-    if not isinstance(base, np.ndarray) or not base.flags.c_contiguous:
-        return np.concatenate(parts)
-    start = end = parts[0].ctypes.data - base.ctypes.data
-    for part in parts:
-        if (
-            part.base is not base
-            or part.dtype != base.dtype
-            or part.shape[1:] != base.shape[1:]
-            or not part.flags.c_contiguous
-            or part.ctypes.data - base.ctypes.data != end
-        ):
-            return np.concatenate(parts)
-        end += part.nbytes
-    row = base.strides[0]
-    if start % row:
-        return np.concatenate(parts)
-    return base[start // row : end // row]
+def _blobs(rng: np.random.Generator, centers: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``n`` labels drawn uniformly, then their rows: center plus unit Gaussian noise."""
+    labels = rng.integers(0, len(centers), n)
+    return centers[labels] + rng.normal(0.0, 1.0, (n, centers.shape[1])), labels
 
 
 def make_synthetic_federation(
@@ -538,24 +543,18 @@ def make_synthetic_federation(
     seed: int,
     eval_fraction: float = 0.05,
     center_scale: float = 3.0,
-) -> tuple[list[DatasetShard], DatasetShard]:
-    """IID Gaussian-blob classification pool dealt to clients plus a held-out
-    evaluation shard (``eval_fraction`` of the client pool size)."""
+) -> Federation:
+    """IID Gaussian-blob rows dealt to clients, then validation (own stream) and
+    held-out eval splits, each ``eval_fraction`` of the client pool size."""
     if n_clients < 1 or samples_per_client < 1:
         raise ValueError("need at least one client and one sample per client")
     rng = NoiseStream(seed, 0, 0, "synthetic-data").rng
     centers = rng.normal(0.0, center_scale, (classes, features))
     pool_n = n_clients * samples_per_client
     eval_n = max(1, round(eval_fraction * pool_n))
-    total = pool_n + eval_n
-    labels = rng.integers(0, classes, total)
-    feats = centers[labels] + rng.normal(0.0, 1.0, (total, features))
-    shards = [
-        DatasetShard(
-            feats[k * samples_per_client : (k + 1) * samples_per_client],
-            labels[k * samples_per_client : (k + 1) * samples_per_client],
-        )
-        for k in range(n_clients)
-    ]
-    eval_shard = DatasetShard(feats[pool_n:], labels[pool_n:])
-    return shards, eval_shard
+    feats, labels = _blobs(rng, centers, pool_n + eval_n)
+    val_feats, val_labels = _blobs(NoiseStream(seed, 0, 0, "server-validation").rng, centers, eval_n)
+    # Rebinding frees the drawn rows before the shard copies the role-ordered ones.
+    feats = np.concatenate([feats[:pool_n], val_feats, feats[pool_n:]])
+    labels = np.concatenate([labels[:pool_n], val_labels, labels[pool_n:]])
+    return Federation.deal(DatasetShard(feats, labels), [samples_per_client] * n_clients, eval_n)

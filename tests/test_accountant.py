@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpfed.accountant import (
     InfeasibleBudgetError,
@@ -123,7 +125,44 @@ class TestToDp:
             ledger.to_dp(1.0)
 
 
+calibrated_mechanisms = st.lists(
+    st.tuples(st.sampled_from(list(MechanismKind)), st.floats(0.5, 16.0), st.integers(1, 40)),
+    min_size=1,
+    max_size=3,
+)
+
+
 class TestSpend:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        mechanisms=calibrated_mechanisms,
+        budget_eps=st.floats(0.5, 16.0),
+        spends=st.lists(st.tuples(st.integers(0, 2), st.integers(1, 3)), min_size=1, max_size=40),
+    )
+    def test_property_random_spend_sequences(self, mechanisms, budget_eps, spends):
+        # Curves of calibrated mechanisms, each charged 1-3 times per spend
+        # (one charge per noise draw), against a budget of their own.
+        grid = default_alpha_grid()
+        curves = [
+            rdp_curve(calibrate_noise(kind, 1.0, PrivacyBudget(eps, DELTA, horizon)).mechanism, grid)
+            for kind, eps, horizon in mechanisms
+        ]
+        budget = PrivacyBudget(budget_eps, DELTA, 1)
+        ledger = RdpLedger(grid)
+        last_eps, _ = ledger.to_dp(DELTA)
+        for which, draws in spends:
+            gamma, composed = ledger.gamma.copy(), ledger.rounds_composed
+            decision = ledger.spend(draws * curves[which % len(curves)], budget)
+            eps, _ = ledger.to_dp(DELTA)
+            assert eps >= last_eps
+            if decision.halted:
+                assert np.array_equal(ledger.gamma, gamma)
+                assert ledger.rounds_composed == composed
+            else:
+                assert eps <= budget.epsilon
+                assert ledger.rounds_composed == composed + 1
+            last_eps = eps
+
     def test_continue_with_headroom(self):
         ledger = RdpLedger(INT_GRID)
         budget = PrivacyBudget(1.0, DELTA, 10)

@@ -162,7 +162,7 @@ class TestRunExperiment:
             return result
 
         monkeypatch.setattr(cli_mod, "run_round", recording)
-        # 83 rows: 4 held out, 79 dealt to 4 clients as 20, 20, 20, 19
+        # 83 rows: 4 eval, 4 validation, 75 dealt to 4 clients as 19, 19, 19, 18
         cfg = small_cfg(dataset=write_csv_dataset(tmp_path, 83), clients=4, rounds=3, sample_rate=0.5)
         assert run_experiment(cfg).exit_code == 0
         assert len(rounds) == 3
@@ -171,6 +171,65 @@ class TestRunExperiment:
             w, weights = result.server.global_model, result.server.weights
             want = sum(weights[c.id] * model.loss(w, c.shard) for c in clients)
             assert result.metrics.train_loss == pytest.approx(want, rel=1e-12)
+
+
+def row_span(view, data) -> range:
+    """The rows of the shard ``data`` that the row-range view ``view`` holds."""
+    assert view.augmented.base is data.augmented
+    offset = view.augmented.__array_interface__["data"][0] - data.augmented.__array_interface__["data"][0]
+    start = offset // data.augmented.strides[0]
+    return range(start, start + view.n)
+
+
+class TestDataRoles:
+    @pytest.mark.parametrize("aggregator", ["fedavg", "modeconnect"])
+    @pytest.mark.parametrize("dataset", ["synthetic", "csv"])
+    def test_no_eval_row_reaches_training(self, aggregator, dataset, tmp_path, monkeypatch):
+        from dpfed import cli as cli_mod
+        from dpfed import fl_core
+
+        built, trained, curve_shards = [], [], []
+        real_build, real_local = cli_mod._build_federation, fl_core.local_update
+        real_gradient = fl_core.LogisticRegressionModel.gradient
+
+        def build(cfg):
+            built.append(real_build(cfg))
+            return built[-1]
+
+        def local(cfg, *args, **kwargs):
+            trained.append(cfg.shard)
+            return real_local(cfg, *args, **kwargs)
+
+        def gradient(self, w, shard):
+            curve_shards.append(shard)
+            return real_gradient(self, w, shard)
+
+        monkeypatch.setattr(cli_mod, "_build_federation", build)
+        monkeypatch.setattr(fl_core, "local_update", local)
+        monkeypatch.setattr(fl_core.LogisticRegressionModel, "gradient", gradient)
+        path = "synthetic" if dataset == "synthetic" else write_csv_dataset(tmp_path, 90)
+        cfg = small_cfg(dataset=path, clients=4, rounds=2, aggregator=aggregator, sample_rate=0.5)
+        assert run_experiment(cfg).exit_code == 0
+
+        [fed] = built
+        data = fed.data
+        clients = [row_span(s, data) for s in fed.clients]
+        validation, evaluation = row_span(fed.validation, data), row_span(fed.eval, data)
+        # the roles cover every row exactly once, in role order
+        assert [i for span in [*clients, validation, evaluation] for i in span] == list(range(data.n))
+        assert row_span(fed.pool, data) == range(0, clients[-1].stop)
+        assert np.array_equal(fed.pool.augmented, np.concatenate([s.augmented for s in fed.clients]))
+        assert np.array_equal(fed.pool.labels, np.concatenate([s.labels for s in fed.clients]))
+        for shard in [*fed.clients, fed.pool, fed.validation]:
+            assert not set(row_span(shard, data)) & set(evaluation)
+            for name in ("augmented", "features", "labels", "ghost_term"):
+                assert not np.shares_memory(getattr(shard, name), getattr(fed.eval, name)), name
+
+        assert trained and all(row_span(s, data) in clients for s in trained)
+        if aggregator == "modeconnect":
+            assert curve_shards and all(row_span(s, data) == validation for s in curve_shards)
+        else:
+            assert curve_shards == []
 
 
 class TestSweep:
@@ -277,17 +336,20 @@ class TestCommandLine:
         assert obj["l1_bound"] == pytest.approx(want, rel=1e-9)
 
     def test_modeconnect_with_a_label_only_held_out_rows_carry(self, tmp_path):
-        # Mode-connect curves train on the held-out rows, so a label that only
-        # they carry still needs a class of its own.
+        # Mode-connect curves train on the server's validation rows, so a
+        # label that only they and the eval rows carry still needs a class.
         path = write_csv_dataset(tmp_path, 80)
         cfg = small_cfg(dataset=path, clients=2, rounds=2, aggregator="modeconnect")
         lines = (tmp_path / "data.csv").read_text(encoding="utf-8").splitlines()
-        held_out = ",".join(f"{v:.4f}" for v in _build_federation(cfg)[1].features[0])
-        [row] = [i for i, line in enumerate(lines) if line.startswith(held_out + ",")]
-        lines[row] = held_out + ",2"
+        fed = _build_federation(cfg)
+        for held_out in (fed.validation, fed.eval):
+            row_text = ",".join(f"{v:.4f}" for v in held_out.features[0])
+            [row] = [i for i, line in enumerate(lines) if line.startswith(row_text + ",")]
+            lines[row] = row_text + ",2"
         (tmp_path / "data.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-        shards, eval_shard = _build_federation(cfg)
-        assert 2 in eval_shard.labels and all(2 not in s.labels for s in shards)
+        fed = _build_federation(cfg)
+        assert 2 in fed.validation.labels and 2 in fed.eval.labels
+        assert all(2 not in s.labels for s in fed.clients)
 
         proc = run_cli(
             "run", "--dataset", path, "--clients", "2", "--rounds", "2", "--seed", "3",

@@ -12,6 +12,7 @@ from dpfed.fl_core import (
     BudgetExhaustedError,
     ClientConfig,
     DatasetShard,
+    Federation,
     LogisticRegressionModel,
     ServerState,
     fedavg_aggregate,
@@ -19,7 +20,6 @@ from dpfed.fl_core import (
     load_csv_shard,
     local_update,
     make_synthetic_federation,
-    pool_shards,
     run_round,
     shuffle_updates,
 )
@@ -69,27 +69,59 @@ class TestShard:
         assert shard.labels.tolist() == [0, 2]
 
     def test_ghost_term_indexes_like_recomputed(self):
-        shards, _ = make_synthetic_federation(2, 200, 20, 10, seed=3)
+        fed = make_synthetic_federation(2, 200, 20, 10, seed=3)
         rng = np.random.default_rng(4)
-        for shard in shards:
+        for shard in fed.clients:
             assert np.array_equal(shard.ghost_term, ghost_term(shard.features))
             for q in (0.05, 0.5):
                 idx = np.flatnonzero(rng.random(shard.n) < q)
                 assert np.array_equal(shard.ghost_term[idx], ghost_term(shard.features[idx]))
 
     def test_pool_is_a_view_of_dealt_rows(self):
-        shards, _ = make_synthetic_federation(3, 7, 2, 3, seed=5)
-        pool = pool_shards(shards)
-        assert np.shares_memory(pool.features, shards[0].features)
-        assert np.shares_memory(pool.labels, shards[0].labels)
+        fed = make_synthetic_federation(3, 7, 2, 3, seed=5)
+        pool, shards = fed.pool, fed.clients
+        for name in ("augmented", "features", "labels", "ghost_term"):
+            assert np.shares_memory(getattr(pool, name), getattr(shards[0], name)), name
         assert np.array_equal(pool.features, np.concatenate([s.features for s in shards]))
         assert np.array_equal(pool.labels, np.concatenate([s.labels for s in shards]))
-        # out of order or copied shards are joined by copying
-        for parts in (shards[::-1], [tiny_shard(1), tiny_shard(2)]):
-            pool = pool_shards(parts)
-            assert not np.shares_memory(pool.features, parts[0].features)
-            assert np.array_equal(pool.features, np.concatenate([s.features for s in parts]))
-            assert np.array_equal(pool.labels, np.concatenate([s.labels for s in parts]))
+        assert np.array_equal(pool.label_index, np.concatenate([s.labels for s in shards]) * pool.n + np.arange(pool.n))
+
+    def test_deal_splits_rows_in_role_order(self):
+        data = tiny_shard(4, n=12)
+        fed = Federation.deal(data, [3, 5], 2)
+        assert [s.n for s in fed.clients] == [3, 5]
+        assert np.array_equal(fed.clients[1].features, data.features[3:8])
+        assert np.array_equal(fed.pool.features, data.features[:8])
+        assert np.array_equal(fed.validation.features, data.features[8:10])
+        assert np.array_equal(fed.eval.features, data.features[10:])
+        assert fed.data is data
+
+    def test_synthetic_validation_rows_leave_the_data_stream_alone(self):
+        # Client and eval rows are the "synthetic-data" draws exactly as if
+        # there were no validation split, which draws from its own stream.
+        fed = make_synthetic_federation(3, 7, 2, 3, seed=5, eval_fraction=0.2)
+        rng = NoiseStream(5, 0, 0, "synthetic-data").rng
+        centers = rng.normal(0.0, 3.0, (3, 2))
+        labels = rng.integers(0, 3, 25)
+        feats = centers[labels] + rng.normal(0.0, 1.0, (25, 2))
+        assert np.array_equal(fed.pool.features, feats[:21]) and np.array_equal(fed.pool.labels, labels[:21])
+        assert np.array_equal(fed.eval.features, feats[21:]) and np.array_equal(fed.eval.labels, labels[21:])
+        val = NoiseStream(5, 0, 0, "server-validation").rng
+        val_labels = val.integers(0, 3, 4)
+        assert np.array_equal(fed.validation.labels, val_labels)
+        assert np.array_equal(fed.validation.features, centers[val_labels] + val.normal(0.0, 1.0, (4, 2)))
+
+    def test_row_range_shares_every_row_term(self):
+        shard = tiny_shard(3, n=10)
+        view = shard.row_range(2, 7)
+        assert view.n == 5
+        for name in ("augmented", "features", "labels", "ghost_term"):
+            assert np.shares_memory(getattr(view, name), getattr(shard, name)), name
+            assert np.array_equal(getattr(view, name), getattr(shard, name)[2:7]), name
+        assert np.array_equal(view.label_index, shard.labels[2:7] * 5 + np.arange(5))
+        for start, stop in ((3, 3), (-1, 4), (5, 11)):
+            with pytest.raises(ValueError):
+                shard.row_range(start, stop)
 
     def test_csv_header_required(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -289,6 +321,31 @@ class TestGhostClipping:
         got = model.clipped_gradient_sum(w, shard.augmented, shard.labels, shard.ghost_term, c)
         assert_matches_oracle(got, clipped_sum_oracle(model, w, shard, c))
 
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(1, 30),
+        f=st.integers(1, 8),
+        classes=st.integers(2, 5),
+        c=st.floats(1e-3, 10.0),
+        w_scale=st.floats(0.0, 5.0),
+        x_scale=st.floats(1e-2, 10.0),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_property_one_row_moves_the_sum_by_at_most_c(self, n, f, classes, c, w_scale, x_scale, seed, data):
+        # The sensitivity the ledger charges for: adding or removing any one
+        # row of a batch moves the clipped sum by at most c in l2.
+        rng = np.random.default_rng(seed)
+        model = LogisticRegressionModel(classes, f)
+        shard = DatasetShard(rng.normal(scale=x_scale, size=(n + 1, f)), rng.integers(0, classes, n + 1))
+        w = rng.normal(scale=w_scale, size=model.dim)
+        with_row = model.clipped_gradient_sum(w, shard.augmented, shard.labels, shard.ghost_term, c)
+        keep = np.delete(np.arange(n + 1), data.draw(st.integers(0, n), label="row"))
+        without = model.clipped_gradient_sum(
+            w, shard.augmented[keep], shard.labels[keep], shard.ghost_term[keep], c
+        )
+        assert np.linalg.norm(with_row - without) <= c + 1e-12
+
 
 class TestClip:
     """Clipping of single gradients, through the kernel on one-row batches."""
@@ -425,14 +482,14 @@ class TestLocalUpdate:
 
     def test_huge_noise_gives_chance_accuracy(self):
         rng = np.random.default_rng(8)
-        shards, eval_shard = make_synthetic_federation(1, 400, 20, 10, seed=55, eval_fraction=2.5)
+        fed = make_synthetic_federation(1, 400, 20, 10, seed=55, eval_fraction=2.5)
         model = LogisticRegressionModel(10, 20)
         mech = MechanismParams(MechanismKind.GAUSSIAN, 1.0, 1e6)
-        cfg = make_client(shards[0], mech, sample_rate_q=0.5, local_epochs_I=2)
+        cfg = make_client(fed.clients[0], mech, sample_rate_q=0.5, local_epochs_I=2)
         w = model.init_params()
         for r in range(3):
             w = local_update(cfg, w, model, NoiseStream(13, r, 0, "local-update")).params
-        assert model.accuracy(w, eval_shard) == pytest.approx(0.1, abs=0.05)
+        assert model.accuracy(w, fed.eval) == pytest.approx(0.1, abs=0.05)
 
     def test_noise_draw_counting(self):
         model = LogisticRegressionModel(3, 4)
@@ -540,11 +597,11 @@ def build_federation(
     seed=100,
     horizons=None,
 ):
-    shards, eval_shard = make_synthetic_federation(n_clients, 60, 5, 3, seed=seed)
+    fed = make_synthetic_federation(n_clients, 60, 5, 3, seed=seed)
     model = LogisticRegressionModel(3, 5)
     grid = default_alpha_grid()
     clients, ledgers, budgets = [], {}, {}
-    for cid, shard in enumerate(shards):
+    for cid, shard in enumerate(fed.clients):
         eps_k = eps_list[cid] if eps_list else epsilon
         budget = PrivacyBudget(eps_k, 1e-5, horizons[cid] if horizons else horizon)
         mech = None
@@ -571,7 +628,7 @@ def build_federation(
         aggregator=aggregator,
         selection_fraction=1.0,
     )
-    return server, clients, model, ledgers, budgets, pool_shards(shards), eval_shard
+    return server, clients, model, ledgers, budgets, fed.pool, fed.eval
 
 
 class TestRunRound:
