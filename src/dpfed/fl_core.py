@@ -25,6 +25,13 @@ softmax is laid out class-major, ``(k, classes, n)``, so its reductions run
 over whole example rows; one residual helper serves the clipped sum, the
 stacked mean gradient and the per-example reference.
 
+A round's client epochs run as one segmented batch (:func:`local_updates`):
+each epoch the selected clients' sampled rows are concatenated, one segment
+per client.  The logits and clipped-sum matmuls stay per client, so each
+client's update keeps its bits; the softmax, ghost norms, clip factors, noise
+gather, averaging and the heterogeneous step run once over the batch and the
+``(k, dim)`` stack of client models.
+
 A run's rows are built once, as one shard whose row ranges are its data roles
 (:class:`Federation`): the clients, whose pool gives the CSV ``train_loss``,
 the server's validation rows that curves train on, and the eval rows.
@@ -166,27 +173,44 @@ class LogisticRegressionModel:
     def init_params(self) -> np.ndarray:
         return np.zeros(self.dim)
 
-    def _shifted_logits(self, w: np.ndarray, rows: np.ndarray, stack: bool = False) -> np.ndarray:
+    def _shifted_logits(
+        self, w: np.ndarray, rows: np.ndarray, stack: bool = False, bounds=None
+    ) -> np.ndarray:
         """``(k, classes, n)`` logits of each model on the augmented ``rows``,
         each (model, example) column less its max.  ``w`` is one ``(dim,)``
-        vector (k = 1) or, with ``stack``, a ``(k, dim)`` stack."""
+        vector (k = 1) or, with ``stack``, a ``(k, dim)`` stack.
+
+        With segment ``bounds``, model j sees only rows ``bounds[j]:bounds[j + 1]``
+        and writes their logits into those columns of one ``(1, classes, n)``
+        block.  Each segment keeps its own matmul: one over the whole batch
+        differs in the last bits from the per-segment ones.
+        """
         w = np.asarray(w, dtype=float)
         if w.shape[-1:] != (self.dim,) or not (w.ndim == 1 or stack and w.ndim == 2):
             stacks = " or a stack of them" if stack else ""
             raise ValueError(f"expected a parameter vector of length {self.dim}{stacks}, got {w.shape}")
-        logits = (w.reshape(-1, self.features + 1) @ rows.T).reshape(-1, self.classes, rows.shape[0])
+        if bounds is None:
+            logits = (w.reshape(-1, self.features + 1) @ rows.T).reshape(-1, self.classes, rows.shape[0])
+        else:
+            logits = np.empty((1, self.classes, rows.shape[0]))
+            for w_j, a, b in zip(w.reshape(-1, self.classes, self.features + 1), bounds[:-1], bounds[1:]):
+                np.matmul(w_j, rows[a:b].T, out=logits[0, :, a:b])
         logits -= logits.max(axis=1, keepdims=True)
         return logits
 
-    def _residuals(self, w: np.ndarray, rows: np.ndarray, hot: np.ndarray, stack: bool = False) -> np.ndarray:
+    def _residuals(
+        self, w: np.ndarray, rows: np.ndarray, hot: np.ndarray, stack: bool = False, bounds=None
+    ) -> np.ndarray:
         """``(k * classes, n)`` softmax residuals, probabilities minus the
-        one-hot labels; row ``j * classes + c`` is model j's class c.
+        one-hot labels; row ``j * classes + c`` is model j's class c.  With
+        segment ``bounds`` (see :meth:`_shifted_logits`), k = 1 and column i
+        is the residual of row i under its own segment's model.
 
         ``hot`` holds each row's label as a flat position in one model's
         ``(classes, n)`` block, ``labels[i] * n + i``
         (:attr:`DatasetShard.label_index`).
         """
-        probs = self._shifted_logits(w, rows, stack)
+        probs = self._shifted_logits(w, rows, stack, bounds)
         np.exp(probs, out=probs)
         probs /= probs.sum(axis=1, keepdims=True)
         if len(probs) > 1:
@@ -209,22 +233,37 @@ class LogisticRegressionModel:
         return np.einsum("cn,nf->ncf", resid, shard.augmented).reshape(shard.n, self.dim)
 
     def clipped_gradient_sum(
-        self, w: np.ndarray, rows: np.ndarray, labels: np.ndarray, ghost_term: np.ndarray, c: float
+        self, w: np.ndarray, rows: np.ndarray, labels: np.ndarray, ghost_term: np.ndarray, c, bounds
     ) -> np.ndarray:
-        """``(dim,)`` sum over the augmented ``rows`` of each per-example
-        gradient clipped to l2 norm ``c``.
+        """Per segment, the sum over its augmented ``rows`` of each
+        per-example gradient clipped to l2 norm ``c``.
+
+        The batch is split into segments ``bounds[j]:bounds[j + 1]``, each
+        with its own model, row j of the ``(k, dim)`` stack ``w``, and its
+        own clip bound ``c[j]``; the result is the ``(k, dim)`` stack of the
+        segments' clipped sums.  One batch alone is the one-segment case:
+        ``w[None]``, ``[c]`` and bounds ``(0, n)``.
 
         Row i's gradient is the outer product of its residual ``p_i`` with
         ``(x_i, 1)``, so its norm is ``||p_i|| sqrt(ghost_term[i])`` with
         ``ghost_term`` the rows' ``||x_i||^2 + 1``
         (:attr:`DatasetShard.ghost_term`); scaling the residual columns by
-        their clip factors gives the clipped sum as one matmul ``P @ rows``,
-        without the ``(n, dim)`` per-example matrix.
+        their clip factors gives each segment's clipped sum as one matmul
+        ``P[:, a:b] @ rows[a:b]``, without the ``(n, dim)`` per-example
+        matrix.  Everything but the two matmuls per segment runs once over
+        the whole batch.  A one-row segment inside a wider batch may differ
+        in the last bits from the same row alone, whose class sums numpy
+        takes pairwise rather than in sequence.
         """
-        resid = self._residuals(w, rows, _label_index(labels))
+        if len(bounds) != len(w) + 1 or bounds[0] != 0 or bounds[-1] != rows.shape[0]:
+            raise ValueError(f"{len(w)} models need {len(w) + 1} segment bounds from 0 to {rows.shape[0]}")
+        resid = self._residuals(w, rows, _label_index(labels), stack=True, bounds=bounds)
         norms = np.sqrt((resid * resid).sum(axis=0) * ghost_term)
-        resid *= np.minimum(1.0, c / np.maximum(norms, 1e-300))
-        return (resid @ rows).ravel()
+        resid *= np.minimum(1.0, np.repeat(c, np.diff(bounds)) / np.maximum(norms, 1e-300))
+        sums = np.empty((len(w), self.classes, self.features + 1))
+        for out, a, b in zip(sums, bounds[:-1], bounds[1:]):
+            np.matmul(resid[:, a:b], rows[a:b], out=out)
+        return sums.reshape(len(w), self.dim)
 
     def gradient(self, w: np.ndarray, shard: DatasetShard) -> np.ndarray:
         """Mean cross-entropy gradient of one ``(dim,)`` vector, or of each row
@@ -328,38 +367,86 @@ def local_update(
     w_max: np.ndarray | None = None,
     eps_max: float | None = None,
 ) -> ClientUpdate:
-    """Run the client's privatized local epochs from the broadcast model.
+    """Run one client's privatized local epochs from the broadcast model:
+    the one-client case of :func:`local_updates`."""
+    return local_updates([cfg], global_w, model, [stream], w_max, eps_max)[0]
 
-    Each epoch draws a Poisson-style subsample at rate q, sums the batch's
-    per-example gradients clipped at c with the ghost-norm kernel
-    ``model.clipped_gradient_sum`` (fed the shard's precomputed
-    ``ghost_term`` rows), adds one noise draw per coordinate
-    (sensitivity c), averages and takes one :func:`heterogeneous_update`
-    step.  Empty subsamples skip the epoch without spending.  The step pulls
-    toward ``w_max`` only when ``w_max``/``eps_max`` are given and the
-    client's budget is below ``eps_max``.
+
+def local_updates(
+    cfgs: list[ClientConfig],
+    global_w: np.ndarray,
+    model,
+    streams: list[NoiseStream],
+    w_max: np.ndarray | None = None,
+    eps_max: float | None = None,
+) -> list[ClientUpdate]:
+    """Run each client's privatized local epochs from the broadcast model,
+    every epoch of all clients as one segmented batch.
+
+    In each epoch every client still within its ``local_epochs_I`` draws a
+    Poisson-style subsample at its rate q; the sampled rows of all clients
+    form one batch, one segment per client.  The ghost-norm kernel
+    ``model.clipped_gradient_sum`` sums each segment's per-example
+    gradients clipped at its client's c (fed the shards' precomputed
+    ``ghost_term`` rows).  Each client then adds one noise draw per
+    coordinate (sensitivity c), the sums are divided by the batch sizes and
+    one :func:`heterogeneous_update` step moves the ``(k, dim)`` stack of
+    client models.  A client whose subsample is empty skips the epoch
+    without spending.  The step pulls toward ``w_max`` only when
+    ``w_max``/``eps_max`` are given and the client's budget is below
+    ``eps_max``.
+
+    Client k draws its mask, then its noise, each epoch from ``streams[k]``,
+    so its update is the one it makes alone, to the bit except after a
+    one-row subsample (see ``clipped_gradient_sum``).  The returned params
+    are rows of one stack.
     """
-    w = np.asarray(global_w, dtype=float).copy()
+    global_w = np.asarray(global_w, dtype=float)
     if eps_max is None or w_max is None:
-        w_max, eps_max = w, cfg.epsilon_k
-    shard = cfg.shard
-    rng = stream.rng
-    draws = 0
-    for _ in range(cfg.local_epochs_I):
-        idx = np.flatnonzero(rng.random(shard.n) < cfg.sample_rate_q)
-        if idx.size == 0:
+        w_max, eps_max = global_w, math.inf
+    stack = np.tile(global_w, (len(cfgs), 1))
+    draws = np.zeros(len(cfgs), dtype=int)
+    shard_n = [cfg.shard.n for cfg in cfgs]
+    offsets = np.cumsum([0] + shard_n)
+    spans = list(zip(offsets[:-1].tolist(), offsets[1:].tolist()))
+    labels = np.concatenate([cfg.shard.labels for cfg in cfgs])
+    ghost_term = np.concatenate([cfg.shard.ghost_term for cfg in cfgs])
+    rate = np.repeat([cfg.sample_rate_q for cfg in cfgs], shard_n)
+    clip = np.array([cfg.clip_c for cfg in cfgs])
+    noised = np.array([cfg.mechanism is not None for cfg in cfgs])
+    lam = np.array([[heterogeneity_penalty(cfg.epsilon_k, eps_max)] for cfg in cfgs])
+    eta = np.array([[cfg.learning_rate] for cfg in cfgs])
+    uniform = np.empty(offsets[-1])
+    for epoch in range(max(cfg.local_epochs_I for cfg in cfgs)):
+        for cfg, stream, (lo, hi) in zip(cfgs, streams, spans):
+            if epoch < cfg.local_epochs_I:
+                stream.rng.random(out=uniform[lo:hi])
+            else:
+                uniform[lo:hi] = 1.0  # never below a rate q <= 1
+        idx = (uniform < rate).nonzero()[0]
+        bounds = idx.searchsorted(offsets)
+        sizes = bounds[1:] - bounds[:-1]
+        stepped = sizes > 0
+        if not stepped.any():
             continue
-        summed = model.clipped_gradient_sum(
-            w, shard.augmented[idx], shard.labels[idx], shard.ghost_term[idx], cfg.clip_c
-        )
-        if cfg.mechanism is not None:
+        # Each client's rows come straight from its shard; ``mode="clip"``
+        # lets ``take`` write into ``out`` unbuffered (every index is in range).
+        rows = np.empty((idx.size, model.features + 1))
+        for cfg, (lo, _), a, b in zip(cfgs, spans, bounds[:-1].tolist(), bounds[1:].tolist()):
+            cfg.shard.augmented.take(idx[a:b] - lo, axis=0, out=rows[a:b], mode="clip")
+        summed = model.clipped_gradient_sum(stack, rows, labels[idx], ghost_term[idx], clip, bounds)
+        noisy = (noised & stepped).nonzero()[0]
+        if noisy.size:
             # Drawn in the published [W | b] coordinate order, then gathered
             # into the model's row layout.
-            summed += sample_noise_array(cfg.mechanism, stream, w.size)[model.from_published]
-            draws += 1
-        summed /= idx.size
-        w = heterogeneous_update(cfg, w, summed, w_max, eps_max)
-    return ClientUpdate(client_id=cfg.id, params=w, noise_draws=draws)
+            noise = np.array([sample_noise_array(cfgs[k].mechanism, streams[k], model.dim) for k in noisy])
+            summed[noisy] += noise[:, model.from_published]
+            draws[noisy] += 1
+        # An empty segment's sum is zero, and its client does not step.
+        summed /= np.maximum(sizes, 1)[:, None]
+        moved = heterogeneous_update(stack, summed, w_max, lam, eta)
+        stack = moved if stepped.all() else np.where(stepped[:, None], moved, stack)
+    return [ClientUpdate(client_id=cfg.id, params=w, noise_draws=int(n)) for cfg, w, n in zip(cfgs, stack, draws)]
 
 
 def heterogeneity_penalty(eps_k: float, eps_max: float) -> float:
@@ -371,16 +458,13 @@ def heterogeneity_penalty(eps_k: float, eps_max: float) -> float:
 
 
 def heterogeneous_update(
-    cfg: ClientConfig,
-    w_k: np.ndarray,
-    g_clipped: np.ndarray,
-    w_max: np.ndarray,
-    eps_max: float,
+    w_k: np.ndarray, g_clipped: np.ndarray, w_max: np.ndarray, lam_k, eta
 ) -> np.ndarray:
-    """One penalized step ``w_k - eta (g + lam_k (w_k - w_max))``."""
-    lam_k = heterogeneity_penalty(cfg.epsilon_k, eps_max)
-    w_k = np.asarray(w_k, dtype=float)
-    return w_k - cfg.learning_rate * (np.asarray(g_clipped, dtype=float) + lam_k * (w_k - np.asarray(w_max, dtype=float)))
+    """One penalized step ``w_k - eta (g + lam_k (w_k - w_max))``, with
+    ``lam_k`` from :func:`heterogeneity_penalty`.  ``lam_k`` and ``eta``
+    broadcast against ``w_k``: scalars for one ``(dim,)`` vector, ``(k, 1)``
+    columns for a ``(k, dim)`` stack of client models."""
+    return w_k - eta * (g_clipped + lam_k * (w_k - w_max))
 
 
 def fedavg_aggregate(models, weights) -> np.ndarray:
@@ -429,9 +513,12 @@ def run_round(
     selected client's ledger cannot cover its noise applications, and then
     leaves every ledger as it was before the round.
 
-    ``train_loss`` is the mean cross-entropy over ``pool`` (every client
-    row) and ``eval_accuracy`` is scored on the held-out ``eval_shard``;
-    mode-connect curves train on ``curve_cfg.shard``, never on ``eval_shard``.
+    The selected clients' local epochs run as one segmented batch
+    (:func:`local_updates`): the matmuls stay per client, everything else is
+    shared.  ``train_loss`` is the mean cross-entropy over ``pool`` (every
+    client row) and ``eval_accuracy`` is scored on the held-out
+    ``eval_shard``; mode-connect curves train on ``curve_cfg.shard``, never
+    on ``eval_shard``.
     """
     clients = sorted(clients, key=lambda c: c.id)
     n_sel = math.ceil(server.selection_fraction * len(clients))
@@ -444,10 +531,8 @@ def run_round(
     anchor = min(c.id for c in selected if c.epsilon_k == eps_max)
     w_max = prior_models.get(anchor, server.global_model)
 
-    updates = []
-    for cfg in selected:
-        stream = NoiseStream(master_seed, server.round_t, cfg.id, "local-update")
-        updates.append(local_update(cfg, server.global_model, model, stream, w_max=w_max, eps_max=eps_max))
+    streams = [NoiseStream(master_seed, server.round_t, cfg.id, "local-update") for cfg in selected]
+    updates = local_updates(selected, server.global_model, model, streams, w_max=w_max, eps_max=eps_max)
 
     # All or nothing: on the first halt, restore the ledgers spent this round.
     # ``spend`` replaces ``gamma`` with a new array, so the saved one is intact.

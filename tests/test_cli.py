@@ -189,23 +189,23 @@ class TestDataRoles:
         from dpfed import fl_core
 
         built, trained, curve_shards = [], [], []
-        real_build, real_local = cli_mod._build_federation, fl_core.local_update
+        real_build, real_local = cli_mod._build_federation, fl_core.local_updates
         real_gradient = fl_core.LogisticRegressionModel.gradient
 
         def build(cfg):
             built.append(real_build(cfg))
             return built[-1]
 
-        def local(cfg, *args, **kwargs):
-            trained.append(cfg.shard)
-            return real_local(cfg, *args, **kwargs)
+        def local(cfgs, *args, **kwargs):
+            trained.extend(cfg.shard for cfg in cfgs)
+            return real_local(cfgs, *args, **kwargs)
 
         def gradient(self, w, shard):
             curve_shards.append(shard)
             return real_gradient(self, w, shard)
 
         monkeypatch.setattr(cli_mod, "_build_federation", build)
-        monkeypatch.setattr(fl_core, "local_update", local)
+        monkeypatch.setattr(fl_core, "local_updates", local)
         monkeypatch.setattr(fl_core.LogisticRegressionModel, "gradient", gradient)
         path = "synthetic" if dataset == "synthetic" else write_csv_dataset(tmp_path, 90)
         cfg = small_cfg(dataset=path, clients=4, rounds=2, aggregator=aggregator, sample_rate=0.5)

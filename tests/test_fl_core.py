@@ -16,9 +16,11 @@ from dpfed.fl_core import (
     LogisticRegressionModel,
     ServerState,
     fedavg_aggregate,
+    heterogeneity_penalty,
     heterogeneous_update,
     load_csv_shard,
     local_update,
+    local_updates,
     make_synthetic_federation,
     run_round,
     shuffle_updates,
@@ -219,8 +221,13 @@ class TestLossModel:
         assert model.loss(w, shard) == pytest.approx(loss, rel=1e-12)
         assert model.accuracy(w, shard) == acc
         assert_matches_oracle(model.per_example_gradients(w, shard), per_example[:, model.from_published])
-        got = model.clipped_gradient_sum(w, shard.augmented, shard.labels, shard.ghost_term, c)
+        got = one_segment(model, w, shard.augmented, shard.labels, shard.ghost_term, c)
         assert_matches_oracle(got, clip_rows_and_sum(per_example, c)[model.from_published])
+
+
+def one_segment(model, w, rows, labels, ghost_term, c):
+    """``clipped_gradient_sum`` of one model over one batch: its one-segment case."""
+    return model.clipped_gradient_sum(w[None], rows, labels, ghost_term, [c], (0, len(rows)))[0]
 
 
 def clip_rows_and_sum(grads, c):
@@ -265,7 +272,7 @@ class TestGhostClipping:
         c = 0.05
         norms = np.linalg.norm(model.per_example_gradients(w, shard), axis=1)
         assert (norms > c).any() and (norms < c).any()  # binds on some rows, not all
-        got = model.clipped_gradient_sum(w, shard.augmented, shard.labels, shard.ghost_term, c)
+        got = one_segment(model, w, shard.augmented, shard.labels, shard.ghost_term, c)
         assert_matches_oracle(got, clipped_sum_oracle(model, w, shard, c))
 
     def test_matches_plain_sum_when_clipping_is_slack(self):
@@ -274,7 +281,7 @@ class TestGhostClipping:
         w = np.random.default_rng(7).normal(scale=0.3, size=model.dim)
         norms = np.linalg.norm(model.per_example_gradients(w, shard), axis=1)
         c = 2.0 * norms.max()
-        got = model.clipped_gradient_sum(w, shard.augmented, shard.labels, shard.ghost_term, c)
+        got = one_segment(model, w, shard.augmented, shard.labels, shard.ghost_term, c)
         assert_matches_oracle(got, model.per_example_gradients(w, shard).sum(axis=0))
         assert_matches_oracle(got, shard.n * model.gradient(w, shard))
 
@@ -283,7 +290,7 @@ class TestGhostClipping:
         shard = tiny_shard(23, n=1, f=3, classes=4)
         w = np.random.default_rng(8).normal(size=model.dim)
         for c in (0.01, 1.0, 100.0):
-            got = model.clipped_gradient_sum(w, shard.augmented, shard.labels, shard.ghost_term, c)
+            got = one_segment(model, w, shard.augmented, shard.labels, shard.ghost_term, c)
             assert got.shape == (model.dim,)
             assert_matches_oracle(got, clipped_sum_oracle(model, w, shard, c))
 
@@ -295,7 +302,7 @@ class TestGhostClipping:
         shard = DatasetShard(features, labels)
         assert not model.per_example_gradients(w, shard)[0].any()
         for c in (0.1, 10.0):
-            got = model.clipped_gradient_sum(w, shard.augmented, labels, shard.ghost_term, c)
+            got = one_segment(model, w, shard.augmented, labels, shard.ghost_term, c)
             assert_matches_oracle(got, clipped_sum_oracle(model, w, shard, c))
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -314,11 +321,11 @@ class TestGhostClipping:
         shard = DatasetShard(rng.normal(scale=x_scale, size=(n, f)), rng.integers(0, classes, n))
         w = rng.normal(scale=w_scale, size=model.dim)
         for i in range(n):
-            row = model.clipped_gradient_sum(
-                w, shard.augmented[i : i + 1], shard.labels[i : i + 1], shard.ghost_term[i : i + 1], c
+            row = one_segment(
+                model, w, shard.augmented[i : i + 1], shard.labels[i : i + 1], shard.ghost_term[i : i + 1], c
             )
             assert np.linalg.norm(row) <= c + 1e-12
-        got = model.clipped_gradient_sum(w, shard.augmented, shard.labels, shard.ghost_term, c)
+        got = one_segment(model, w, shard.augmented, shard.labels, shard.ghost_term, c)
         assert_matches_oracle(got, clipped_sum_oracle(model, w, shard, c))
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -339,11 +346,9 @@ class TestGhostClipping:
         model = LogisticRegressionModel(classes, f)
         shard = DatasetShard(rng.normal(scale=x_scale, size=(n + 1, f)), rng.integers(0, classes, n + 1))
         w = rng.normal(scale=w_scale, size=model.dim)
-        with_row = model.clipped_gradient_sum(w, shard.augmented, shard.labels, shard.ghost_term, c)
+        with_row = one_segment(model, w, shard.augmented, shard.labels, shard.ghost_term, c)
         keep = np.delete(np.arange(n + 1), data.draw(st.integers(0, n), label="row"))
-        without = model.clipped_gradient_sum(
-            w, shard.augmented[keep], shard.labels[keep], shard.ghost_term[keep], c
-        )
+        without = one_segment(model, w, shard.augmented[keep], shard.labels[keep], shard.ghost_term[keep], c)
         assert np.linalg.norm(with_row - without) <= c + 1e-12
 
 
@@ -363,18 +368,18 @@ class TestClip:
     def test_forced_scaling(self):
         model, w, x, y, g = self.one_row(0)
         c = 0.5 * np.linalg.norm(g)
-        out = model.clipped_gradient_sum(w, augment(x), y, ghost_term(x), c)
+        out = one_segment(model, w, augment(x), y, ghost_term(x), c)
         assert np.allclose(out, g * (c / np.linalg.norm(g)), rtol=1e-15)
         assert np.linalg.norm(out) == pytest.approx(c, rel=1e-14)
 
     def test_unchanged_inside_ball(self):
         model, w, x, y, g = self.one_row(1)
-        out = model.clipped_gradient_sum(w, augment(x), y, ghost_term(x), 2.0 * np.linalg.norm(g))
+        out = one_segment(model, w, augment(x), y, ghost_term(x), 2.0 * np.linalg.norm(g))
         assert np.array_equal(out, g)
 
     def test_zero_vector(self):
         model, w, x0, y0 = saturated_row_model()
-        out = model.clipped_gradient_sum(w, augment(x0[None]), np.array([y0]), ghost_term(x0[None]), 1.0)
+        out = one_segment(model, w, augment(x0[None]), np.array([y0]), ghost_term(x0[None]), 1.0)
         assert np.array_equal(out, np.zeros(model.dim))
 
     def test_norm_bound_random(self):
@@ -382,7 +387,7 @@ class TestClip:
         for seed in range(50):
             model, w, x, y, g = self.one_row(seed, x_scale=rng.uniform(0.1, 10))
             c = rng.uniform(0.1, 3)
-            out = model.clipped_gradient_sum(w, augment(x), y, ghost_term(x), c)
+            out = one_segment(model, w, augment(x), y, ghost_term(x), c)
             assert np.linalg.norm(out) <= c + 1e-12
             if np.linalg.norm(g) > 0:
                 cos = np.dot(out, g) / (np.linalg.norm(out) * np.linalg.norm(g) + 1e-300)
@@ -428,7 +433,7 @@ class TestLocalUpdate:
         w0, w_max = rng.normal(scale=0.5, size=(2, model.dim))
         upd = local_update(cfg, w0, model, NoiseStream(0, 0, 0, "local-update"), w_max=w_max, eps_max=8.0)
         mean = clipped_sum_oracle(model, w0, shard, 0.5) / shard.n
-        want = heterogeneous_update(cfg, w0, mean, w_max, 8.0)
+        want = heterogeneous_update(w0, mean, w_max, heterogeneity_penalty(2.0, 8.0), 0.1)
         assert np.allclose(upd.params, want, rtol=1e-12)
         assert not np.allclose(upd.params, w0 - 0.1 * mean, rtol=1e-6)
 
@@ -504,33 +509,145 @@ class TestLocalUpdate:
             make_client(tiny_shard(8), mech, clip_c=1.0)
 
 
+def client_streams(seed, round_t, cfgs):
+    return [NoiseStream(seed, round_t, cfg.id, "local-update") for cfg in cfgs]
+
+
+def one_at_a_time(cfgs, w0, model, seed, round_t, w_max=None, eps_max=None):
+    """Each client's ``local_update`` alone, on the stream ``local_updates`` gives it."""
+    return [
+        local_update(cfg, w0, model, stream, w_max=w_max, eps_max=eps_max)
+        for cfg, stream in zip(cfgs, client_streams(seed, round_t, cfgs))
+    ]
+
+
+class TestLocalUpdates:
+    """The segmented batch against one ``local_update`` call per client."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        clients=st.lists(
+            st.tuples(
+                st.integers(1, 12),  # rows
+                st.one_of(st.sampled_from([1e-3, 1.0]), st.floats(0.05, 1.0)),  # q: empty, all, between
+                st.integers(1, 3),  # local epochs
+                st.floats(0.05, 5.0),  # clip bound
+                st.floats(0.01, 1.0),  # learning rate
+                st.floats(0.5, 8.0),  # epsilon
+                st.booleans(),  # mechanism on
+            ),
+            min_size=1,
+            max_size=5,
+        ),
+        anchored=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_property_matches_one_client_at_a_time(self, clients, anchored, seed):
+        # A one-row shard at q = 1 makes a one-row segment every epoch, and
+        # q = 1e-3 mostly an empty one.
+        rng = np.random.default_rng(seed)
+        model = LogisticRegressionModel(3, 4)
+        cfgs = []
+        for cid, (n, q, epochs, c, lr, eps, noisy) in enumerate(clients):
+            shard = DatasetShard(rng.normal(size=(n, 4)), rng.integers(0, 3, n))
+            mech = MechanismParams(MechanismKind.LAPLACE, c, 0.5) if noisy else None
+            cfgs.append(ClientConfig(cid, shard, eps, mech, c, q, epochs, lr))
+        w0 = rng.normal(scale=0.5, size=model.dim)
+        w_max, eps_max = (rng.normal(scale=0.5, size=model.dim), 8.0) if anchored else (None, None)
+        got = local_updates(cfgs, w0, model, client_streams(seed, 1, cfgs), w_max=w_max, eps_max=eps_max)
+        want = one_at_a_time(cfgs, w0, model, seed, 1, w_max, eps_max)
+        assert [u.client_id for u in got] == [cfg.id for cfg in cfgs]
+        for g, w in zip(got, want):
+            assert g.noise_draws == w.noise_draws
+            assert_matches_oracle(g.params, w.params)
+
+    @pytest.mark.parametrize("q, kind", [(0.5, MechanismKind.GAUSSIAN), (0.05, MechanismKind.STAIRCASE)])
+    def test_bit_equal_at_the_benchmark_shapes(self, q, kind):
+        # 10 clients of 200 rows, 20 features, 10 classes, two local epochs:
+        # the dense (q = 0.5) and sparse (q = 0.05, heterogeneous budgets) shapes.
+        fed = make_synthetic_federation(10, 200, 20, 10, seed=31)
+        model = LogisticRegressionModel(10, 20)
+        eps = np.linspace(8.0, 16.0, 10) if q < 0.5 else np.full(10, 8.0)
+        cfgs = [
+            make_client(
+                shard, calibrate_noise(kind, 1.0, PrivacyBudget(e, 1e-5, 300)).mechanism,
+                id=cid, epsilon_k=e, sample_rate_q=q, local_epochs_I=2,
+            )
+            for cid, (shard, e) in enumerate(zip(fed.clients, eps))
+        ]
+        w = np.random.default_rng(32).normal(scale=0.1, size=model.dim)
+        w_max = np.random.default_rng(33).normal(scale=0.1, size=model.dim)
+        for round_t in range(3):
+            got = local_updates(cfgs, w, model, client_streams(7, round_t, cfgs), w_max=w_max, eps_max=eps.max())
+            want = one_at_a_time(cfgs, w, model, 7, round_t, w_max, eps.max())
+            for g, x in zip(got, want):
+                assert g.noise_draws == x.noise_draws == 2
+                assert np.array_equal(g.params, x.params)
+            w = fedavg_aggregate([g.params for g in got], np.full(10, 0.1))
+
+    def test_returned_models_outlive_the_next_round(self):
+        # Round t's client models are rows of one stack, and round t + 1
+        # pulls toward the anchor's (a view of that stack).
+        server, clients, model, ledgers, budgets, pool, eval_shard = build_federation(
+            mech_kind=MechanismKind.GAUSSIAN, eps_list=[2.0, 4.0, 6.0, 8.0]
+        )
+        prior = None
+        for _ in range(3):
+            result = run_round(
+                server, clients, model, ledgers, 12, budgets, pool, eval_shard=eval_shard, prior_models=prior
+            )
+            kept = {cid: w.copy() for cid, w in result.client_models.items()}
+            server, prior = result.server, result.client_models
+            run_round(server, clients, model, ledgers, 12, budgets, pool, eval_shard=eval_shard, prior_models=prior)
+            for cid, w in kept.items():
+                assert np.array_equal(prior[cid], w)
+
+    def test_segment_bounds_checked(self):
+        model = LogisticRegressionModel(3, 4)
+        shard = tiny_shard(43, n=6)
+        stack = np.zeros((2, model.dim))
+        for bounds in ([0, 6], [0, 2, 5], [1, 3, 6], [0, 3, 4, 6]):
+            with pytest.raises(ValueError):
+                model.clipped_gradient_sum(
+                    stack, shard.augmented, shard.labels, shard.ghost_term, np.ones(2), np.array(bounds)
+                )
+
+    def test_empty_subsample_skips_the_step_and_the_noise(self):
+        model = LogisticRegressionModel(3, 4)
+        mech = MechanismParams(MechanismKind.GAUSSIAN, 1.0, 5.0)
+        # The empty client's budget is below eps_max, so a step would move it.
+        never = make_client(tiny_shard(40, n=1), mech, id=0, sample_rate_q=1e-9, local_epochs_I=3, epsilon_k=2.0)
+        always = make_client(tiny_shard(41), mech, id=1, local_epochs_I=3)
+        w0 = np.random.default_rng(42).normal(size=model.dim)
+        w_max = np.zeros(model.dim)
+        got = local_updates([never, always], w0, model, client_streams(3, 0, [never, always]), w_max, 8.0)
+        assert got[0].noise_draws == 0 and np.array_equal(got[0].params, w0)
+        assert got[1].noise_draws == 3 and not np.array_equal(got[1].params, w0)
+
+
 class TestHeterogeneousUpdate:
     def test_equal_epsilon_collapses_to_sgd(self):
-        cfg = make_client(tiny_shard(9), epsilon_k=4.0, learning_rate=0.5)
         w = np.array([1.0, -1.0, 0.0, 2.0] * 4, dtype=float)[: 1 * 4]
         g = np.array([0.1, 0.2, 0.3, 0.4])
         w_max = np.zeros(4)
-        out = heterogeneous_update(cfg, w[:4], g, w_max, eps_max=4.0)
+        out = heterogeneous_update(w[:4], g, w_max, heterogeneity_penalty(4.0, 4.0), 0.5)
         assert np.allclose(out, w[:4] - 0.5 * g, rtol=1e-15)
 
     def test_tiny_epsilon_maximal_pull(self):
-        cfg = make_client(tiny_shard(10), epsilon_k=1e-9, learning_rate=1.0)
         w = np.ones(4)
-        out = heterogeneous_update(cfg, w, np.zeros(4), np.zeros(4), eps_max=1.0)
+        out = heterogeneous_update(w, np.zeros(4), np.zeros(4), heterogeneity_penalty(1e-9, 1.0), 1.0)
         # lam -> 1: w - (w - w_max) = w_max
         assert np.allclose(out, np.zeros(4), atol=1e-8)
 
     def test_at_anchor_no_penalty(self):
-        cfg = make_client(tiny_shard(11), epsilon_k=2.0, learning_rate=0.7)
         w = np.array([0.5, 0.5, -0.5, 1.0])
         g = np.array([1.0, 0.0, 0.0, 0.0])
-        out = heterogeneous_update(cfg, w, g, w, eps_max=8.0)
+        out = heterogeneous_update(w, g, w, heterogeneity_penalty(2.0, 8.0), 0.7)
         assert np.allclose(out, w - 0.7 * g, rtol=1e-15)
 
     def test_eps_max_domination(self):
-        cfg = make_client(tiny_shard(12), epsilon_k=4.0)
         with pytest.raises(ValueError):
-            heterogeneous_update(cfg, np.zeros(4), np.zeros(4), np.zeros(4), eps_max=2.0)
+            heterogeneity_penalty(4.0, 2.0)
 
 
 class TestFedAvg:
