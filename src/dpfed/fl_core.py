@@ -22,8 +22,11 @@ matmuls over the batch, and the ``(n, dim)`` per-example matrix is never
 built (Goodfellow, arXiv:1510.01799; Li et al., arXiv:2110.05679).  Each
 shard computes its data term ``||x_i||^2 + 1`` once, when it is built.  The
 softmax is laid out class-major, ``(k, classes, n)``, so its reductions run
-over whole example rows; one residual helper serves the clipped sum, the
-stacked mean gradient and the per-example reference.
+over whole example rows; one in-place residual helper serves the clipped sum,
+the stacked mean gradient and the per-example reference.  The stacked mean
+gradient is bound once to a shard and a stack size
+(:meth:`LogisticRegressionModel.stack_gradient`) and owns its buffers, so
+each step of mode-connect curve training allocates nothing.
 
 A round's client epochs run as one segmented batch (:func:`local_updates`):
 each epoch the selected clients' sampled rows are concatenated, one segment
@@ -78,7 +81,7 @@ class DatasetShard:
     * ``ghost_term``: each row's ghost-norm data term ``||x_i||^2 + 1``;
     * ``label_index``: each row's label as a flat position in a class-major
       ``(classes, n)`` array, ``labels[i] * n + i``, where the softmax
-      residual subtracts its one-hot 1.
+      residual subtracts its one-hot 1 and the loss picks its logit.
     """
 
     features: np.ndarray
@@ -173,55 +176,43 @@ class LogisticRegressionModel:
     def init_params(self) -> np.ndarray:
         return np.zeros(self.dim)
 
-    def _shifted_logits(
-        self, w: np.ndarray, rows: np.ndarray, stack: bool = False, bounds=None
-    ) -> np.ndarray:
-        """``(k, classes, n)`` logits of each model on the augmented ``rows``,
-        each (model, example) column less its max.  ``w`` is one ``(dim,)``
-        vector (k = 1) or, with ``stack``, a ``(k, dim)`` stack.
-
-        With segment ``bounds``, model j sees only rows ``bounds[j]:bounds[j + 1]``
-        and writes their logits into those columns of one ``(1, classes, n)``
-        block.  Each segment keeps its own matmul: one over the whole batch
-        differs in the last bits from the per-segment ones.
+    def _logits(self, w: np.ndarray, rows: np.ndarray, bounds=None) -> np.ndarray:
+        """``(k, classes, n)`` logits of each model on the augmented ``rows``.
+        ``w`` is one ``(dim,)`` vector (k = 1) or, with segment ``bounds``, a
+        ``(k, dim)`` stack: model j then sees only rows
+        ``bounds[j]:bounds[j + 1]`` and writes their logits into those columns
+        of one ``(1, classes, n)`` block.  Each segment keeps its own matmul:
+        one over the whole batch differs in the last bits from the
+        per-segment ones.
         """
         w = np.asarray(w, dtype=float)
-        if w.shape[-1:] != (self.dim,) or not (w.ndim == 1 or stack and w.ndim == 2):
+        stack = bounds is not None
+        if w.shape[-1:] != (self.dim,) or w.ndim != 1 + stack:
             stacks = " or a stack of them" if stack else ""
             raise ValueError(f"expected a parameter vector of length {self.dim}{stacks}, got {w.shape}")
-        if bounds is None:
-            logits = (w.reshape(-1, self.features + 1) @ rows.T).reshape(-1, self.classes, rows.shape[0])
-        else:
-            logits = np.empty((1, self.classes, rows.shape[0]))
-            for w_j, a, b in zip(w.reshape(-1, self.classes, self.features + 1), bounds[:-1], bounds[1:]):
-                np.matmul(w_j, rows[a:b].T, out=logits[0, :, a:b])
-        logits -= logits.max(axis=1, keepdims=True)
+        if not stack:
+            return (w.reshape(-1, self.features + 1) @ rows.T).reshape(1, self.classes, rows.shape[0])
+        logits = np.empty((1, self.classes, rows.shape[0]))
+        for w_j, a, b in zip(w.reshape(-1, self.classes, self.features + 1), bounds[:-1], bounds[1:]):
+            np.matmul(w_j, rows[a:b].T, out=logits[0, :, a:b])
         return logits
 
-    def _residuals(
-        self, w: np.ndarray, rows: np.ndarray, hot: np.ndarray, stack: bool = False, bounds=None
-    ) -> np.ndarray:
-        """``(k * classes, n)`` softmax residuals, probabilities minus the
-        one-hot labels; row ``j * classes + c`` is model j's class c.  With
-        segment ``bounds`` (see :meth:`_shifted_logits`), k = 1 and column i
-        is the residual of row i under its own segment's model.
+    def _residuals(self, w: np.ndarray, rows: np.ndarray, hot: np.ndarray, bounds=None) -> np.ndarray:
+        """``(classes, n)`` softmax residuals, probabilities minus the
+        one-hot labels, of one model on the augmented ``rows``.  With
+        segment ``bounds`` (see :meth:`_logits`), column i is the residual of
+        row i under its own segment's model.
 
-        ``hot`` holds each row's label as a flat position in one model's
+        ``hot`` holds each row's label as a flat position in the
         ``(classes, n)`` block, ``labels[i] * n + i``
         (:attr:`DatasetShard.label_index`).
         """
-        probs = self._shifted_logits(w, rows, stack, bounds)
-        np.exp(probs, out=probs)
-        probs /= probs.sum(axis=1, keepdims=True)
-        if len(probs) > 1:
-            hot = (np.arange(0, probs.size, probs[0].size)[:, None] + hot).ravel()
-        probs.reshape(-1)[hot] -= 1.0
-        return probs.reshape(-1, rows.shape[0])
+        return _softmax_residuals(self._logits(w, rows, bounds), hot)[0]
 
     def loss(self, w: np.ndarray, shard: DatasetShard) -> float:
         # Exponentiates in place: the pooled train loss then holds one
         # (classes, n) array at a time.
-        logits = self._shifted_logits(w, shard.augmented)[0]
+        logits = _max_shift(self._logits(w, shard.augmented))[0]
         picked = logits.reshape(-1)[shard.label_index]
         log_norm = np.log(np.exp(logits, out=logits).sum(axis=0))
         return float((log_norm - picked).mean())
@@ -257,7 +248,7 @@ class LogisticRegressionModel:
         """
         if len(bounds) != len(w) + 1 or bounds[0] != 0 or bounds[-1] != rows.shape[0]:
             raise ValueError(f"{len(w)} models need {len(w) + 1} segment bounds from 0 to {rows.shape[0]}")
-        resid = self._residuals(w, rows, _label_index(labels), stack=True, bounds=bounds)
+        resid = self._residuals(w, rows, _label_index(labels), bounds)
         norms = np.sqrt((resid * resid).sum(axis=0) * ghost_term)
         resid *= np.minimum(1.0, np.repeat(c, np.diff(bounds)) / np.maximum(norms, 1e-300))
         sums = np.empty((len(w), self.classes, self.features + 1))
@@ -265,21 +256,69 @@ class LogisticRegressionModel:
             np.matmul(resid[:, a:b], rows[a:b], out=out)
         return sums.reshape(len(w), self.dim)
 
+    def stack_gradient(self, shard: DatasetShard, k: int):
+        """Bind the mean cross-entropy gradient of a ``(k, dim)`` stack on
+        ``shard``: returns ``grad(w, out)``, which writes the ``(k, dim)``
+        stack of gradients, one row per model, into the C-contiguous ``out``
+        and returns it.
+
+        The bound function owns its buffers, the ``(k * classes, n)`` logits
+        and the column max and sum, and the k models' one-hot positions are
+        built once, so a loop of calls allocates nothing.  All k models share
+        two matmuls over the shard's augmented rows; the ``(n, dim)``
+        per-example matrix is never built.  ``w`` is not checked
+        (:meth:`gradient` checks it).
+        """
+        rows, n, width = shard.augmented, shard.n, self.features + 1
+        rows_t = rows.T
+        logits = np.empty((k * self.classes, n))
+        probs = logits.reshape(k, self.classes, n)
+        col = np.empty((k, 1, n))
+        hot = (np.arange(0, logits.size, self.classes * n)[:, None] + shard.label_index).ravel()
+
+        def grad(w: np.ndarray, out: np.ndarray) -> np.ndarray:
+            np.matmul(w.reshape(-1, width), rows_t, out=logits)
+            _softmax_residuals(probs, hot, col)
+            np.matmul(logits, rows, out=out.reshape(-1, width))
+            out /= n
+            return out
+
+        return grad
+
     def gradient(self, w: np.ndarray, shard: DatasetShard) -> np.ndarray:
         """Mean cross-entropy gradient of one ``(dim,)`` vector, or of each row
-        of a ``(k, dim)`` stack (one row of the result per model).
-
-        All k models share two matmuls over the shard; the ``(n, dim)``
-        per-example matrix is never built.
-        """
+        of a ``(k, dim)`` stack (one row of the result per model): one call of
+        the gradient that :meth:`stack_gradient` binds."""
         w = np.asarray(w, dtype=float)
-        grad = self._residuals(w, shard.augmented, shard.label_index, stack=True) @ shard.augmented
-        grad /= shard.n
-        return grad.reshape(w.shape)
+        if w.shape[-1:] != (self.dim,) or w.ndim not in (1, 2):
+            raise ValueError(f"expected a parameter vector of length {self.dim} or a stack of them, got {w.shape}")
+        stack = w.reshape(-1, self.dim)
+        return self.stack_gradient(shard, len(stack))(stack, np.empty(stack.shape)).reshape(w.shape)
 
     def accuracy(self, w: np.ndarray, shard: DatasetShard) -> float:
-        pred = self._shifted_logits(w, shard.augmented)[0].argmax(axis=0)
+        pred = _max_shift(self._logits(w, shard.augmented))[0].argmax(axis=0)
         return float((pred == shard.labels).mean())
+
+
+def _max_shift(logits: np.ndarray, col: np.ndarray | None = None) -> np.ndarray:
+    """Subtract from each (model, example) column of ``(k, classes, n)``
+    logits its max over the classes, in place; ``col`` is an optional
+    ``(k, 1, n)`` buffer for the maxima."""
+    logits -= np.maximum.reduce(logits, axis=1, keepdims=True, out=col)
+    return logits
+
+
+def _softmax_residuals(logits: np.ndarray, hot: np.ndarray, col: np.ndarray | None = None) -> np.ndarray:
+    """Turn contiguous ``(k, classes, n)`` logits into softmax residuals in
+    place: max-shift each (model, example) column, exponentiate, normalise,
+    and subtract 1 at the one-hot positions ``hot``, flat indices into the
+    whole block (row i's label ``labels[i] * n + i`` plus ``j * classes * n``
+    for model j).  ``col`` is an optional ``(k, 1, n)`` buffer for the
+    column max and sum."""
+    np.exp(_max_shift(logits, col), out=logits)
+    logits /= np.add.reduce(logits, axis=1, keepdims=True, out=col)
+    logits.reshape(-1)[hot] -= 1.0
+    return logits
 
 
 @dataclass

@@ -59,12 +59,13 @@ class CurveSpec:
 class CurveTrainConfig:
     """Stochastic curve-training settings with a loss oracle.
 
-    ``model`` needs ``gradient(w, shard)`` (and ``loss(w, shard)`` for
-    evaluation); ``shard`` is passed through opaquely.  ``gradient`` must
-    broadcast over a leading axis: given a ``(k, d)`` stack of parameter
-    vectors it returns the ``(k, d)`` stack of their gradients, because every
-    curve of a merge level is trained in one call per step.  Each step builds
-    its ``(k, d)`` stack of curve points in place, in one buffer.
+    ``model`` needs ``stack_gradient(shard, k)`` (and ``loss(w, shard)`` for
+    evaluation); ``shard`` is passed through opaquely.  ``stack_gradient``
+    is called once per merge level and returns ``grad(w, out)``, which
+    writes the ``(k, d)`` stack of gradients of a ``(k, d)`` stack of
+    parameter vectors into ``out`` and returns it: every curve of a level
+    trains in one call per step, and each step writes into buffers that the
+    level allocates once.
 
     For :class:`dpfed.fl_core.LogisticRegressionModel` a vector holds one
     ``(w_c, b_c)`` row per class, so the stack is a
@@ -119,20 +120,26 @@ def train_curve(spec: CurveSpec, cfg: CurveTrainConfig, stream: NoiseStream) -> 
 
 def _train_bends(spec: CurveSpec, cfg: CurveTrainConfig, rngs) -> np.ndarray:
     """Train the k bends of a stacked ``(k, d)`` spec together; curve j draws
-    its ``cfg.steps`` curve parameters from ``rngs[j]``.  Each step makes one
-    ``gradient`` call on the ``(k, d)`` stack of curve points."""
-    w1, w2, theta = spec.endpoint_w1, spec.endpoint_w2, spec.bend_theta.copy()
+    its ``cfg.steps`` curve parameters from ``rngs[j]``.  Returns a new
+    ``(k, d)`` array.
+
+    The level allocates its buffers once.  ``(w1, theta, w2)`` form one
+    ``(3, k, d)`` array whose row 1, theta, moves in place; each step's curve
+    points are one multiply by the step's ``(3, k, 1)`` coefficients and one
+    reduce over the three rows, ``(a w1 + b theta) + c w2``, and one call of
+    the gradient ``cfg.model.stack_gradient`` bound to the level's shard and k.
+    """
+    ends = np.stack([spec.endpoint_w1, spec.bend_theta, spec.endpoint_w2])
+    theta = ends[1]
     p_hat = np.stack([rng.random(cfg.steps) for rng in rngs], axis=1)[:, :, None]
-    a, b, c = _coefficients(spec.kind, p_hat)
-    rate = cfg.learning_rate * b
-    point, term = np.empty_like(theta), np.empty_like(theta)
+    coef = np.stack(_coefficients(spec.kind, p_hat), axis=1)
+    rate = cfg.learning_rate * coef[:, 1]
+    terms, point, grad = np.empty_like(ends), np.empty_like(theta), np.empty_like(theta)
+    gradient = cfg.model.stack_gradient(cfg.shard, len(theta))
     for step in range(cfg.steps):
-        # The curve point a w1 + b theta + c w2, assembled in place.
-        np.multiply(a[step], w1, out=point)
-        point += np.multiply(b[step], theta, out=term)
-        point += np.multiply(c[step], w2, out=term)
-        theta -= np.multiply(rate[step], cfg.model.gradient(point, cfg.shard), out=term)
-    return theta
+        np.add.reduce(np.multiply(coef[step], ends, out=terms), axis=0, out=point)
+        theta -= np.multiply(rate[step], gradient(point, grad), out=grad)
+    return theta.copy()
 
 
 def theta_star(smoothness_L: float, w_bar: np.ndarray, v_bar: np.ndarray) -> np.ndarray:

@@ -103,6 +103,14 @@ def staircase_band_edges_and_cdf(density_fn, delta, nu, tail_mass=1e-12):
     return x, np.clip(cdf, 0.0, 1.0)
 
 
+def integrated_density_cdf(density_fn, half_width, points=400_001):
+    """CDF knots of a density on ``[-half_width, half_width]`` by cumulative
+    trapezoid quadrature of pointwise density values (no closed-form CDF).
+    The grid is symmetric with an odd point count, so 0 is a knot."""
+    x = np.linspace(-half_width, half_width, points)
+    return x, integrate.cumulative_trapezoid(density_fn(x), x, initial=0.0)
+
+
 def ks_statistic(samples, cdf_x, cdf_y):
     s = np.sort(np.asarray(samples))
     model = np.interp(s, cdf_x, cdf_y)
@@ -168,6 +176,9 @@ class QuadraticBowl:
     def gradient(self, w, shard=None):
         return 2.0 * (np.asarray(w, dtype=float) - self.center)
 
+    def stack_gradient(self, shard, k):
+        return lambda w, out: np.multiply(2.0, np.subtract(w, self.center, out=out), out=out)
+
 
 def train_curve_reference(spec, cfg, stream):
     """Bend training one curve at a time: a scalar ``p`` and one single-vector
@@ -185,6 +196,73 @@ def train_curve_reference(spec, cfg, stream):
             factor = 2.0 * min(p, 1.0 - p)
         theta -= cfg.learning_rate * factor * cfg.model.gradient(curve_point(work, p), cfg.shard)
     return theta
+
+
+def stacked_gradient_parent(model, w, shard):
+    """Mean cross-entropy gradient of a ``(k, dim)`` stack, frozen as the
+    package computed it before curve training moved into level-owned
+    buffers: every call allocates its logits and rebuilds the k models'
+    one-hot positions.  Any other model answers through ``model.gradient``."""
+    from dpfed.fl_core import LogisticRegressionModel
+
+    if not isinstance(model, LogisticRegressionModel):
+        return model.gradient(w, shard)
+    n = shard.n
+    logits = (w.reshape(-1, model.features + 1) @ shard.augmented.T).reshape(-1, model.classes, n)
+    logits -= logits.max(axis=1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=1, keepdims=True)
+    hot = (np.arange(0, logits.size, logits[0].size)[:, None] + shard.labels * n + np.arange(n)).ravel()
+    logits.reshape(-1)[hot] -= 1.0
+    grad = logits.reshape(-1, n) @ shard.augmented
+    grad /= n
+    return grad.reshape(w.shape)
+
+
+def train_bends_parent(spec, cfg, rngs):
+    """Bend training of a stacked ``(k, d)`` spec, frozen as the package
+    computed it before level-owned buffers: each step assembles the curve
+    points as ``a w1 + b theta + c w2`` in place and calls the allocating
+    :func:`stacked_gradient_parent`."""
+    from dpfed.mode_connectivity import CurveKind
+
+    w1, w2, theta = spec.endpoint_w1, spec.endpoint_w2, spec.bend_theta.copy()
+    p = np.stack([rng.random(cfg.steps) for rng in rngs], axis=1)[:, :, None]
+    if spec.kind is CurveKind.QUADRATIC_BEZIER:
+        a, b, c = (1.0 - p) ** 2, 2.0 * p * (1.0 - p), p**2
+    else:
+        left = p <= 0.5
+        a = np.where(left, 2.0 * (0.5 - p), 0.0)
+        b = np.where(left, 2.0 * p, 2.0 * (1.0 - p))
+        c = np.where(left, 0.0, 2.0 * (p - 0.5))
+    rate = cfg.learning_rate * b
+    point, term = np.empty_like(theta), np.empty_like(theta)
+    for step in range(cfg.steps):
+        np.multiply(a[step], w1, out=point)
+        point += np.multiply(b[step], theta, out=term)
+        point += np.multiply(c[step], w2, out=term)
+        theta -= np.multiply(rate[step], stacked_gradient_parent(cfg.model, point, cfg.shard), out=term)
+    return theta
+
+
+def mode_connect_parent(models, cfg, stream, kind):
+    """Pairwise merge with each level's curves stacked, frozen as the package
+    computed it before level-owned buffers (through :func:`train_bends_parent`)."""
+    from dpfed.mechanisms import NoiseStream
+    from dpfed.mode_connectivity import CurveSpec
+
+    level = np.stack([np.asarray(m, dtype=float) for m in models])
+    merge_round = 0
+    while len(level) > 1:
+        paired = len(level) - len(level) % 2
+        spec = CurveSpec(kind, level[0:paired:2], level[1:paired:2])
+        rngs = [
+            NoiseStream(stream.master_seed, stream.round_index, pair, f"{stream.purpose}:level{merge_round}").rng
+            for pair in range(paired // 2)
+        ]
+        level = np.concatenate([train_bends_parent(spec, cfg, rngs), level[paired:]])
+        merge_round += 1
+    return level[0]
 
 
 def mode_connect_reference(models, cfg, stream, kind):

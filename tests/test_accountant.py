@@ -241,20 +241,30 @@ class TestCalibration:
         assert s2 > s1
 
     @pytest.mark.parametrize("kind", list(MechanismKind))
-    @pytest.mark.parametrize("eps", [2.0, 8.0])
-    def test_round_trip_minimality(self, kind, eps):
+    @pytest.mark.parametrize("eps_mid", [2.0, 8.0])
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(
+        eps_factor=st.floats(0.25, 2.0),
+        delta=st.floats(1e-9, 1e-3),
+        horizon=st.integers(1, 500),
+        sensitivity=st.floats(0.05, 20.0),
+    )
+    def test_round_trip_minimality(self, kind, eps_mid, eps_factor, delta, horizon, sensitivity):
+        # Every kind, and budgets eps in [0.5, 4] and [2, 16] around the two
+        # anchors, at any delta, horizon and sensitivity.
+        eps = eps_mid * eps_factor
         tol = 1e-4
-        budget = PrivacyBudget(eps, DELTA, 150)
-        result = calibrate_noise(kind, 1.0, budget, tolerance=tol)
+        budget = PrivacyBudget(eps, delta, horizon)
+        result = calibrate_noise(kind, sensitivity, budget, tolerance=tol)
         grid = default_alpha_grid()
-        assert composed_epsilon(result.mechanism, 150, DELTA, grid)[0] <= eps
+        assert composed_epsilon(result.mechanism, horizon, delta, grid)[0] <= eps
         # one tolerance step toward less noise violates the target
         if kind is MechanismKind.STAIRCASE:
             lam = result.mechanism.scale * (1.0 + tol)
-            worse = MechanismParams(kind, 1.0, lam, nu=optimal_staircase_nu(lam))
+            worse = MechanismParams(kind, sensitivity, lam, nu=optimal_staircase_nu(lam))
         else:
-            worse = MechanismParams(kind, 1.0, result.mechanism.scale / (1.0 + tol))
-        assert composed_epsilon(worse, 150, DELTA, grid)[0] > eps
+            worse = MechanismParams(kind, sensitivity, result.mechanism.scale / (1.0 + tol))
+        assert composed_epsilon(worse, horizon, delta, grid)[0] > eps
 
     def test_staircase_nu_pinned_to_optimum(self):
         result = calibrate_noise(MechanismKind.STAIRCASE, 1.0, PrivacyBudget(8.0, DELTA, 10))

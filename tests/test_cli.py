@@ -190,7 +190,7 @@ class TestDataRoles:
 
         built, trained, curve_shards = [], [], []
         real_build, real_local = cli_mod._build_federation, fl_core.local_updates
-        real_gradient = fl_core.LogisticRegressionModel.gradient
+        real_bind = fl_core.LogisticRegressionModel.stack_gradient
 
         def build(cfg):
             built.append(real_build(cfg))
@@ -200,13 +200,13 @@ class TestDataRoles:
             trained.extend(cfg.shard for cfg in cfgs)
             return real_local(cfgs, *args, **kwargs)
 
-        def gradient(self, w, shard):
+        def stack_gradient(self, shard, k):
             curve_shards.append(shard)
-            return real_gradient(self, w, shard)
+            return real_bind(self, shard, k)
 
         monkeypatch.setattr(cli_mod, "_build_federation", build)
         monkeypatch.setattr(fl_core, "local_updates", local)
-        monkeypatch.setattr(fl_core.LogisticRegressionModel, "gradient", gradient)
+        monkeypatch.setattr(fl_core.LogisticRegressionModel, "stack_gradient", stack_gradient)
         path = "synthetic" if dataset == "synthetic" else write_csv_dataset(tmp_path, 90)
         cfg = small_cfg(dataset=path, clients=4, rounds=2, aggregator=aggregator, sample_rate=0.5)
         assert run_experiment(cfg).exit_code == 0

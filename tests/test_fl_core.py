@@ -30,6 +30,7 @@ from oracles import (
     central_difference_gradient,
     published_softmax_oracle,
     softmax_loss_and_accuracy_reference,
+    stacked_gradient_parent,
 )
 
 
@@ -170,6 +171,21 @@ class TestLossModel:
         for shape in [(model.dim - 1,), (2, model.dim + 1), (2, 2, model.dim), ()]:
             with pytest.raises(ValueError):
                 model.gradient(np.zeros(shape), shard)
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_gradient_is_the_bound_gradient_bit_for_bit(self, k):
+        rng = np.random.default_rng(k)
+        model = LogisticRegressionModel(4, 6)
+        shard = tiny_shard(k, n=50, f=6, classes=4)
+        grad = model.stack_gradient(shard, k)
+        out = np.empty((k, model.dim))
+        for _ in range(3):
+            # The bound buffers carry nothing from one call to the next.
+            stack = rng.normal(scale=2.0, size=(k, model.dim))
+            assert grad(stack, out) is out
+            assert np.array_equal(out, model.gradient(stack, shard))
+            assert np.array_equal(out, stacked_gradient_parent(model, stack, shard))
+        assert np.array_equal(model.gradient(stack[0], shard), stacked_gradient_parent(model, stack[0], shard))
 
     def test_loss_and_accuracy_match_row_major_reference(self):
         rng = np.random.default_rng(29)

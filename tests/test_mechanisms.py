@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpfed.mechanisms import (
     MechanismKind,
@@ -17,6 +19,7 @@ from dpfed.mechanisms import (
 )
 from oracles import (
     gaussian_logpdf,
+    integrated_density_cdf,
     laplace_logpdf,
     renyi_divergence_quad,
     staircase_band_edges_and_cdf,
@@ -164,6 +167,28 @@ class TestSampling:
         xs = sample_noise_array(p, NoiseStream(10, purpose="t"), 1_000_000)
         cdf_x, cdf_y = staircase_band_edges_and_cdf(lambda v: density(p, v), 1.0, 0.5)
         assert ks_statistic(xs, cdf_x, cdf_y) < 0.002
+
+    @settings(max_examples=12, deadline=None, derandomize=True, database=None)
+    @given(
+        kind=st.sampled_from([MechanismKind.GAUSSIAN, MechanismKind.LAPLACE]),
+        scale=st.floats(0.05, 20.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_property_ks_against_integrated_density(self, kind, scale, seed):
+        # The sampler's empirical CDF against the integral of ``density``,
+        # at the 0.001 level of the one-sample KS test.
+        n = 50_000
+        params = MechanismParams(kind, 1.0, scale)
+        xs = sample_noise_array(params, NoiseStream(seed, purpose="ks"), n)
+        critical = 1.95 / math.sqrt(n)
+        half_width = 60.0 * scale
+        cdf_x, cdf_y = integrated_density_cdf(lambda v: density(params, v), half_width)
+        assert cdf_y[-1] == pytest.approx(1.0, abs=1e-6)
+        assert ks_statistic(xs, cdf_x, cdf_y) < critical
+        # The test has power: a 20% wider density is rejected.
+        wider = MechanismParams(kind, 1.0, 1.2 * scale)
+        cdf_x, cdf_y = integrated_density_cdf(lambda v: density(wider, v), half_width)
+        assert ks_statistic(xs, cdf_x, cdf_y) > critical
 
     def test_stream_determinism(self):
         p = stair(0.7, 0.4)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpfed import mode_connectivity
 from dpfed.fl_core import DatasetShard, LogisticRegressionModel
@@ -17,18 +19,26 @@ from dpfed.mode_connectivity import (
     theta_star,
     train_curve,
 )
-from oracles import QuadraticBowl, curve_loss_monte_carlo, mode_connect_reference, train_curve_reference
+from oracles import (
+    QuadraticBowl,
+    curve_loss_monte_carlo,
+    mode_connect_parent,
+    mode_connect_reference,
+    train_bends_parent,
+    train_curve_reference,
+)
 
 
 def make_spec(kind=CurveKind.POLYGONAL_CHAIN, theta=None):
     return CurveSpec(kind, np.array([1.0, 0.0]), np.array([-1.0, 0.0]), theta)
 
 
-def logistic_setup(n_models, seed=0, classes=3, features=5):
-    """A logistic loss oracle, its shard and ``n_models`` random parameter vectors."""
+def logistic_setup(n_models, seed=0, classes=3, features=5, n=40):
+    """A logistic loss oracle, its shard of ``n`` rows and ``n_models`` random
+    parameter vectors."""
     rng = np.random.default_rng(seed)
     model = LogisticRegressionModel(classes, features)
-    shard = DatasetShard(rng.normal(size=(40, features)), rng.integers(0, classes, 40))
+    shard = DatasetShard(rng.normal(size=(n, features)), rng.integers(0, classes, n))
     models = list(rng.normal(scale=0.5, size=(n_models, model.dim)))
     return CurveTrainConfig(steps=100, learning_rate=0.05, model=model, shard=shard), models
 
@@ -125,6 +135,115 @@ class TestTrainCurve:
         before = spec.bend_theta.copy()
         train_curve(spec, CurveTrainConfig(10, 0.1, QuadraticBowl(np.zeros(2))), NoiseStream(3, purpose="c"))
         assert np.array_equal(spec.bend_theta, before)
+
+
+class FixedDraws:
+    """A generator stand-in whose ``random`` draws cycle through ``ps``."""
+
+    def __init__(self, ps):
+        self.ps = np.asarray(ps, dtype=float)
+
+    def random(self, size):
+        return np.resize(self.ps, size)
+
+
+def stacked_spec(kind, k, seed, shape=(3, 5, 40)):
+    """A ``(k, d)`` curve spec with random ends and bends, and its logistic
+    config at ``shape`` = (classes, features, rows)."""
+    classes, features, n = shape
+    cfg, models = logistic_setup(3 * k, seed=seed, classes=classes, features=features, n=n)
+    w1, w2, theta = np.stack(models).reshape(3, k, -1)
+    return CurveSpec(kind, w1, w2, theta), cfg
+
+
+def pair_rngs(k, seed):
+    return [NoiseStream(seed, 0, pair, "curve-train:level0").rng for pair in range(k)]
+
+
+class TestLevelBuffers:
+    """Curve training in level-owned buffers keeps the bits of the allocating
+    per-step arithmetic it replaced (``oracles.train_bends_parent``)."""
+
+    # (10, 20, 100) is the benchmark's shape, where a contiguous copy of the
+    # transposed rows would change the logits' last bits.
+    @pytest.mark.parametrize("shape", [(3, 5, 40), (10, 20, 100)])
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    @pytest.mark.parametrize("kind", list(CurveKind))
+    def test_train_bends_bit_equal_to_parent(self, kind, k, shape):
+        spec, cfg = stacked_spec(kind, k, seed=10 + k, shape=shape)
+        got = mode_connectivity._train_bends(spec, cfg, pair_rngs(k, 7))
+        assert not np.allclose(got, spec.bend_theta)
+        assert np.array_equal(got, train_bends_parent(spec, cfg, pair_rngs(k, 7)))
+
+    @pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    @pytest.mark.parametrize("kind", list(CurveKind))
+    def test_exact_curve_parameters_bit_equal_to_parent(self, kind, k, p):
+        # Curve j draws p on every other step, starting at step j, and the
+        # stream's values in between.
+        spec, cfg = stacked_spec(kind, k, seed=20 + k)
+        fill = np.random.default_rng(k).random((k, cfg.steps))
+        draws = [FixedDraws(np.where(np.arange(cfg.steps) % 2 == j % 2, p, fill[j])) for j in range(k)]
+        got = mode_connectivity._train_bends(spec, cfg, draws)
+        assert np.array_equal(got, train_bends_parent(spec, cfg, draws))
+
+    @pytest.mark.parametrize("p", [0.0, 1.0])
+    @pytest.mark.parametrize("kind", list(CurveKind))
+    def test_endpoint_parameters_leave_the_bends(self, kind, p):
+        # At p = 0 or 1 the chain-rule factor dphi/dtheta is exactly 0.
+        spec, cfg = stacked_spec(kind, 2, seed=3)
+        got = mode_connectivity._train_bends(spec, cfg, [FixedDraws([p])] * 2)
+        assert np.array_equal(got, spec.bend_theta)
+
+    @pytest.mark.parametrize("n_models", [2, 4, 10])
+    @pytest.mark.parametrize("kind", list(CurveKind))
+    def test_mode_connect_aggregate_bit_equal_to_parent(self, kind, n_models):
+        # Ten models merge in levels of 5, 2, 1 and 1 curves.
+        cfg, models = logistic_setup(n_models, seed=30 + n_models)
+        stream = NoiseStream(9, 4, 0, "curve-train")
+        got = mode_connect_aggregate(models, cfg, stream=stream, kind=kind)
+        assert np.array_equal(got, mode_connect_parent(models, cfg, stream, kind))
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        k=st.integers(1, 6),
+        classes=st.integers(2, 6),
+        features=st.integers(1, 8),
+        n=st.integers(1, 60),
+        kind=st.sampled_from(list(CurveKind)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_property_bit_equal_to_parent(self, k, classes, features, n, kind, seed):
+        rng = np.random.default_rng(seed)
+        model = LogisticRegressionModel(classes, features)
+        shard = DatasetShard(rng.normal(size=(n, features)), rng.integers(0, classes, n))
+        cfg = CurveTrainConfig(steps=20, learning_rate=0.5, model=model, shard=shard)
+        w1, w2, theta = rng.normal(scale=2.0, size=(3, k, model.dim))
+        spec = CurveSpec(kind, w1, w2, theta)
+        got = mode_connectivity._train_bends(spec, cfg, pair_rngs(k, seed))
+        assert np.array_equal(got, train_bends_parent(spec, cfg, pair_rngs(k, seed)))
+
+    def test_bends_do_not_alias_the_level_workspace(self):
+        spec, cfg = stacked_spec(CurveKind.POLYGONAL_CHAIN, 2, seed=5)
+        buffers = []
+        bind = cfg.model.stack_gradient
+
+        class RecordingModel:
+            def stack_gradient(self, shard, k):
+                grad = bind(shard, k)
+
+                def recorded(w, out):
+                    buffers.extend([w, out])
+                    return grad(w, out)
+
+                return recorded
+
+        cfg = CurveTrainConfig(cfg.steps, cfg.learning_rate, RecordingModel(), cfg.shard)
+        got = mode_connectivity._train_bends(spec, cfg, pair_rngs(2, 1))
+        assert got.flags.owndata and got.shape == spec.bend_theta.shape
+        assert buffers and not any(np.shares_memory(got, buf) for buf in buffers)
+        for given_array in (spec.endpoint_w1, spec.endpoint_w2, spec.bend_theta):
+            assert not np.shares_memory(got, given_array)
 
 
 class TestThetaStar:
