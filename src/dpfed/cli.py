@@ -15,6 +15,7 @@ budget, 2 invalid config or infeasible calibration.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import os
@@ -227,19 +228,11 @@ def _format_value(value) -> str:
     return str(value)
 
 
-def format_metrics_row(m: RoundMetrics, experiment_id: str | None = None) -> str:
-    cells = [
-        str(m.round_index),
-        _format_value(m.cumulative_epsilon),
-        _format_value(m.train_loss),
-        _format_value(m.eval_accuracy),
-        m.mechanism,
-        _format_value(m.noise_scale),
-        str(m.seed),
-    ]
-    if experiment_id is not None:
-        cells.insert(0, experiment_id)
-    return ",".join(cells)
+def format_metrics_row(m: RoundMetrics, run_cells: str) -> str:
+    """One CSV row: the round's values, then ``run_cells``, the
+    ``mechanism,noise_scale,seed`` cells that hold for the whole run."""
+    values = (m.cumulative_epsilon, m.train_loss, m.eval_accuracy)
+    return ",".join([str(m.round_index), *map(_format_value, values), run_cells])
 
 
 _CALIBRATION_CACHE: dict[tuple, CalibrationResult] = {}
@@ -295,21 +288,18 @@ def run_experiment(cfg: ExperimentConfig, csv_stream=None) -> ExperimentResult:
     classes = SYNTH_CLASSES if cfg.dataset == "synthetic" else int(fed.data.labels.max()) + 1
     model = LogisticRegressionModel(classes, fed.data.features.shape[1])
 
+    # A noise-disabled run has epsilon = inf and no heterogeneous epsilons.
     eps_list = cfg.heterogeneous_epsilons or (cfg.epsilon,) * cfg.clients
-    budgets, clients, ledgers = {}, [], {}
+    clients, ledgers = [], {}
     grid = default_alpha_grid()
-    calibrated_scale: float | None = None
     for cid, (shard, eps_k) in enumerate(zip(fed.clients, eps_list)):
-        mech: MechanismParams | None = None
-        if not cfg.noise_disabled:
-            budget = PrivacyBudget(eps_k, cfg.delta, cfg.horizon)
-            mech = _calibrate_cached(kind, cfg.clip, budget).mechanism
-            calibrated_scale = max(calibrated_scale or 0.0, mech.scale)
+        budget = PrivacyBudget(eps_k, cfg.delta, cfg.horizon)
+        mech = None if cfg.noise_disabled else _calibrate_cached(kind, cfg.clip, budget).mechanism
         clients.append(
             ClientConfig(
                 id=cid,
                 shard=shard,
-                epsilon_k=eps_k if not cfg.noise_disabled else math.inf,
+                budget=budget,
                 mechanism=mech,
                 clip_c=cfg.clip,
                 sample_rate_q=cfg.sample_rate,
@@ -317,8 +307,9 @@ def run_experiment(cfg: ExperimentConfig, csv_stream=None) -> ExperimentResult:
                 learning_rate=cfg.learning_rate,
             )
         )
-        budgets[cid] = PrivacyBudget(eps_k if not cfg.noise_disabled else math.inf, cfg.delta, cfg.horizon)
         ledgers[cid] = RdpLedger(grid)
+    scale = max((c.mechanism.scale for c in clients if c.mechanism), default=math.inf)
+    run_cells = f"{cfg.mechanism},{_format_value(scale)},{cfg.seed}"
 
     # The pooled train loss is the sizes-weighted mean of the shard losses.
     sizes = np.array([s.n for s in fed.clients], dtype=float)
@@ -346,13 +337,11 @@ def run_experiment(cfg: ExperimentConfig, csv_stream=None) -> ExperimentResult:
                 model,
                 ledgers,
                 cfg.seed,
-                budgets,
                 fed.pool,
                 fed.eval,
                 shuffle=cfg.shuffle,
                 curve_cfg=curve_cfg,
                 prior_models=prior_models,
-                mechanism_label=cfg.mechanism,
             )
         except BudgetExhaustedError:
             exit_code = EXIT_BUDGET_HALT
@@ -360,7 +349,7 @@ def run_experiment(cfg: ExperimentConfig, csv_stream=None) -> ExperimentResult:
         server, prior_models = result.server, result.client_models
         metrics.append(result.metrics)
         if csv_stream is not None:
-            csv_stream.write(format_metrics_row(result.metrics) + "\n")
+            csv_stream.write(format_metrics_row(result.metrics, run_cells) + "\n")
 
     last = metrics[-1] if metrics else None
     summary = {
@@ -369,7 +358,7 @@ def run_experiment(cfg: ExperimentConfig, csv_stream=None) -> ExperimentResult:
             None if last is None or math.isinf(last.cumulative_epsilon) else last.cumulative_epsilon
         ),
         "rounds_run": len(metrics),
-        "calibrated_scale": calibrated_scale,
+        "calibrated_scale": None if math.isinf(scale) else scale,
     }
     return ExperimentResult(exit_code=exit_code, metrics=metrics, summary=summary)
 
@@ -381,7 +370,7 @@ class SweepResult:
 
 
 def sweep(configs, ids=None, csv_stream=None) -> SweepResult:
-    """Run several experiments and concatenate their metrics under an
+    """Run several experiments and concatenate their CSV rows under an
     ``experiment_id`` column (buffered per experiment, emitted atomically)."""
     configs = list(configs)
     if ids is None:
@@ -396,13 +385,12 @@ def sweep(configs, ids=None, csv_stream=None) -> SweepResult:
     rows: list[tuple[str, RoundMetrics]] = []
     exit_code = EXIT_OK
     for exp_id, cfg in zip(ids, configs):
-        result = run_experiment(cfg)
+        buffered = io.StringIO()
+        result = run_experiment(cfg, csv_stream=buffered)
         exit_code = max(exit_code, result.exit_code)
-        buffered = [(exp_id, m) for m in result.metrics]
-        rows.extend(buffered)
+        rows.extend((exp_id, m) for m in result.metrics)
         if csv_stream is not None:
-            for exp_id_, m in buffered:
-                csv_stream.write(format_metrics_row(m, exp_id_) + "\n")
+            csv_stream.write("".join(f"{exp_id},{line}\n" for line in buffered.getvalue().splitlines()[1:]))
     return SweepResult(exit_code=exit_code, rows=rows)
 
 

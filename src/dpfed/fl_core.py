@@ -60,7 +60,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .accountant import cached_rdp_curve
+from .accountant import PrivacyBudget, cached_rdp_curve
 from .mechanisms import MechanismParams, NoiseStream, sample_noise_array
 from .mode_connectivity import CurveTrainConfig, mode_connect_aggregate
 
@@ -145,6 +145,10 @@ def load_csv_shard(path) -> DatasetShard:
         for row in reader:
             if not row:
                 continue
+            if len(row) != len(header):
+                raise ValueError(
+                    f"shard CSV line {reader.line_num} has {len(row)} cells, but the header has {len(header)}"
+                )
             feats.append([float(v) for v in row[:-1]])
             labels.append(int(row[-1]))
     return DatasetShard(np.array(feats), np.array(labels, dtype=np.int64))
@@ -323,9 +327,13 @@ def _softmax_residuals(logits: np.ndarray, hot: np.ndarray, col: np.ndarray | No
 
 @dataclass
 class ClientConfig:
+    """One client.  Its mechanism is calibrated against ``budget`` and its
+    ledger charged against it; a noise-disabled client has no mechanism and
+    a budget of epsilon = inf."""
+
     id: int
     shard: DatasetShard
-    epsilon_k: float
+    budget: PrivacyBudget
     mechanism: MechanismParams | None
     clip_c: float
     sample_rate_q: float
@@ -333,8 +341,6 @@ class ClientConfig:
     learning_rate: float
 
     def __post_init__(self) -> None:
-        if not self.epsilon_k > 0:
-            raise ValueError(f"client epsilon must be positive, got {self.epsilon_k}")
         if not self.clip_c > 0:
             raise ValueError(f"clip bound must be positive, got {self.clip_c}")
         if not (0.0 < self.sample_rate_q <= 1.0):
@@ -379,9 +385,6 @@ class RoundMetrics:
     cumulative_epsilon: float
     train_loss: float
     eval_accuracy: float
-    mechanism: str
-    noise_scale: float
-    seed: int
 
 
 @dataclass
@@ -453,7 +456,7 @@ def local_updates(
     rate = np.repeat([cfg.sample_rate_q for cfg in cfgs], shard_n)
     clip = np.array([cfg.clip_c for cfg in cfgs])
     noised = np.array([cfg.mechanism is not None for cfg in cfgs])
-    lam = np.array([[heterogeneity_penalty(cfg.epsilon_k, eps_max)] for cfg in cfgs])
+    lam = np.array([[heterogeneity_penalty(cfg.budget.epsilon, eps_max)] for cfg in cfgs])
     eta = np.array([[cfg.learning_rate] for cfg in cfgs])
     uniform = np.empty(offsets[-1])
     for epoch in range(max(cfg.local_epochs_I for cfg in cfgs)):
@@ -540,13 +543,11 @@ def run_round(
     model,
     ledgers,
     master_seed: int,
-    budgets,
     pool: DatasetShard,
     eval_shard: DatasetShard,
     shuffle: bool = False,
     curve_cfg: CurveTrainConfig | None = None,
     prior_models: dict[int, np.ndarray] | None = None,
-    mechanism_label: str | None = None,
 ) -> RoundResult:
     """Execute one federated round; raises ``BudgetExhaustedError`` when any
     selected client's ledger cannot cover its noise applications, and then
@@ -566,8 +567,8 @@ def run_round(
     selected = [clients[i] for i in chosen]
 
     prior_models = dict(prior_models or {})
-    eps_max = max(c.epsilon_k for c in selected)
-    anchor = min(c.id for c in selected if c.epsilon_k == eps_max)
+    eps_max = max(c.budget.epsilon for c in selected)
+    anchor = min(c.id for c in selected if c.budget.epsilon == eps_max)
     w_max = prior_models.get(anchor, server.global_model)
 
     streams = [NoiseStream(master_seed, server.round_t, cfg.id, "local-update") for cfg in selected]
@@ -582,7 +583,7 @@ def run_round(
         ledger = ledgers[cfg.id]
         before = (ledger, ledger.gamma, ledger.rounds_composed)
         curve = upd.noise_draws * cached_rdp_curve(cfg.mechanism, ledger.alpha_grid)
-        if ledger.spend(curve, budgets[cfg.id]).halted:
+        if ledger.spend(curve, cfg.budget).halted:
             for led, gamma, rounds in spent:
                 led.gamma, led.rounds_composed = gamma, rounds
             raise BudgetExhaustedError(
@@ -610,7 +611,7 @@ def run_round(
         if cfg.mechanism is None:
             cumulative = math.inf
             break
-        eps_now, _ = ledgers[cfg.id].to_dp(budgets[cfg.id].delta)
+        eps_now, _ = ledgers[cfg.id].to_dp(cfg.budget.delta)
         cumulative = max(cumulative, eps_now)
 
     metrics = RoundMetrics(
@@ -618,10 +619,6 @@ def run_round(
         cumulative_epsilon=cumulative,
         train_loss=model.loss(new_global, pool),
         eval_accuracy=model.accuracy(new_global, eval_shard),
-        mechanism=mechanism_label
-        or (selected[0].mechanism.kind.value if selected[0].mechanism else "disabled"),
-        noise_scale=max((c.mechanism.scale for c in clients if c.mechanism), default=math.inf),
-        seed=master_seed,
     )
     new_server = replace(server, global_model=new_global, round_t=server.round_t + 1)
     return RoundResult(server=new_server, metrics=metrics, client_models=prior_models)

@@ -157,15 +157,9 @@ def theta_star(smoothness_L: float, w_bar: np.ndarray, v_bar: np.ndarray) -> np.
 
 
 def bezier_fedavg_update(v: np.ndarray, theta: np.ndarray, w: np.ndarray, r: float) -> np.ndarray:
-    """Bezier-form model update ``(1-r)^2 v + 2(r - r^2) theta + r^2 w``."""
-    if not (0.0 <= r <= 1.0):
-        raise ValueError(f"curve parameter must lie in [0, 1], got {r}")
-    v = np.asarray(v, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    w = np.asarray(w, dtype=float)
-    if not (v.shape == theta.shape == w.shape):
-        raise ValueError("all three vectors must share one dimension")
-    return (1.0 - r) ** 2 * v + 2.0 * (r - r**2) * theta + r**2 * w
+    """Bezier-form model update ``(1-r)^2 v + 2(r - r^2) theta + r^2 w``: the
+    quadratic Bezier curve from v to w with bend theta, at ``r``."""
+    return curve_point(CurveSpec(CurveKind.QUADRATIC_BEZIER, v, w, theta), r)
 
 
 def mode_connect_aggregate(

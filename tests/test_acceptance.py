@@ -367,13 +367,13 @@ def test_criterion_10_privacy_ceiling(experiment_grid):
     from dpfed.fl_core import run_round
     from test_fl_core import build_federation
 
-    server, clients, model, ledgers, budgets, pool, eval_shard = build_federation(
+    server, clients, model, ledgers, pool, eval_shard = build_federation(
         mech_kind=MechanismKind.GAUSSIAN, horizon=4
     )
     halted = False
     try:
         for _ in range(3):
-            server = run_round(server, clients, model, ledgers, 1, budgets, pool, eval_shard=eval_shard).server
+            server = run_round(server, clients, model, ledgers, 1, pool, eval_shard=eval_shard).server
     except BudgetExhaustedError:
         halted = True
     announce(

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpfed.accountant import (
+    KNOB_BOUNDS,
     InfeasibleBudgetError,
     PrivacyBudget,
     RdpLedger,
@@ -168,6 +169,7 @@ class TestSpend:
         budget = PrivacyBudget(1.0, DELTA, 10)
         decision = ledger.spend(np.zeros(INT_GRID.size), budget)
         assert not decision.halted
+        assert decision  # truthy: training may continue
         assert decision.remaining_epsilon == pytest.approx(1.0 - math.log(1e5) / 63.0, rel=1e-12)
 
     def test_halt_leaves_ledger_unchanged(self):
@@ -179,6 +181,7 @@ class TestSpend:
         before = ledger.gamma.copy()
         decision = ledger.spend(curve, budget)
         assert decision.halted
+        assert not decision
         assert np.array_equal(ledger.gamma, before)
         assert ledger.rounds_composed == 1
 
@@ -265,6 +268,17 @@ class TestCalibration:
         else:
             worse = MechanismParams(kind, sensitivity, result.mechanism.scale / (1.0 + tol))
         assert composed_epsilon(worse, horizon, delta, grid)[0] > eps
+
+    @pytest.mark.parametrize("kind", list(MechanismKind))
+    def test_loose_budget_returns_the_knob_floor(self, kind):
+        # The least-noise knob already meets the budget: no bisection, and
+        # only the two bracket ends are evaluated.
+        budget = PrivacyBudget(1e9, DELTA, 1)
+        result = calibrate_noise(kind, 1.0, budget)
+        floor = 1.0 / KNOB_BOUNDS[0] if kind is MechanismKind.STAIRCASE else KNOB_BOUNDS[0]
+        assert result.mechanism.scale == pytest.approx(floor, rel=1e-12)
+        assert result.achieved_epsilon <= budget.epsilon
+        assert result.iterations == 2
 
     def test_staircase_nu_pinned_to_optimum(self):
         result = calibrate_noise(MechanismKind.STAIRCASE, 1.0, PrivacyBudget(8.0, DELTA, 10))

@@ -123,10 +123,11 @@ class TestRunExperiment:
 
     def test_mechanisms_complete_within_budget(self):
         for mech in ("gaussian", "staircase"):
-            result = run_experiment(small_cfg(mechanism=mech, rounds=10, epsilon=8.0))
+            buf = io.StringIO()
+            result = run_experiment(small_cfg(mechanism=mech, rounds=10, epsilon=8.0), csv_stream=buf)
             assert result.exit_code == 0
             assert result.metrics[-1].cumulative_epsilon <= 8.0
-            assert result.metrics[-1].mechanism == mech
+            assert buf.getvalue().splitlines()[-1].split(",")[4] == mech
 
     def test_budget_halt_exit_code(self, monkeypatch):
         # inject an uncalibrated (too small) scale: the run must halt with exit 1

@@ -43,7 +43,7 @@ def make_client(shard, mech=None, **kw):
     args = dict(
         id=0,
         shard=shard,
-        epsilon_k=8.0,
+        budget=PrivacyBudget(8.0, 1e-5, 1),
         mechanism=mech,
         clip_c=1.0,
         sample_rate_q=1.0,
@@ -62,6 +62,15 @@ class TestShard:
             DatasetShard(np.zeros((2, 3)), np.array([0.5, 1.0]))
         with pytest.raises(ValueError):
             DatasetShard(np.array([[np.inf, 0.0]]), np.array([0]))
+
+    @pytest.mark.parametrize(
+        "rows, bad_line", [("1.0,2.0,0\n", 2), ("1.0,0\n0.5\n", 3), ("1.0,0\n2.0,3.0,1\n", 3)]
+    )
+    def test_csv_row_must_match_the_header(self, tmp_path, rows, bad_line):
+        path = tmp_path / "shard.csv"
+        path.write_text("x0,label\n" + rows, encoding="utf-8")
+        with pytest.raises(ValueError, match=f"line {bad_line} has \\d cells, but the header has 2"):
+            load_csv_shard(path)
 
     def test_csv_round_trip(self, tmp_path):
         path = tmp_path / "shard.csv"
@@ -444,7 +453,7 @@ class TestLocalUpdate:
         # q=1, I=1: exactly one heterogeneous_update step on the mean clipped gradient
         model = LogisticRegressionModel(3, 4)
         shard = tiny_shard(24)
-        cfg = make_client(shard, epsilon_k=2.0, clip_c=0.5)
+        cfg = make_client(shard, budget=PrivacyBudget(2.0, 1e-5, 1), clip_c=0.5)
         rng = np.random.default_rng(4)
         w0, w_max = rng.normal(scale=0.5, size=(2, model.dim))
         upd = local_update(cfg, w0, model, NoiseStream(0, 0, 0, "local-update"), w_max=w_max, eps_max=8.0)
@@ -567,7 +576,7 @@ class TestLocalUpdates:
         for cid, (n, q, epochs, c, lr, eps, noisy) in enumerate(clients):
             shard = DatasetShard(rng.normal(size=(n, 4)), rng.integers(0, 3, n))
             mech = MechanismParams(MechanismKind.LAPLACE, c, 0.5) if noisy else None
-            cfgs.append(ClientConfig(cid, shard, eps, mech, c, q, epochs, lr))
+            cfgs.append(ClientConfig(cid, shard, PrivacyBudget(eps, 1e-5, 1), mech, c, q, epochs, lr))
         w0 = rng.normal(scale=0.5, size=model.dim)
         w_max, eps_max = (rng.normal(scale=0.5, size=model.dim), 8.0) if anchored else (None, None)
         got = local_updates(cfgs, w0, model, client_streams(seed, 1, cfgs), w_max=w_max, eps_max=eps_max)
@@ -584,12 +593,13 @@ class TestLocalUpdates:
         fed = make_synthetic_federation(10, 200, 20, 10, seed=31)
         model = LogisticRegressionModel(10, 20)
         eps = np.linspace(8.0, 16.0, 10) if q < 0.5 else np.full(10, 8.0)
+        budgets = [PrivacyBudget(e, 1e-5, 300) for e in eps]
         cfgs = [
             make_client(
-                shard, calibrate_noise(kind, 1.0, PrivacyBudget(e, 1e-5, 300)).mechanism,
-                id=cid, epsilon_k=e, sample_rate_q=q, local_epochs_I=2,
+                shard, calibrate_noise(kind, 1.0, budget).mechanism,
+                id=cid, budget=budget, sample_rate_q=q, local_epochs_I=2,
             )
-            for cid, (shard, e) in enumerate(zip(fed.clients, eps))
+            for cid, (shard, budget) in enumerate(zip(fed.clients, budgets))
         ]
         w = np.random.default_rng(32).normal(scale=0.1, size=model.dim)
         w_max = np.random.default_rng(33).normal(scale=0.1, size=model.dim)
@@ -604,17 +614,17 @@ class TestLocalUpdates:
     def test_returned_models_outlive_the_next_round(self):
         # Round t's client models are rows of one stack, and round t + 1
         # pulls toward the anchor's (a view of that stack).
-        server, clients, model, ledgers, budgets, pool, eval_shard = build_federation(
+        server, clients, model, ledgers, pool, eval_shard = build_federation(
             mech_kind=MechanismKind.GAUSSIAN, eps_list=[2.0, 4.0, 6.0, 8.0]
         )
         prior = None
         for _ in range(3):
             result = run_round(
-                server, clients, model, ledgers, 12, budgets, pool, eval_shard=eval_shard, prior_models=prior
+                server, clients, model, ledgers, 12, pool, eval_shard=eval_shard, prior_models=prior
             )
             kept = {cid: w.copy() for cid, w in result.client_models.items()}
             server, prior = result.server, result.client_models
-            run_round(server, clients, model, ledgers, 12, budgets, pool, eval_shard=eval_shard, prior_models=prior)
+            run_round(server, clients, model, ledgers, 12, pool, eval_shard=eval_shard, prior_models=prior)
             for cid, w in kept.items():
                 assert np.array_equal(prior[cid], w)
 
@@ -632,7 +642,9 @@ class TestLocalUpdates:
         model = LogisticRegressionModel(3, 4)
         mech = MechanismParams(MechanismKind.GAUSSIAN, 1.0, 5.0)
         # The empty client's budget is below eps_max, so a step would move it.
-        never = make_client(tiny_shard(40, n=1), mech, id=0, sample_rate_q=1e-9, local_epochs_I=3, epsilon_k=2.0)
+        never = make_client(
+            tiny_shard(40, n=1), mech, id=0, sample_rate_q=1e-9, local_epochs_I=3, budget=PrivacyBudget(2.0, 1e-5, 1)
+        )
         always = make_client(tiny_shard(41), mech, id=1, local_epochs_I=3)
         w0 = np.random.default_rng(42).normal(size=model.dim)
         w_max = np.zeros(model.dim)
@@ -733,10 +745,10 @@ def build_federation(
     fed = make_synthetic_federation(n_clients, 60, 5, 3, seed=seed)
     model = LogisticRegressionModel(3, 5)
     grid = default_alpha_grid()
-    clients, ledgers, budgets = [], {}, {}
+    clients, ledgers = [], {}
     for cid, shard in enumerate(fed.clients):
         eps_k = eps_list[cid] if eps_list else epsilon
-        budget = PrivacyBudget(eps_k, 1e-5, horizons[cid] if horizons else horizon)
+        budget = PrivacyBudget(eps_k if mech_kind else math.inf, 1e-5, horizons[cid] if horizons else horizon)
         mech = None
         if mech_kind is not None:
             mech = calibrate_noise(mech_kind, 1.0, budget).mechanism
@@ -744,7 +756,7 @@ def build_federation(
             ClientConfig(
                 id=cid,
                 shard=shard,
-                epsilon_k=eps_k if mech_kind else math.inf,
+                budget=budget,
                 mechanism=mech,
                 clip_c=1.0,
                 sample_rate_q=0.5,
@@ -753,7 +765,6 @@ def build_federation(
             )
         )
         ledgers[cid] = RdpLedger(grid)
-        budgets[cid] = budget
     server = ServerState(
         global_model=model.init_params(),
         round_t=0,
@@ -761,37 +772,37 @@ def build_federation(
         aggregator=aggregator,
         selection_fraction=1.0,
     )
-    return server, clients, model, ledgers, budgets, fed.pool, fed.eval
+    return server, clients, model, ledgers, fed.pool, fed.eval
 
 
 class TestRunRound:
     def test_noiseless_full_participation_loss_non_increasing(self):
-        server, clients, model, ledgers, budgets, pool, eval_shard = build_federation()
+        server, clients, model, ledgers, pool, eval_shard = build_federation()
         for cfg in clients:
             cfg.sample_rate_q = 1.0
             cfg.local_epochs_I = 1
             cfg.clip_c = 1000.0
         losses = []
         for _ in range(20):
-            result = run_round(server, clients, model, ledgers, 7, budgets, pool, eval_shard=eval_shard)
+            result = run_round(server, clients, model, ledgers, 7, pool, eval_shard=eval_shard)
             server = result.server
             losses.append(result.metrics.train_loss)
         assert all(b <= a + 1e-9 for a, b in zip(losses, losses[1:]))
 
     def test_budget_ceiling_and_halt(self):
         horizon = 10  # 5 rounds x 2 local epochs
-        server, clients, model, ledgers, budgets, pool, eval_shard = build_federation(
+        server, clients, model, ledgers, pool, eval_shard = build_federation(
             mech_kind=MechanismKind.GAUSSIAN, horizon=horizon
         )
         metrics = []
         for _ in range(5):
-            result = run_round(server, clients, model, ledgers, 3, budgets, pool, eval_shard=eval_shard)
+            result = run_round(server, clients, model, ledgers, 3, pool, eval_shard=eval_shard)
             server = result.server
             metrics.append(result.metrics)
         assert all(m.cumulative_epsilon <= 8.0 for m in metrics)
         assert metrics[-1].cumulative_epsilon == pytest.approx(8.0, abs=1e-3)
         with pytest.raises(BudgetExhaustedError):
-            run_round(server, clients, model, ledgers, 3, budgets, pool, eval_shard=eval_shard)
+            run_round(server, clients, model, ledgers, 3, pool, eval_shard=eval_shard)
         # ledgers unchanged by the aborted round
         eps_after, _ = ledgers[0].to_dp(1e-5)
         assert eps_after <= 8.0
@@ -799,12 +810,12 @@ class TestRunRound:
     def test_metrics_count_and_determinism(self):
         rows = []
         for attempt in range(2):
-            server, clients, model, ledgers, budgets, pool, eval_shard = build_federation(
+            server, clients, model, ledgers, pool, eval_shard = build_federation(
                 mech_kind=MechanismKind.STAIRCASE
             )
             acc = []
             for _ in range(3):
-                result = run_round(server, clients, model, ledgers, 11, budgets, pool, eval_shard=eval_shard)
+                result = run_round(server, clients, model, ledgers, 11, pool, eval_shard=eval_shard)
                 server = result.server
                 acc.append(result.metrics)
             rows.append(acc)
@@ -813,24 +824,24 @@ class TestRunRound:
             assert a == b
 
     def test_selection_fraction(self):
-        server, clients, model, ledgers, budgets, pool, eval_shard = build_federation()
+        server, clients, model, ledgers, pool, eval_shard = build_federation()
         server.selection_fraction = 0.5
-        result = run_round(server, clients, model, ledgers, 4, budgets, pool, eval_shard=eval_shard)
+        result = run_round(server, clients, model, ledgers, 4, pool, eval_shard=eval_shard)
         # only ceil(0.5 * 4) = 2 clients trained: the others left no local model
         assert len(result.client_models) == 2
 
     def test_mode_connect_round_runs(self):
-        server, clients, model, ledgers, budgets, pool, eval_shard = build_federation(
+        server, clients, model, ledgers, pool, eval_shard = build_federation(
             aggregator=Aggregator.MODE_CONNECT
         )
-        result = run_round(server, clients, model, ledgers, 5, budgets, pool, eval_shard=eval_shard)
+        result = run_round(server, clients, model, ledgers, 5, pool, eval_shard=eval_shard)
         assert result.server.global_model.shape == server.global_model.shape
 
     def test_heterogeneous_epsilons_round(self):
-        server, clients, model, ledgers, budgets, pool, eval_shard = build_federation(
+        server, clients, model, ledgers, pool, eval_shard = build_federation(
             mech_kind=MechanismKind.GAUSSIAN, eps_list=[2.0, 4.0, 6.0, 8.0]
         )
-        result = run_round(server, clients, model, ledgers, 6, budgets, pool, eval_shard=eval_shard)
+        result = run_round(server, clients, model, ledgers, 6, pool, eval_shard=eval_shard)
         # system epsilon is the per-client maximum
         per_client = [ledgers[c.id].to_dp(1e-5)[0] for c in clients]
         assert result.metrics.cumulative_epsilon == pytest.approx(max(per_client), rel=1e-12)
@@ -839,11 +850,11 @@ class TestRunRound:
         assert scales == sorted(scales, reverse=True)
 
     def test_shuffled_round_fedavg_invariant(self):
-        a_server, clients, model, ledgers, budgets, pool, eval_shard = build_federation()
-        a = run_round(a_server, clients, model, ledgers, 9, budgets, pool, eval_shard=eval_shard)
-        b_server, clients2, model2, ledgers2, budgets2, pool2, eval_shard2 = build_federation()
+        a_server, clients, model, ledgers, pool, eval_shard = build_federation()
+        a = run_round(a_server, clients, model, ledgers, 9, pool, eval_shard=eval_shard)
+        b_server, clients2, model2, ledgers2, pool2, eval_shard2 = build_federation()
         b = run_round(
-            b_server, clients2, model2, ledgers2, 9, budgets2, pool2, eval_shard=eval_shard2, shuffle=True
+            b_server, clients2, model2, ledgers2, 9, pool2, eval_shard=eval_shard2, shuffle=True
         )
         # equal weights: FedAvg is order-invariant, so shuffling changes nothing
         assert np.allclose(a.server.global_model, b.server.global_model, rtol=1e-12)
@@ -862,7 +873,7 @@ class TestRunRound:
         n = min(len(eps_list), len(rounds))
         eps_list, rounds = eps_list[:n], rounds[:n]
         rounds[0] = min(rounds[1:]) + first_extra
-        server, clients, model, ledgers, budgets, pool, eval_shard = build_federation(
+        server, clients, model, ledgers, pool, eval_shard = build_federation(
             n_clients=n,
             mech_kind=MechanismKind.GAUSSIAN,
             eps_list=eps_list,
@@ -876,12 +887,12 @@ class TestRunRound:
             before = {cid: (led.gamma.copy(), led.rounds_composed) for cid, led in ledgers.items()}
             if t == min(rounds):
                 with pytest.raises(BudgetExhaustedError):
-                    run_round(server, clients, model, ledgers, 21, budgets, pool, eval_shard=eval_shard)
+                    run_round(server, clients, model, ledgers, 21, pool, eval_shard=eval_shard)
                 for cid, (gamma, composed) in before.items():
                     assert np.array_equal(ledgers[cid].gamma, gamma)
                     assert ledgers[cid].rounds_composed == composed
                 return
-            server = run_round(server, clients, model, ledgers, 21, budgets, pool, eval_shard=eval_shard).server
+            server = run_round(server, clients, model, ledgers, 21, pool, eval_shard=eval_shard).server
             for cfg in clients:
                 charge = epochs * rdp_curve(cfg.mechanism, grid)
                 assert np.array_equal(ledgers[cfg.id].gamma, before[cfg.id][0] + charge)
