@@ -76,82 +76,94 @@ class PrivacyBudget:
 
 @dataclass
 class SpendDecision:
-    """Outcome of a tentative spend: Continue with headroom, or Halt."""
+    """Outcome of a tentative spend: Continue with headroom, or Halt naming
+    the first charged ``row`` that its budget cannot cover."""
 
     halted: bool
     remaining_epsilon: float = math.nan
+    row: int | None = None
 
     def __bool__(self) -> bool:  # truthy when training may continue
         return not self.halted
 
 
+def _finite_non_negative(name: str, values) -> np.ndarray:
+    arr = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(arr)) or np.any(arr < 0):
+        raise ValueError(f"{name} entries must be finite and non-negative")
+    return arr
+
+
 @dataclass
 class RdpLedger:
-    """Cumulative composed Renyi divergence per grid order.
+    """Composed Renyi divergence of every client, one row each, per grid order.
 
-    Single-writer: gamma entries never decrease.  ``compose`` adds in place;
-    ``spend`` replaces ``gamma`` with a new array, so a reference to the old
-    one is a snapshot that can be restored.
+    Row k composes ``curves[k]``, its client's per-application curve,
+    computed once when the ledger is set up, and is charged against
+    ``budgets[k]``.  ``gamma`` is the ``(rows, orders)`` matrix of composed
+    divergences and ``rounds_composed`` counts each row's committed spends.
+
+    Single-writer: gamma entries never decrease.  ``spend`` commits a round's
+    charges to every row or to none, and replaces ``gamma`` with a new matrix
+    rather than writing into it, so a reference to the old one is a snapshot.
     """
 
     alpha_grid: np.ndarray
+    curves: np.ndarray
+    budgets: tuple[PrivacyBudget, ...]
     gamma: np.ndarray = field(default=None)  # type: ignore[assignment]
-    rounds_composed: int = 0
+    rounds_composed: np.ndarray = field(init=False)
+    _epsilon: np.ndarray = field(init=False, repr=False, compare=False)
+    _log_conv: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.alpha_grid = validate_alpha_grid(self.alpha_grid)
-        if self.gamma is None:
-            self.gamma = np.zeros_like(self.alpha_grid)
-        else:
-            self.gamma = np.asarray(self.gamma, dtype=float)
-        if self.gamma.shape != self.alpha_grid.shape:
-            raise ValueError("gamma length must match the alpha grid")
-        if np.any(self.gamma < 0):
-            raise ValueError("gamma entries must be non-negative")
-
-    def _check_curve(self, curve) -> np.ndarray:
-        arr = np.asarray(curve, dtype=float)
-        if arr.shape != self.alpha_grid.shape:
+        self.curves = _finite_non_negative("curve", self.curves)
+        if self.curves.ndim != 2 or len(self.curves) < 1 or self.curves.shape[1] != self.alpha_grid.size:
             raise ValueError(
-                f"curve length {arr.shape} does not match the ledger grid {self.alpha_grid.shape}"
+                f"curves {self.curves.shape} must be one row per client over the ledger grid {self.alpha_grid.shape}"
             )
-        if np.any(arr < 0) or not np.all(np.isfinite(arr)):
-            raise ValueError("curve entries must be finite and non-negative")
-        return arr
+        rows = len(self.curves)
+        self.budgets = tuple(self.budgets)
+        if len(self.budgets) != rows:
+            raise ValueError(f"need one budget per row: {rows} rows, {len(self.budgets)} budgets")
+        if self.gamma is None:
+            self.gamma = np.zeros_like(self.curves)
+        else:
+            self.gamma = _finite_non_negative("gamma", self.gamma)
+        if self.gamma.shape != self.curves.shape:
+            raise ValueError(f"gamma {self.gamma.shape} must match the curves {self.curves.shape}")
+        self.rounds_composed = np.zeros(rows, dtype=int)
+        self._epsilon = np.array([b.epsilon for b in self.budgets])
+        self._log_conv = np.array([math.log(1.0 / b.delta) / (self.alpha_grid - 1.0) for b in self.budgets])
 
-    def compose(self, curve) -> "RdpLedger":
-        """Entrywise-add one per-application curve; increments the round count."""
-        arr = self._check_curve(curve)
-        self.gamma += arr
-        self.rounds_composed += 1
-        return self
-
-    def to_dp(self, delta: float) -> tuple[float, float]:
-        """Convert the composed curve to (epsilon, minimizing alpha).
+    def to_dp(self) -> tuple[np.ndarray, np.ndarray]:
+        """Convert every row at its budget's delta: the ``(rows,)`` epsilons
+        and their minimizing alphas.
 
         Ties resolve to the smallest alpha.
         """
-        if not (0.0 < delta < 1.0):
-            raise ValueError(f"delta must lie in (0, 1), got {delta}")
-        candidates = self.gamma + math.log(1.0 / delta) / (self.alpha_grid - 1.0)
-        idx = int(np.argmin(candidates))
-        return float(candidates[idx]), float(self.alpha_grid[idx])
+        candidates = self.gamma + self._log_conv
+        return candidates.min(axis=1), self.alpha_grid[candidates.argmin(axis=1)]
 
-    def _epsilon_after(self, curve, budget: PrivacyBudget) -> tuple[np.ndarray, float]:
-        """The composed curve after ``curve`` and its epsilon at the budget delta."""
-        trial = self.gamma + self._check_curve(curve)
-        candidates = trial + math.log(1.0 / budget.delta) / (self.alpha_grid - 1.0)
-        return trial, float(np.min(candidates))
-
-    def spend(self, curve, budget: PrivacyBudget) -> SpendDecision:
-        """Tentatively compose ``curve``; Halt (ledger unchanged) if the
-        budget epsilon would be exceeded, else commit and report headroom."""
-        trial, eps_after = self._epsilon_after(curve, budget)
-        if eps_after > budget.epsilon:
-            return SpendDecision(halted=True)
+    def spend(self, draws) -> SpendDecision:
+        """Tentatively compose ``draws[k]`` applications of row k's curve, for
+        every row at once.  Halt, leaving every row unchanged, if a charged
+        row (``draws[k] > 0``) would exceed its budget epsilon, naming the
+        first such row; else commit every row and report the least headroom
+        over the rows."""
+        draws = np.asarray(draws)
+        if draws.shape != self._epsilon.shape or not np.issubdtype(draws.dtype, np.integer) or np.any(draws < 0):
+            raise ValueError(f"draws must be {self._epsilon.size} non-negative integers, one per row")
+        trial = self.gamma + draws[:, None] * self.curves
+        eps_after = (trial + self._log_conv).min(axis=1)
+        charged = draws > 0
+        over = (charged & (eps_after > self._epsilon)).nonzero()[0]
+        if over.size:
+            return SpendDecision(halted=True, row=int(over[0]))
         self.gamma = trial
-        self.rounds_composed += 1
-        return SpendDecision(halted=False, remaining_epsilon=budget.epsilon - eps_after)
+        self.rounds_composed = self.rounds_composed + charged
+        return SpendDecision(halted=False, remaining_epsilon=float((self._epsilon - eps_after).min()))
 
 
 def rdp_curve(params: MechanismParams, grid) -> np.ndarray:

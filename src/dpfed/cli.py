@@ -28,7 +28,6 @@ from .accountant import (
     CalibrationResult,
     InfeasibleBudgetError,
     PrivacyBudget,
-    RdpLedger,
     calibrate_noise,
     default_alpha_grid,
 )
@@ -41,6 +40,7 @@ from .fl_core import (
     LogisticRegressionModel,
     RoundMetrics,
     ServerState,
+    client_ledger,
     load_csv_shard,
     make_synthetic_federation,
     run_round,
@@ -290,8 +290,7 @@ def run_experiment(cfg: ExperimentConfig, csv_stream=None) -> ExperimentResult:
 
     # A noise-disabled run has epsilon = inf and no heterogeneous epsilons.
     eps_list = cfg.heterogeneous_epsilons or (cfg.epsilon,) * cfg.clients
-    clients, ledgers = [], {}
-    grid = default_alpha_grid()
+    clients = []
     for cid, (shard, eps_k) in enumerate(zip(fed.clients, eps_list)):
         budget = PrivacyBudget(eps_k, cfg.delta, cfg.horizon)
         mech = None if cfg.noise_disabled else _calibrate_cached(kind, cfg.clip, budget).mechanism
@@ -307,7 +306,7 @@ def run_experiment(cfg: ExperimentConfig, csv_stream=None) -> ExperimentResult:
                 learning_rate=cfg.learning_rate,
             )
         )
-        ledgers[cid] = RdpLedger(grid)
+    ledger = client_ledger(clients, default_alpha_grid())
     scale = max((c.mechanism.scale for c in clients if c.mechanism), default=math.inf)
     run_cells = f"{cfg.mechanism},{_format_value(scale)},{cfg.seed}"
 
@@ -335,7 +334,7 @@ def run_experiment(cfg: ExperimentConfig, csv_stream=None) -> ExperimentResult:
                 server,
                 clients,
                 model,
-                ledgers,
+                ledger,
                 cfg.seed,
                 fed.pool,
                 fed.eval,

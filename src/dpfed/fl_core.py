@@ -7,6 +7,12 @@ coordinate per epoch at sensitivity c, the sum is averaged and an SGD step
 taken), the ledger charges one Renyi curve per noise application, and the
 server aggregates by FedAvg or pairwise mode-connectivity merging.
 
+A run keeps one :class:`RdpLedger` with a row per client
+(:func:`client_ledger`): each row's per-application curve is computed once,
+at set-up, and a round charges every selected client's draws in one
+all-or-nothing ``spend``, so a halt leaves every row as it was.  FedAvg is
+one reduce over the weighted ``(k, dim)`` client stack.
+
 The model's parameters are laid out one row per class, ``(w_c, b_c)``: a
 vector is a ``(classes, features + 1)`` matrix and a stack of k vectors a
 ``(k * classes, features + 1)`` one.  Each shard keeps its rows with a
@@ -60,7 +66,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .accountant import PrivacyBudget, cached_rdp_curve
+from .accountant import PrivacyBudget, RdpLedger, cached_rdp_curve
 from .mechanisms import MechanismParams, NoiseStream, sample_noise_array
 from .mode_connectivity import CurveTrainConfig, mode_connect_aggregate
 
@@ -149,8 +155,17 @@ def load_csv_shard(path) -> DatasetShard:
                 raise ValueError(
                     f"shard CSV line {reader.line_num} has {len(row)} cells, but the header has {len(header)}"
                 )
-            feats.append([float(v) for v in row[:-1]])
-            labels.append(int(row[-1]))
+            cells = []
+            for col, (name, cell) in enumerate(zip(header, row), start=1):
+                parse, kind = (int, "an integer") if col == len(header) else (float, "a number")
+                try:
+                    cells.append(parse(cell))
+                except ValueError:
+                    raise ValueError(
+                        f"shard CSV line {reader.line_num}, column {col} ({name.strip()!r}): {cell!r} is not {kind}"
+                    ) from None
+            feats.append(cells[:-1])
+            labels.append(cells[-1])
     return DatasetShard(np.array(feats), np.array(labels, dtype=np.int64))
 
 
@@ -510,22 +525,25 @@ def heterogeneous_update(
 
 
 def fedavg_aggregate(models, weights) -> np.ndarray:
-    """Weighted average with weights renormalized over the given subset."""
-    models = [np.asarray(m, dtype=float) for m in models]
-    if not models:
+    """Weighted average of k model vectors, a sequence or a ``(k, dim)``
+    stack, with weights renormalized over the given subset.  One reduce adds
+    the weighted rows in order, as a running sum would."""
+    if len(models) == 0:
         raise ValueError("at least one model is required")
-    dim = models[0].shape
-    if any(m.shape != dim for m in models):
+    if len({np.shape(m) for m in models}) != 1:
         raise ValueError("all models must share one dimension")
+    stack = np.asarray(models, dtype=float)
+    if stack.ndim != 2:
+        raise ValueError("models must be vectors")
     w = np.asarray(weights, dtype=float)
-    if w.shape != (len(models),):
+    if w.shape != (len(stack),):
         raise ValueError("weights must match the number of models")
     if np.any(w < 0):
         raise ValueError("weights must be non-negative")
     total = w.sum()
     if total <= 0:
         raise ValueError("weights must not all be zero")
-    return sum(wi * m for wi, m in zip(w / total, models))
+    return np.add.reduce((w / total)[:, None] * stack, axis=0)
 
 
 def shuffle_updates(updates, stream: NoiseStream):
@@ -541,7 +559,7 @@ def run_round(
     server: ServerState,
     clients,
     model,
-    ledgers,
+    ledger: RdpLedger,
     master_seed: int,
     pool: DatasetShard,
     eval_shard: DatasetShard,
@@ -550,15 +568,17 @@ def run_round(
     prior_models: dict[int, np.ndarray] | None = None,
 ) -> RoundResult:
     """Execute one federated round; raises ``BudgetExhaustedError`` when any
-    selected client's ledger cannot cover its noise applications, and then
-    leaves every ledger as it was before the round.
+    selected client's ledger row cannot cover its noise applications, and
+    then leaves every row as it was before the round.
 
+    ``ledger`` holds one row per client, in id order (:func:`client_ledger`).
     The selected clients' local epochs run as one segmented batch
     (:func:`local_updates`): the matmuls stay per client, everything else is
-    shared.  ``train_loss`` is the mean cross-entropy over ``pool`` (every
-    client row) and ``eval_accuracy`` is scored on the held-out
-    ``eval_shard``; mode-connect curves train on ``curve_cfg.shard``, never
-    on ``eval_shard``.
+    shared.  Their noise draws are charged in one all-or-nothing
+    :meth:`RdpLedger.spend`.  ``train_loss`` is the mean cross-entropy over
+    ``pool`` (every client row) and ``eval_accuracy`` is scored on the
+    held-out ``eval_shard``; mode-connect curves train on ``curve_cfg.shard``,
+    never on ``eval_shard``.
     """
     clients = sorted(clients, key=lambda c: c.id)
     n_sel = math.ceil(server.selection_fraction * len(clients))
@@ -574,28 +594,20 @@ def run_round(
     streams = [NoiseStream(master_seed, server.round_t, cfg.id, "local-update") for cfg in selected]
     updates = local_updates(selected, server.global_model, model, streams, w_max=w_max, eps_max=eps_max)
 
-    # All or nothing: on the first halt, restore the ledgers spent this round.
-    # ``spend`` replaces ``gamma`` with a new array, so the saved one is intact.
-    spent = []
-    for cfg, upd in zip(selected, updates):
-        if cfg.mechanism is None or upd.noise_draws == 0:
-            continue
-        ledger = ledgers[cfg.id]
-        before = (ledger, ledger.gamma, ledger.rounds_composed)
-        curve = upd.noise_draws * cached_rdp_curve(cfg.mechanism, ledger.alpha_grid)
-        if ledger.spend(curve, cfg.budget).halted:
-            for led, gamma, rounds in spent:
-                led.gamma, led.rounds_composed = gamma, rounds
-            raise BudgetExhaustedError(
-                f"privacy budget exhausted at round {server.round_t} for client {cfg.id}"
-            )
-        spent.append(before)
+    # A noise-disabled client draws no noise, so only noised clients are charged.
+    draws = np.zeros(len(clients), dtype=int)
+    draws[chosen] = [u.noise_draws for u in updates]
+    decision = ledger.spend(draws)
+    if decision.halted:
+        raise BudgetExhaustedError(
+            f"privacy budget exhausted at round {server.round_t} for client {clients[decision.row].id}"
+        )
 
     pairs = [(u.client_id, u.params) for u in updates]
     if shuffle:
         pairs = shuffle_updates(pairs, NoiseStream(master_seed, server.round_t, 0, "shuffle"))
     if server.aggregator is Aggregator.FEDAVG:
-        new_global = fedavg_aggregate([p for _, p in pairs], [server.weights[cid] for cid, _ in pairs])
+        new_global = fedavg_aggregate([p for _, p in pairs], server.weights[[cid for cid, _ in pairs]])
     else:
         new_global = mode_connect_aggregate(
             [p for _, p in pairs],
@@ -606,22 +618,24 @@ def run_round(
     for upd in updates:
         prior_models[upd.client_id] = upd.params
 
-    cumulative = 0.0
-    for cfg in clients:
-        if cfg.mechanism is None:
-            cumulative = math.inf
-            break
-        eps_now, _ = ledgers[cfg.id].to_dp(cfg.budget.delta)
-        cumulative = max(cumulative, eps_now)
-
+    noised = all(cfg.mechanism is not None for cfg in clients)
     metrics = RoundMetrics(
         round_index=server.round_t,
-        cumulative_epsilon=cumulative,
+        cumulative_epsilon=float(ledger.to_dp()[0].max()) if noised else math.inf,
         train_loss=model.loss(new_global, pool),
         eval_accuracy=model.accuracy(new_global, eval_shard),
     )
     new_server = replace(server, global_model=new_global, round_t=server.round_t + 1)
     return RoundResult(server=new_server, metrics=metrics, client_models=prior_models)
+
+
+def client_ledger(clients, grid) -> RdpLedger:
+    """One ledger row per client, in id order: its budget and its
+    per-application curve on ``grid``, zero for a noise-disabled client
+    (which draws no noise and is never charged)."""
+    clients = sorted(clients, key=lambda c: c.id)
+    curves = [np.zeros(np.shape(grid)) if c.mechanism is None else cached_rdp_curve(c.mechanism, grid) for c in clients]
+    return RdpLedger(grid, curves, [c.budget for c in clients])
 
 
 @dataclass(frozen=True)

@@ -86,6 +86,20 @@ def _purpose_digest(purpose: str) -> int:
     return int.from_bytes(hashlib.blake2s(purpose.encode("utf-8"), digest_size=8).digest(), "big")
 
 
+def _seed_words(*values: int) -> np.ndarray:
+    """The 32-bit words of each non-negative int, least significant first,
+    with 0 as one word: the ``uint32`` array ``SeedSequence`` makes of a
+    tuple of ints."""
+    words = []
+    for value in values:
+        words.append(value & 0xFFFF_FFFF)
+        value >>= 32
+        while value:
+            words.append(value & 0xFFFF_FFFF)
+            value >>= 32
+    return np.array(words, dtype=np.uint32)
+
+
 @dataclass
 class NoiseStream:
     """Deterministic pseudo-random sub-stream handle.
@@ -93,6 +107,12 @@ class NoiseStream:
     The generator is derived from (master seed, round index, client index,
     purpose tag); identical derivation inputs yield identical sample sequences
     within one build.  Each concurrent caller must own its own stream.
+
+    The ``SeedSequence`` entropy is the 32-bit words of ``(master seed mod
+    2**64, round, client, blake2s digest of the purpose)``, handed over as
+    one ``uint32`` array: the words numpy would split that tuple of ints
+    into, so the draws are those of the tuple, at about half the set-up
+    cost.
     """
 
     master_seed: int
@@ -108,15 +128,13 @@ class NoiseStream:
     @property
     def rng(self) -> np.random.Generator:
         if self._rng is None:
-            seq = np.random.SeedSequence(
-                (
-                    self.master_seed & 0xFFFF_FFFF_FFFF_FFFF,
-                    self.round_index,
-                    self.client_index,
-                    _purpose_digest(self.purpose),
-                )
+            words = _seed_words(
+                self.master_seed & 0xFFFF_FFFF_FFFF_FFFF,
+                self.round_index,
+                self.client_index,
+                _purpose_digest(self.purpose),
             )
-            self._rng = np.random.default_rng(seq)
+            self._rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(words)))
         return self._rng
 
 
@@ -181,12 +199,15 @@ def sample_noise_array(params: MechanismParams, stream: NoiseStream, size: int) 
     delta, lam, nu = params.sensitivity, params.scale, params.nu
     e = math.exp(-lam)
     # band index: P(rho = i) = (1 - e^-lam) e^{-i lam}
-    rho = rng.geometric(1.0 - e, size) - 1
-    inner = rng.random(size) < nu / (nu + e * (1.0 - nu))
-    u = rng.random(size)
-    mag = np.where(inner, (rho + u * nu) * delta, (rho + nu + u * (1.0 - nu)) * delta)
-    sign = np.where(rng.random(size) < 0.5, -1.0, 1.0)
-    return sign * mag
+    rho = rng.geometric(1.0 - e, size) - 1.0
+    # One call draws the piece, the offset within it and the sign, in that
+    # order: the same doubles as three calls of ``size`` each.
+    piece, u, coin = rng.random((3, size))
+    inner = piece < nu / (nu + e * (1.0 - nu))
+    # In bands of width delta, the inner piece is [rho, rho + nu), the outer [rho + nu, rho + 1).
+    start = np.where(inner, rho, rho + nu)
+    width = np.where(inner, nu, 1.0 - nu)
+    return np.copysign((start + u * width) * delta, coin - 0.5)
 
 
 def rdp(params: MechanismParams, alpha: float) -> float:

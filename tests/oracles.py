@@ -120,6 +120,50 @@ def ks_statistic(samples, cdf_x, cdf_y):
     return float(max(np.max(np.abs(ecdf_hi - model)), np.max(np.abs(model - ecdf_lo))))
 
 
+def staircase_sample_parent(params, rng, size):
+    """The staircase sampler as first written: four draw calls, both band
+    pieces computed everywhere, and a +-1 sign multiplied in."""
+    delta, lam, nu = params.sensitivity, params.scale, params.nu
+    e = math.exp(-lam)
+    rho = rng.geometric(1.0 - e, size) - 1
+    inner = rng.random(size) < nu / (nu + e * (1.0 - nu))
+    u = rng.random(size)
+    mag = np.where(inner, (rho + u * nu) * delta, (rho + nu + u * (1.0 - nu)) * delta)
+    sign = np.where(rng.random(size) < 0.5, -1.0, 1.0)
+    return sign * mag
+
+
+def row_epsilon(gamma, budget, grid):
+    """One composed curve's epsilon at the budget's delta, order by order."""
+    return min(g + math.log(1.0 / budget.delta) / (a - 1.0) for g, a in zip(gamma, grid))
+
+
+def cumulative_epsilon(gamma, budgets, grid):
+    """The largest row epsilon of a ledger, each row at its own delta."""
+    return max(row_epsilon(g, b, grid) for g, b in zip(gamma, budgets))
+
+
+def sequential_spend(gamma, composed, curves, budgets, grid, draws):
+    """One round's charges, spent one client at a time in row order, as
+    separate per-client ledgers did: row k takes ``draws[k] * curves[k]``
+    unless that would exceed its budget epsilon, in which case every row
+    spent this round is restored.  Returns the new ``(gamma, composed,
+    halting row or None)``; the inputs are not modified."""
+    gamma, composed = gamma.copy(), composed.copy()
+    spent = []
+    for k, n in enumerate(draws):
+        if n == 0:
+            continue
+        trial = gamma[k] + n * curves[k]
+        if row_epsilon(trial, budgets[k], grid) > budgets[k].epsilon:
+            for row, old_gamma, old_composed in spent:
+                gamma[row], composed[row] = old_gamma, old_composed
+            return gamma, composed, k
+        spent.append((k, gamma[k].copy(), composed[k]))
+        gamma[k], composed[k] = trial, composed[k] + 1
+    return gamma, composed, None
+
+
 def central_difference_gradient(fn, w, h=1e-6):
     w = np.asarray(w, dtype=float)
     grad = np.zeros_like(w)

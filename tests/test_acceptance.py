@@ -177,9 +177,11 @@ def test_criterion_3_calibration_round_trip():
 
 
 def test_criterion_4_conversion_spot_value():
-    ledger = RdpLedger(np.arange(2.0, 65.0))
-    ledger.compose(rdp_curve(MechanismParams(MechanismKind.GAUSSIAN, 1.0, 1.0), ledger.alpha_grid))
-    eps, alpha = ledger.to_dp(DELTA)
+    grid = np.arange(2.0, 65.0)
+    curve = rdp_curve(MechanismParams(MechanismKind.GAUSSIAN, 1.0, 1.0), grid)
+    ledger = RdpLedger(grid, [curve], [PrivacyBudget(math.inf, DELTA, 1)])
+    ledger.spend([1])
+    (eps,), (alpha,) = ledger.to_dp()
     ok = abs(eps - 5.3026) <= 1e-3 and alpha == 6.0
     announce(4, ok, f"Gaussian T=1 conversion: eps={eps:.6f} at alpha={alpha:g}")
 
@@ -367,13 +369,13 @@ def test_criterion_10_privacy_ceiling(experiment_grid):
     from dpfed.fl_core import run_round
     from test_fl_core import build_federation
 
-    server, clients, model, ledgers, pool, eval_shard = build_federation(
+    server, clients, model, ledger, pool, eval_shard = build_federation(
         mech_kind=MechanismKind.GAUSSIAN, horizon=4
     )
     halted = False
     try:
         for _ in range(3):
-            server = run_round(server, clients, model, ledgers, 1, pool, eval_shard=eval_shard).server
+            server = run_round(server, clients, model, ledger, 1, pool, eval_shard=eval_shard).server
     except BudgetExhaustedError:
         halted = True
     announce(

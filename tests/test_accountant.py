@@ -19,17 +19,27 @@ from dpfed.accountant import (
     validate_alpha_grid,
 )
 from dpfed.mechanisms import MechanismKind, MechanismParams, pure_dp_epsilon, rdp
+from oracles import cumulative_epsilon, sequential_spend
 
 INT_GRID = np.arange(2.0, 65.0)
 DELTA = 1e-5
+UNBOUNDED = PrivacyBudget(math.inf, DELTA, 1)
+
+
+def one_row(grid, curve=None, budget=UNBOUNDED, gamma=None):
+    """A one-row ledger charging ``curve`` (zero by default) against
+    ``budget``, starting from ``gamma``."""
+    grid = np.asarray(grid, dtype=float)
+    curve = np.zeros_like(grid) if curve is None else curve
+    return RdpLedger(grid, [curve], [budget], gamma=None if gamma is None else [gamma])
 
 
 def composed_epsilon(params, T, delta, grid):
-    ledger = RdpLedger(grid)
-    curve = rdp_curve(params, grid)
+    ledger = one_row(grid, rdp_curve(params, grid), PrivacyBudget(math.inf, delta, T))
     for _ in range(T):
-        ledger.compose(curve)
-    return ledger.to_dp(delta)
+        ledger.spend([1])
+    (eps,), (alpha,) = ledger.to_dp()
+    return eps, alpha
 
 
 class TestGrid:
@@ -50,51 +60,76 @@ class TestGrid:
 
 class TestCompose:
     def test_identity(self):
-        ledger = RdpLedger(np.array([2.0, 4.0]), np.array([1.0, 2.0]))
-        ledger.compose([0.0, 0.0])
-        assert ledger.gamma.tolist() == [1.0, 2.0]
-        assert ledger.rounds_composed == 1
+        ledger = one_row(np.array([2.0, 4.0]), [0.0, 0.0], gamma=[1.0, 2.0])
+        ledger.spend([1])
+        assert ledger.gamma.tolist() == [[1.0, 2.0]]
+        assert ledger.rounds_composed.tolist() == [1]
 
     def test_additive(self):
-        ledger = RdpLedger(np.array([2.0, 4.0]), np.array([1.0, 2.0]))
-        ledger.compose([0.5, 0.5])
-        assert ledger.gamma.tolist() == [1.5, 2.5]
+        ledger = one_row(np.array([2.0, 4.0]), [0.5, 0.5], gamma=[1.0, 2.0])
+        ledger.spend([1])
+        assert ledger.gamma.tolist() == [[1.5, 2.5]]
 
     def test_repeated_equals_scaled(self):
         # dyadic curve values keep float addition exact
         curve = np.array([0.5, 0.25, 1.75])
-        ledger = RdpLedger(np.array([2.0, 3.0, 4.0]))
+        ledger = one_row(np.array([2.0, 3.0, 4.0]), curve)
         for _ in range(150):
-            ledger.compose(curve)
-        assert np.array_equal(ledger.gamma, 150 * curve)
-        assert ledger.rounds_composed == 150
+            ledger.spend([1])
+        assert np.array_equal(ledger.gamma[0], 150 * curve)
+        assert ledger.rounds_composed.tolist() == [150]
 
     def test_grid_mismatch(self):
-        ledger = RdpLedger(np.array([2.0, 4.0]))
         with pytest.raises(ValueError):
-            ledger.compose([1.0])
+            one_row(np.array([2.0, 4.0]), [1.0])
 
     def test_negative_curve_rejected(self):
-        ledger = RdpLedger(np.array([2.0, 4.0]))
         with pytest.raises(ValueError):
-            ledger.compose([-0.1, 0.0])
+            one_row(np.array([2.0, 4.0]), [-0.1, 0.0])
 
     def test_order_independent(self):
+        # Rounds of charges, composed in one order and in the reverse one.
         rng = np.random.default_rng(5)
-        curves = rng.uniform(0.0, 1.0, (6, 4))
-        a = RdpLedger(np.array([2.0, 3.0, 4.0, 5.0]))
-        b = RdpLedger(np.array([2.0, 3.0, 4.0, 5.0]))
-        for c in curves:
-            a.compose(c)
-        for c in curves[::-1]:
-            b.compose(c)
+        grid = np.array([2.0, 3.0, 4.0, 5.0])
+        curves = rng.uniform(0.0, 1.0, (3, 4))
+        rounds = rng.integers(0, 4, (6, 3))
+        a = RdpLedger(grid, curves, [UNBOUNDED] * 3)
+        b = RdpLedger(grid, curves, [UNBOUNDED] * 3)
+        for draws in rounds:
+            a.spend(draws)
+        for draws in rounds[::-1]:
+            b.spend(draws)
         assert np.allclose(a.gamma, b.gamma, rtol=1e-15)
+        assert np.array_equal(a.rounds_composed, b.rounds_composed)
+
+
+class TestLedgerSetUp:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_gamma_rejected(self, bad):
+        # A NaN gamma would never halt: ``nan > epsilon`` is False.
+        with pytest.raises(ValueError, match="gamma"):
+            one_row(np.array([2.0, 4.0]), budget=PrivacyBudget(1.0, DELTA, 1), gamma=[bad, bad])
+        with pytest.raises(ValueError, match="gamma"):
+            one_row(np.array([2.0, 4.0]), gamma=[0.5, bad])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_curve_rejected(self, bad):
+        with pytest.raises(ValueError, match="curve"):
+            one_row(np.array([2.0, 4.0]), [bad, 0.0])
+
+    def test_one_budget_and_one_gamma_row_per_curve(self):
+        grid = np.array([2.0, 4.0])
+        with pytest.raises(ValueError):
+            RdpLedger(grid, np.zeros((2, 2)), [UNBOUNDED])
+        with pytest.raises(ValueError):
+            RdpLedger(grid, np.zeros((2, 2)), [UNBOUNDED] * 2, gamma=np.zeros((1, 2)))
+        with pytest.raises(ValueError):
+            RdpLedger(grid, np.zeros((0, 2)), [])
 
 
 class TestToDp:
     def test_zero_ledger(self):
-        ledger = RdpLedger(INT_GRID)
-        eps, alpha = ledger.to_dp(DELTA)
+        (eps,), (alpha,) = one_row(INT_GRID).to_dp()
         assert alpha == 64.0
         assert eps == pytest.approx(math.log(1e5) / 63.0, rel=1e-12)
 
@@ -106,24 +141,27 @@ class TestToDp:
         assert alpha == 6.0
 
     def test_zero_scaling_argmin_at_largest_alpha(self):
-        ledger = RdpLedger(INT_GRID, 0.0 * np.arange(63.0))
-        assert ledger.to_dp(DELTA)[1] == 64.0
+        ledger = one_row(INT_GRID, gamma=0.0 * np.arange(63.0))
+        assert ledger.to_dp()[1][0] == 64.0
 
     def test_monotone_in_ledger(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
             g = rng.uniform(0.0, 2.0, INT_GRID.size)
             bump = rng.uniform(0.0, 0.5, INT_GRID.size)
-            eps_small, _ = RdpLedger(INT_GRID, g).to_dp(DELTA)
-            eps_large, _ = RdpLedger(INT_GRID, g + bump).to_dp(DELTA)
+            eps_small = one_row(INT_GRID, gamma=g).to_dp()[0][0]
+            eps_large = one_row(INT_GRID, gamma=g + bump).to_dp()[0][0]
             assert eps_large >= eps_small
 
     def test_delta_domain(self):
-        ledger = RdpLedger(INT_GRID)
-        with pytest.raises(ValueError):
-            ledger.to_dp(0.0)
-        with pytest.raises(ValueError):
-            ledger.to_dp(1.0)
+        # Each row converts at its own budget's delta, which lies in (0, 1).
+        for delta in (0.0, 1.0):
+            with pytest.raises(ValueError):
+                one_row(INT_GRID, budget=PrivacyBudget(1.0, delta, 1))
+        ledger = RdpLedger(INT_GRID, np.zeros((2, 63)), [UNBOUNDED, PrivacyBudget(math.inf, 1e-3, 1)])
+        eps, alpha = ledger.to_dp()
+        assert eps.tolist() == pytest.approx([math.log(1e5) / 63.0, math.log(1e3) / 63.0], rel=1e-12)
+        assert alpha.tolist() == [64.0, 64.0]
 
 
 calibrated_mechanisms = st.lists(
@@ -141,33 +179,66 @@ class TestSpend:
         spends=st.lists(st.tuples(st.integers(0, 2), st.integers(1, 3)), min_size=1, max_size=40),
     )
     def test_property_random_spend_sequences(self, mechanisms, budget_eps, spends):
-        # Curves of calibrated mechanisms, each charged 1-3 times per spend
-        # (one charge per noise draw), against a budget of their own.
+        # One row per calibrated mechanism, each spend charging one row 1-3
+        # times (one charge per noise draw), against a budget of their own.
         grid = default_alpha_grid()
         curves = [
             rdp_curve(calibrate_noise(kind, 1.0, PrivacyBudget(eps, DELTA, horizon)).mechanism, grid)
             for kind, eps, horizon in mechanisms
         ]
         budget = PrivacyBudget(budget_eps, DELTA, 1)
-        ledger = RdpLedger(grid)
-        last_eps, _ = ledger.to_dp(DELTA)
+        ledger = RdpLedger(grid, curves, [budget] * len(curves))
+        last_eps, _ = ledger.to_dp()
         for which, draws in spends:
-            gamma, composed = ledger.gamma.copy(), ledger.rounds_composed
-            decision = ledger.spend(draws * curves[which % len(curves)], budget)
-            eps, _ = ledger.to_dp(DELTA)
-            assert eps >= last_eps
+            row = which % len(curves)
+            charge = np.zeros(len(curves), dtype=int)
+            charge[row] = draws
+            gamma, composed = ledger.gamma.copy(), ledger.rounds_composed.copy()
+            decision = ledger.spend(charge)
+            eps, _ = ledger.to_dp()
+            assert np.all(eps >= last_eps)
             if decision.halted:
+                assert decision.row == row
                 assert np.array_equal(ledger.gamma, gamma)
-                assert ledger.rounds_composed == composed
+                assert np.array_equal(ledger.rounds_composed, composed)
             else:
-                assert eps <= budget.epsilon
-                assert ledger.rounds_composed == composed + 1
+                assert np.all(eps <= budget.epsilon)
+                assert np.array_equal(ledger.rounds_composed, composed + (charge > 0))
             last_eps = eps
 
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(
+        rows=st.lists(
+            st.tuples(st.sampled_from(list(MechanismKind)), st.floats(0.3, 8.0), st.floats(0.5, 16.0)),
+            min_size=1,
+            max_size=4,
+        ),
+        rounds=st.lists(st.lists(st.integers(0, 3), min_size=4, max_size=4), min_size=1, max_size=30),
+    )
+    def test_property_one_step_matches_sequential_spends(self, rows, rounds):
+        # The all-or-nothing spend of a round's draws against charging one
+        # row at a time in row order, restoring the round's rows on a halt.
+        grid = default_alpha_grid()
+        curves = []
+        for kind, scale, _ in rows:
+            nu = optimal_staircase_nu(scale) if kind is MechanismKind.STAIRCASE else None
+            curves.append(rdp_curve(MechanismParams(kind, 1.0, scale, nu=nu), grid))
+        budgets = [PrivacyBudget(eps, DELTA, 1) for _, _, eps in rows]
+        ledger = RdpLedger(grid, curves, budgets)
+        gamma, composed = ledger.gamma.copy(), ledger.rounds_composed.copy()
+        for draws in rounds:
+            draws = np.array(draws[: len(rows)])
+            decision = ledger.spend(draws)
+            gamma, composed, halting = sequential_spend(gamma, composed, curves, budgets, grid, draws)
+            assert np.array_equal(ledger.gamma, gamma)
+            assert np.array_equal(ledger.rounds_composed, composed)
+            assert decision.halted == (halting is not None)
+            assert decision.row == halting
+            assert ledger.to_dp()[0].max() == cumulative_epsilon(gamma, budgets, grid)
+
     def test_continue_with_headroom(self):
-        ledger = RdpLedger(INT_GRID)
-        budget = PrivacyBudget(1.0, DELTA, 10)
-        decision = ledger.spend(np.zeros(INT_GRID.size), budget)
+        ledger = one_row(INT_GRID, budget=PrivacyBudget(1.0, DELTA, 10))
+        decision = ledger.spend([1])
         assert not decision.halted
         assert decision  # truthy: training may continue
         assert decision.remaining_epsilon == pytest.approx(1.0 - math.log(1e5) / 63.0, rel=1e-12)
@@ -175,24 +246,40 @@ class TestSpend:
     def test_halt_leaves_ledger_unchanged(self):
         params = MechanismParams(MechanismKind.GAUSSIAN, 1.0, 1.0)
         curve = rdp_curve(params, INT_GRID)
-        ledger = RdpLedger(INT_GRID)
-        budget = PrivacyBudget(6.0, DELTA, 1)
-        assert not ledger.spend(curve, budget).halted
+        ledger = one_row(INT_GRID, curve, PrivacyBudget(6.0, DELTA, 1))
+        assert not ledger.spend([1]).halted
         before = ledger.gamma.copy()
-        decision = ledger.spend(curve, budget)
+        decision = ledger.spend([1])
         assert decision.halted
         assert not decision
+        assert decision.row == 0
         assert np.array_equal(ledger.gamma, before)
-        assert ledger.rounds_composed == 1
+        assert ledger.rounds_composed.tolist() == [1]
+
+    def test_halt_names_the_first_row_over_budget_and_commits_no_row(self):
+        params = MechanismParams(MechanismKind.GAUSSIAN, 1.0, 1.0)
+        curve = rdp_curve(params, INT_GRID)
+        tight, loose = PrivacyBudget(6.0, DELTA, 1), PrivacyBudget(100.0, DELTA, 1)
+        ledger = RdpLedger(INT_GRID, [curve] * 4, [loose, tight, loose, tight])
+        assert ledger.spend([1, 1, 1, 1])
+        gamma = ledger.gamma
+        decision = ledger.spend([1, 1, 1, 1])
+        assert decision.halted and decision.row == 1
+        assert ledger.gamma is gamma
+        assert ledger.rounds_composed.tolist() == [1, 1, 1, 1]
+        # Only charged rows count a round.
+        assert ledger.spend([2, 0, 1, 0])
+        assert ledger.rounds_composed.tolist() == [2, 1, 2, 1]
+        assert np.array_equal(ledger.gamma[1], gamma[1])
 
     def test_calibrated_horizon_is_exact(self):
         budget = PrivacyBudget(4.0, DELTA, 50)
         result = calibrate_noise(MechanismKind.GAUSSIAN, 1.0, budget, grid=INT_GRID)
         curve = rdp_curve(result.mechanism, INT_GRID)
-        ledger = RdpLedger(INT_GRID)
+        ledger = one_row(INT_GRID, curve, budget)
         for _ in range(50):
-            assert not ledger.spend(curve, budget).halted
-        assert ledger.spend(curve, budget).halted
+            assert not ledger.spend([1]).halted
+        assert ledger.spend([1]).halted
 
     def test_spend_at_the_boundary(self):
         # a halt leaves the same, unmodified array; a commit replaces it and
@@ -200,34 +287,32 @@ class TestSpend:
         params = MechanismParams(MechanismKind.GAUSSIAN, 1.0, 1.0)
         curve = rdp_curve(params, INT_GRID)
         start = np.random.default_rng(3).uniform(0.0, 0.5, INT_GRID.size)
-        eps_after, _ = RdpLedger(INT_GRID, start + curve).to_dp(DELTA)
+        eps_after = one_row(INT_GRID, gamma=start + curve).to_dp()[0][0]
         for eps, affordable in [
             (eps_after * (1.0 - 1e-9), False),
             (eps_after, True),
             (eps_after * (1.0 + 1e-9), True),
         ]:
             budget = PrivacyBudget(eps, DELTA, 1)
-            ledger = RdpLedger(INT_GRID, start.copy())
+            ledger = one_row(INT_GRID, curve, budget, gamma=start.copy())
             gamma = ledger.gamma
-            assert ledger.spend(curve, budget).halted is not affordable
-            assert np.array_equal(gamma, start)
+            assert ledger.spend([1]).halted is not affordable
+            assert np.array_equal(gamma[0], start)
             if affordable:
                 assert ledger.gamma is not gamma
-                assert np.array_equal(ledger.gamma, start + curve)
-                assert ledger.rounds_composed == 1
+                assert np.array_equal(ledger.gamma[0], start + curve)
+                assert ledger.rounds_composed.tolist() == [1]
             else:
                 assert ledger.gamma is gamma
-                assert ledger.rounds_composed == 0
+                assert ledger.rounds_composed.tolist() == [0]
 
-    def test_spend_checks_the_curve(self):
-        ledger = RdpLedger(np.array([2.0, 4.0]))
-        budget = PrivacyBudget(1.0, DELTA, 1)
-        with pytest.raises(ValueError):
-            ledger.spend([1.0], budget)
-        with pytest.raises(ValueError):
-            ledger.spend([-0.1, 0.0], budget)
-        assert np.array_equal(ledger.gamma, np.zeros(2))
-        assert ledger.rounds_composed == 0
+    def test_spend_checks_the_draws(self):
+        ledger = RdpLedger(np.array([2.0, 4.0]), np.ones((2, 2)), [PrivacyBudget(1.0, DELTA, 1)] * 2)
+        for bad in ([1], [1, 1, 1], [-1, 0], [0.5, 0.0]):
+            with pytest.raises(ValueError):
+                ledger.spend(bad)
+        assert np.array_equal(ledger.gamma, np.zeros((2, 2)))
+        assert ledger.rounds_composed.tolist() == [0, 0]
 
 
 class TestCalibration:
@@ -355,11 +440,10 @@ class TestRefusalInvariant:
         rng = np.random.default_rng(21)
         grid = default_alpha_grid()
         params = MechanismParams(MechanismKind.LAPLACE, 1.0, rng.uniform(1.0, 5.0))
-        ledger = RdpLedger(grid)
-        curve = rdp_curve(params, grid)
+        ledger = one_row(grid, rdp_curve(params, grid))
         for t in range(1, 30):
-            ledger.compose(curve)
-            eps, _ = ledger.to_dp(DELTA)
+            ledger.spend([1])
+            (eps,), _ = ledger.to_dp()
             truth = min(
                 t * rdp(params, a) + math.log(1e5) / (a - 1.0) for a in grid
             )

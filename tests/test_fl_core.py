@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpfed.accountant import PrivacyBudget, RdpLedger, calibrate_noise, default_alpha_grid, rdp_curve
+from dpfed.accountant import PrivacyBudget, calibrate_noise, default_alpha_grid, rdp_curve
 from dpfed.fl_core import (
     Aggregator,
     BudgetExhaustedError,
@@ -15,6 +15,7 @@ from dpfed.fl_core import (
     Federation,
     LogisticRegressionModel,
     ServerState,
+    client_ledger,
     fedavg_aggregate,
     heterogeneity_penalty,
     heterogeneous_update,
@@ -70,6 +71,19 @@ class TestShard:
         path = tmp_path / "shard.csv"
         path.write_text("x0,label\n" + rows, encoding="utf-8")
         with pytest.raises(ValueError, match=f"line {bad_line} has \\d cells, but the header has 2"):
+            load_csv_shard(path)
+
+    @pytest.mark.parametrize(
+        "rows, where",
+        [
+            ("0.5,-1.25,0\n2.0,3.5,1.5\n", "line 3, column 3 \\('label'\\): '1.5' is not an integer"),
+            ("0.5,abc,0\n", "line 2, column 2 \\('x1'\\): 'abc' is not a number"),
+        ],
+    )
+    def test_csv_cell_that_does_not_parse_is_named(self, tmp_path, rows, where):
+        path = tmp_path / "shard.csv"
+        path.write_text("x0,x1,label\n" + rows, encoding="utf-8")
+        with pytest.raises(ValueError, match=where):
             load_csv_shard(path)
 
     def test_csv_round_trip(self, tmp_path):
@@ -614,17 +628,17 @@ class TestLocalUpdates:
     def test_returned_models_outlive_the_next_round(self):
         # Round t's client models are rows of one stack, and round t + 1
         # pulls toward the anchor's (a view of that stack).
-        server, clients, model, ledgers, pool, eval_shard = build_federation(
+        server, clients, model, ledger, pool, eval_shard = build_federation(
             mech_kind=MechanismKind.GAUSSIAN, eps_list=[2.0, 4.0, 6.0, 8.0]
         )
         prior = None
         for _ in range(3):
             result = run_round(
-                server, clients, model, ledgers, 12, pool, eval_shard=eval_shard, prior_models=prior
+                server, clients, model, ledger, 12, pool, eval_shard=eval_shard, prior_models=prior
             )
             kept = {cid: w.copy() for cid, w in result.client_models.items()}
             server, prior = result.server, result.client_models
-            run_round(server, clients, model, ledgers, 12, pool, eval_shard=eval_shard, prior_models=prior)
+            run_round(server, clients, model, ledger, 12, pool, eval_shard=eval_shard, prior_models=prior)
             for cid, w in kept.items():
                 assert np.array_equal(prior[cid], w)
 
@@ -745,7 +759,7 @@ def build_federation(
     fed = make_synthetic_federation(n_clients, 60, 5, 3, seed=seed)
     model = LogisticRegressionModel(3, 5)
     grid = default_alpha_grid()
-    clients, ledgers = [], {}
+    clients = []
     for cid, shard in enumerate(fed.clients):
         eps_k = eps_list[cid] if eps_list else epsilon
         budget = PrivacyBudget(eps_k if mech_kind else math.inf, 1e-5, horizons[cid] if horizons else horizon)
@@ -764,7 +778,7 @@ def build_federation(
                 learning_rate=0.05,
             )
         )
-        ledgers[cid] = RdpLedger(grid)
+    ledger = client_ledger(clients, grid)
     server = ServerState(
         global_model=model.init_params(),
         round_t=0,
@@ -772,50 +786,50 @@ def build_federation(
         aggregator=aggregator,
         selection_fraction=1.0,
     )
-    return server, clients, model, ledgers, fed.pool, fed.eval
+    return server, clients, model, ledger, fed.pool, fed.eval
 
 
 class TestRunRound:
     def test_noiseless_full_participation_loss_non_increasing(self):
-        server, clients, model, ledgers, pool, eval_shard = build_federation()
+        server, clients, model, ledger, pool, eval_shard = build_federation()
         for cfg in clients:
             cfg.sample_rate_q = 1.0
             cfg.local_epochs_I = 1
             cfg.clip_c = 1000.0
         losses = []
         for _ in range(20):
-            result = run_round(server, clients, model, ledgers, 7, pool, eval_shard=eval_shard)
+            result = run_round(server, clients, model, ledger, 7, pool, eval_shard=eval_shard)
             server = result.server
             losses.append(result.metrics.train_loss)
         assert all(b <= a + 1e-9 for a, b in zip(losses, losses[1:]))
 
     def test_budget_ceiling_and_halt(self):
         horizon = 10  # 5 rounds x 2 local epochs
-        server, clients, model, ledgers, pool, eval_shard = build_federation(
+        server, clients, model, ledger, pool, eval_shard = build_federation(
             mech_kind=MechanismKind.GAUSSIAN, horizon=horizon
         )
         metrics = []
         for _ in range(5):
-            result = run_round(server, clients, model, ledgers, 3, pool, eval_shard=eval_shard)
+            result = run_round(server, clients, model, ledger, 3, pool, eval_shard=eval_shard)
             server = result.server
             metrics.append(result.metrics)
         assert all(m.cumulative_epsilon <= 8.0 for m in metrics)
         assert metrics[-1].cumulative_epsilon == pytest.approx(8.0, abs=1e-3)
         with pytest.raises(BudgetExhaustedError):
-            run_round(server, clients, model, ledgers, 3, pool, eval_shard=eval_shard)
-        # ledgers unchanged by the aborted round
-        eps_after, _ = ledgers[0].to_dp(1e-5)
+            run_round(server, clients, model, ledger, 3, pool, eval_shard=eval_shard)
+        # ledger rows unchanged by the aborted round
+        eps_after = ledger.to_dp()[0][0]
         assert eps_after <= 8.0
 
     def test_metrics_count_and_determinism(self):
         rows = []
         for attempt in range(2):
-            server, clients, model, ledgers, pool, eval_shard = build_federation(
+            server, clients, model, ledger, pool, eval_shard = build_federation(
                 mech_kind=MechanismKind.STAIRCASE
             )
             acc = []
             for _ in range(3):
-                result = run_round(server, clients, model, ledgers, 11, pool, eval_shard=eval_shard)
+                result = run_round(server, clients, model, ledger, 11, pool, eval_shard=eval_shard)
                 server = result.server
                 acc.append(result.metrics)
             rows.append(acc)
@@ -824,37 +838,37 @@ class TestRunRound:
             assert a == b
 
     def test_selection_fraction(self):
-        server, clients, model, ledgers, pool, eval_shard = build_federation()
+        server, clients, model, ledger, pool, eval_shard = build_federation()
         server.selection_fraction = 0.5
-        result = run_round(server, clients, model, ledgers, 4, pool, eval_shard=eval_shard)
+        result = run_round(server, clients, model, ledger, 4, pool, eval_shard=eval_shard)
         # only ceil(0.5 * 4) = 2 clients trained: the others left no local model
         assert len(result.client_models) == 2
 
     def test_mode_connect_round_runs(self):
-        server, clients, model, ledgers, pool, eval_shard = build_federation(
+        server, clients, model, ledger, pool, eval_shard = build_federation(
             aggregator=Aggregator.MODE_CONNECT
         )
-        result = run_round(server, clients, model, ledgers, 5, pool, eval_shard=eval_shard)
+        result = run_round(server, clients, model, ledger, 5, pool, eval_shard=eval_shard)
         assert result.server.global_model.shape == server.global_model.shape
 
     def test_heterogeneous_epsilons_round(self):
-        server, clients, model, ledgers, pool, eval_shard = build_federation(
+        server, clients, model, ledger, pool, eval_shard = build_federation(
             mech_kind=MechanismKind.GAUSSIAN, eps_list=[2.0, 4.0, 6.0, 8.0]
         )
-        result = run_round(server, clients, model, ledgers, 6, pool, eval_shard=eval_shard)
+        result = run_round(server, clients, model, ledger, 6, pool, eval_shard=eval_shard)
         # system epsilon is the per-client maximum
-        per_client = [ledgers[c.id].to_dp(1e-5)[0] for c in clients]
+        per_client = [ledger.to_dp()[0][c.id] for c in clients]
         assert result.metrics.cumulative_epsilon == pytest.approx(max(per_client), rel=1e-12)
         # weaker-budget clients got more noise
         scales = [c.mechanism.scale for c in clients]
         assert scales == sorted(scales, reverse=True)
 
     def test_shuffled_round_fedavg_invariant(self):
-        a_server, clients, model, ledgers, pool, eval_shard = build_federation()
-        a = run_round(a_server, clients, model, ledgers, 9, pool, eval_shard=eval_shard)
-        b_server, clients2, model2, ledgers2, pool2, eval_shard2 = build_federation()
+        a_server, clients, model, ledger, pool, eval_shard = build_federation()
+        a = run_round(a_server, clients, model, ledger, 9, pool, eval_shard=eval_shard)
+        b_server, clients2, model2, ledger2, pool2, eval_shard2 = build_federation()
         b = run_round(
-            b_server, clients2, model2, ledgers2, 9, pool2, eval_shard=eval_shard2, shuffle=True
+            b_server, clients2, model2, ledger2, 9, pool2, eval_shard=eval_shard2, shuffle=True
         )
         # equal weights: FedAvg is order-invariant, so shuffling changes nothing
         assert np.allclose(a.server.global_model, b.server.global_model, rtol=1e-12)
@@ -873,7 +887,7 @@ class TestRunRound:
         n = min(len(eps_list), len(rounds))
         eps_list, rounds = eps_list[:n], rounds[:n]
         rounds[0] = min(rounds[1:]) + first_extra
-        server, clients, model, ledgers, pool, eval_shard = build_federation(
+        server, clients, model, ledger, pool, eval_shard = build_federation(
             n_clients=n,
             mech_kind=MechanismKind.GAUSSIAN,
             eps_list=eps_list,
@@ -884,16 +898,17 @@ class TestRunRound:
             cfg.local_epochs_I = epochs
         grid = default_alpha_grid()
         for t in range(min(rounds) + 1):
-            before = {cid: (led.gamma.copy(), led.rounds_composed) for cid, led in ledgers.items()}
+            before = {c.id: (ledger.gamma[c.id].copy(), ledger.rounds_composed[c.id]) for c in clients}
             if t == min(rounds):
-                with pytest.raises(BudgetExhaustedError):
-                    run_round(server, clients, model, ledgers, 21, pool, eval_shard=eval_shard)
+                # The halt names the first client, in id order, that is out of rounds.
+                with pytest.raises(BudgetExhaustedError, match=f"for client {rounds.index(t)}$"):
+                    run_round(server, clients, model, ledger, 21, pool, eval_shard=eval_shard)
                 for cid, (gamma, composed) in before.items():
-                    assert np.array_equal(ledgers[cid].gamma, gamma)
-                    assert ledgers[cid].rounds_composed == composed
+                    assert np.array_equal(ledger.gamma[cid], gamma)
+                    assert ledger.rounds_composed[cid] == composed
                 return
-            server = run_round(server, clients, model, ledgers, 21, pool, eval_shard=eval_shard).server
+            server = run_round(server, clients, model, ledger, 21, pool, eval_shard=eval_shard).server
             for cfg in clients:
                 charge = epochs * rdp_curve(cfg.mechanism, grid)
-                assert np.array_equal(ledgers[cfg.id].gamma, before[cfg.id][0] + charge)
-                assert ledgers[cfg.id].rounds_composed == before[cfg.id][1] + 1
+                assert np.array_equal(ledger.gamma[cfg.id], before[cfg.id][0] + charge)
+                assert ledger.rounds_composed[cfg.id] == before[cfg.id][1] + 1

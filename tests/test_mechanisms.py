@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -25,6 +26,7 @@ from oracles import (
     staircase_band_edges_and_cdf,
     staircase_knots,
     staircase_logpdf,
+    staircase_sample_parent,
     ks_statistic,
 )
 
@@ -197,6 +199,32 @@ class TestSampling:
         assert np.array_equal(a, b)
         c = sample_noise_array(p, NoiseStream(42, 3, 6, "noise"), 64)
         assert not np.array_equal(a, c)
+
+    @pytest.mark.parametrize("seed", [0, -1, 2**32 - 1, 2**32, 2**64 - 1, 12345])
+    @pytest.mark.parametrize("round_index, client_index", [(0, 0), (0, 2**32), (2**32, 0), (2**40 + 3, 2**33 + 7)])
+    def test_stream_draws_are_those_of_tuple_seeding(self, seed, round_index, client_index):
+        # Seeding from the words of (seed mod 2**64, round, client, purpose
+        # digest) must draw exactly what seeding from the tuple of ints does.
+        for purpose in ("noise", "local-update", "client-selection", ""):
+            digest = int.from_bytes(hashlib.blake2s(purpose.encode("utf-8"), digest_size=8).digest(), "big")
+            seq = np.random.SeedSequence((seed & (2**64 - 1), round_index, client_index, digest))
+            want = np.random.default_rng(seq)
+            got = NoiseStream(seed, round_index, client_index, purpose).rng
+            assert np.array_equal(got.random(8), want.random(8)), purpose
+            assert np.array_equal(got.integers(0, 2**63, 4), want.integers(0, 2**63, 4)), purpose
+
+    @pytest.mark.parametrize("lam, nu, delta", [(0.02, 0.49, 1.0), (0.7, 0.4, 1.0), (3.0, 0.18, 2.5), (12.0, 0.9, 0.3)])
+    def test_staircase_draws_are_those_of_the_four_call_sampler(self, lam, nu, delta):
+        # Same values to the bit (zero signs included), and the stream ends
+        # at the same position.
+        p = stair(lam, nu, delta)
+        for seed in range(20):
+            got_stream, want_stream = NoiseStream(seed, 1, 2, "noise"), NoiseStream(seed, 1, 2, "noise")
+            got = sample_noise_array(p, got_stream, 500)
+            want = staircase_sample_parent(p, want_stream.rng, 500)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+            assert got_stream.rng.random() == want_stream.rng.random()
 
     def test_scalar_draw_matches_stream(self):
         p = gauss(2.0)
