@@ -291,33 +291,26 @@ def run_experiment(cfg: ExperimentConfig, csv_stream=None) -> ExperimentResult:
     # A noise-disabled run has epsilon = inf and no heterogeneous epsilons.
     eps_list = cfg.heterogeneous_epsilons or (cfg.epsilon,) * cfg.clients
     clients = []
-    for cid, (shard, eps_k) in enumerate(zip(fed.clients, eps_list)):
+    for cid, eps_k in enumerate(eps_list):
         budget = PrivacyBudget(eps_k, cfg.delta, cfg.horizon)
         mech = None if cfg.noise_disabled else _calibrate_cached(kind, cfg.clip, budget).mechanism
-        clients.append(
-            ClientConfig(
-                id=cid,
-                shard=shard,
-                budget=budget,
-                mechanism=mech,
-                clip_c=cfg.clip,
-                sample_rate_q=cfg.sample_rate,
-                local_epochs_I=cfg.local_epochs,
-                learning_rate=cfg.learning_rate,
-            )
-        )
+        clients.append(ClientConfig(id=cid, budget=budget, mechanism=mech))
     ledger = client_ledger(clients, default_alpha_grid())
     scale = max((c.mechanism.scale for c in clients if c.mechanism), default=math.inf)
     run_cells = f"{cfg.mechanism},{_format_value(scale)},{cfg.seed}"
 
     # The pooled train loss is the sizes-weighted mean of the shard losses.
-    sizes = np.array([s.n for s in fed.clients], dtype=float)
+    sizes = np.diff(fed.bounds).astype(float)
     server = ServerState(
         global_model=model.init_params(),
         round_t=0,
         weights=sizes / sizes.sum(),
         aggregator=Aggregator(cfg.aggregator),
         selection_fraction=cfg.selection_fraction,
+        clip_c=cfg.clip,
+        sample_rate_q=cfg.sample_rate,
+        local_epochs_I=cfg.local_epochs,
+        learning_rate=cfg.learning_rate,
     )
     curve_cfg = None
     if server.aggregator is Aggregator.MODE_CONNECT:
@@ -336,8 +329,7 @@ def run_experiment(cfg: ExperimentConfig, csv_stream=None) -> ExperimentResult:
                 model,
                 ledger,
                 cfg.seed,
-                fed.pool,
-                fed.eval,
+                fed,
                 shuffle=cfg.shuffle,
                 curve_cfg=curve_cfg,
                 prior_models=prior_models,

@@ -34,12 +34,15 @@ gradient is bound once to a shard and a stack size
 (:meth:`LogisticRegressionModel.stack_gradient`) and owns its buffers, so
 each step of mode-connect curve training allocates nothing.
 
+A run has one local-training plan, kept on :class:`ServerState` (clip bound,
+sampling rate, epochs, step); only budgets and mechanisms differ per client.
 A round's client epochs run as one segmented batch (:func:`local_updates`):
-each epoch the selected clients' sampled rows are concatenated, one segment
-per client.  The logits and clipped-sum matmuls stay per client, so each
-client's update keeps its bits; the softmax, ghost norms, clip factors, noise
-gather, averaging and the heterogeneous step run once over the batch and the
-``(k, dim)`` stack of client models.
+each epoch every selected client samples its own row range of the pool, and
+the sampled pool rows are one ``take``, one segment per client.  The logits
+and clipped-sum matmuls stay per client, so each client's update keeps its
+bits; the softmax, ghost norms, clip factors, noise gather, averaging and the
+heterogeneous step run once over the batch and the ``(k, dim)`` stack of
+client models.
 
 A run's rows are built once, as one shard whose row ranges are its data roles
 (:class:`Federation`): the clients, whose pool gives the CSV ``train_loss``,
@@ -243,16 +246,15 @@ class LogisticRegressionModel:
         return np.einsum("cn,nf->ncf", resid, shard.augmented).reshape(shard.n, self.dim)
 
     def clipped_gradient_sum(
-        self, w: np.ndarray, rows: np.ndarray, labels: np.ndarray, ghost_term: np.ndarray, c, bounds
+        self, w: np.ndarray, rows: np.ndarray, labels: np.ndarray, ghost_term: np.ndarray, c: float, bounds
     ) -> np.ndarray:
         """Per segment, the sum over its augmented ``rows`` of each
         per-example gradient clipped to l2 norm ``c``.
 
         The batch is split into segments ``bounds[j]:bounds[j + 1]``, each
-        with its own model, row j of the ``(k, dim)`` stack ``w``, and its
-        own clip bound ``c[j]``; the result is the ``(k, dim)`` stack of the
-        segments' clipped sums.  One batch alone is the one-segment case:
-        ``w[None]``, ``[c]`` and bounds ``(0, n)``.
+        with its own model, row j of the ``(k, dim)`` stack ``w``; the result
+        is the ``(k, dim)`` stack of the segments' clipped sums.  One batch
+        alone is the one-segment case: ``w[None]`` and bounds ``(0, n)``.
 
         Row i's gradient is the outer product of its residual ``p_i`` with
         ``(x_i, 1)``, so its norm is ``||p_i|| sqrt(ghost_term[i])`` with
@@ -269,7 +271,7 @@ class LogisticRegressionModel:
             raise ValueError(f"{len(w)} models need {len(w) + 1} segment bounds from 0 to {rows.shape[0]}")
         resid = self._residuals(w, rows, _label_index(labels), bounds)
         norms = np.sqrt((resid * resid).sum(axis=0) * ghost_term)
-        resid *= np.minimum(1.0, np.repeat(c, np.diff(bounds)) / np.maximum(norms, 1e-300))
+        resid *= np.minimum(1.0, c / np.maximum(norms, 1e-300))
         sums = np.empty((len(w), self.classes, self.features + 1))
         for out, a, b in zip(sums, bounds[:-1], bounds[1:]):
             np.matmul(resid[:, a:b], rows[a:b], out=out)
@@ -342,32 +344,13 @@ def _softmax_residuals(logits: np.ndarray, hot: np.ndarray, col: np.ndarray | No
 
 @dataclass
 class ClientConfig:
-    """One client.  Its mechanism is calibrated against ``budget`` and its
-    ledger charged against it; a noise-disabled client has no mechanism and
-    a budget of epsilon = inf."""
+    """One client: only what differs per client.  Its mechanism is calibrated
+    against ``budget`` and its ledger charged against it; a noise-disabled
+    client has no mechanism and a budget of epsilon = inf."""
 
     id: int
-    shard: DatasetShard
     budget: PrivacyBudget
     mechanism: MechanismParams | None
-    clip_c: float
-    sample_rate_q: float
-    local_epochs_I: int
-    learning_rate: float
-
-    def __post_init__(self) -> None:
-        if not self.clip_c > 0:
-            raise ValueError(f"clip bound must be positive, got {self.clip_c}")
-        if not (0.0 < self.sample_rate_q <= 1.0):
-            raise ValueError(f"sample rate must lie in (0, 1], got {self.sample_rate_q}")
-        if self.local_epochs_I < 1:
-            raise ValueError(f"local epochs must be >= 1, got {self.local_epochs_I}")
-        if not self.learning_rate > 0:
-            raise ValueError(f"learning rate must be positive, got {self.learning_rate}")
-        if self.mechanism is not None and not math.isclose(self.mechanism.sensitivity, self.clip_c):
-            raise ValueError(
-                f"mechanism sensitivity {self.mechanism.sensitivity} must equal the clip bound {self.clip_c}"
-            )
 
 
 class Aggregator(enum.Enum):
@@ -377,11 +360,19 @@ class Aggregator(enum.Enum):
 
 @dataclass
 class ServerState:
+    """The global model and round, and the run's plan: selection, aggregation
+    and the one local-training plan of every client (clip bound, sampling
+    rate, epochs and step)."""
+
     global_model: np.ndarray
     round_t: int
     weights: np.ndarray
     aggregator: Aggregator
     selection_fraction: float
+    clip_c: float
+    sample_rate_q: float
+    local_epochs_I: int
+    learning_rate: float
 
     def __post_init__(self) -> None:
         self.global_model = np.asarray(self.global_model, dtype=float)
@@ -392,6 +383,14 @@ class ServerState:
             raise ValueError("client weights must sum to 1")
         if not (0.0 < self.selection_fraction <= 1.0):
             raise ValueError(f"selection fraction must lie in (0, 1], got {self.selection_fraction}")
+        if not self.clip_c > 0:
+            raise ValueError(f"clip bound must be positive, got {self.clip_c}")
+        if not (0.0 < self.sample_rate_q <= 1.0):
+            raise ValueError(f"sample rate must lie in (0, 1], got {self.sample_rate_q}")
+        if self.local_epochs_I < 1:
+            raise ValueError(f"local epochs must be >= 1, got {self.local_epochs_I}")
+        if not self.learning_rate > 0:
+            raise ValueError(f"learning rate must be positive, got {self.learning_rate}")
 
 
 @dataclass(frozen=True)
@@ -417,81 +416,76 @@ class RoundResult:
 
 
 def local_update(
+    server: ServerState,
     cfg: ClientConfig,
-    global_w: np.ndarray,
+    shard: DatasetShard,
     model,
     stream: NoiseStream,
     w_max: np.ndarray | None = None,
     eps_max: float | None = None,
 ) -> ClientUpdate:
-    """Run one client's privatized local epochs from the broadcast model:
-    the one-client case of :func:`local_updates`."""
-    return local_updates([cfg], global_w, model, [stream], w_max, eps_max)[0]
+    """Run one client's privatized local epochs on its rows ``shard``: the
+    one-client case of :func:`local_updates`."""
+    return local_updates(server, [cfg], shard, [(0, shard.n)], model, [stream], w_max, eps_max)[0]
 
 
 def local_updates(
+    server: ServerState,
     cfgs: list[ClientConfig],
-    global_w: np.ndarray,
+    rows: DatasetShard,
+    spans,
     model,
     streams: list[NoiseStream],
     w_max: np.ndarray | None = None,
     eps_max: float | None = None,
 ) -> list[ClientUpdate]:
-    """Run each client's privatized local epochs from the broadcast model,
-    every epoch of all clients as one segmented batch.
+    """Run each client's privatized local epochs from the broadcast
+    ``server.global_model`` under the server's plan, every epoch of all
+    clients as one segmented batch.
 
-    In each epoch every client still within its ``local_epochs_I`` draws a
-    Poisson-style subsample at its rate q; the sampled rows of all clients
-    form one batch, one segment per client.  The ghost-norm kernel
-    ``model.clipped_gradient_sum`` sums each segment's per-example
-    gradients clipped at its client's c (fed the shards' precomputed
-    ``ghost_term`` rows).  Each client then adds one noise draw per
-    coordinate (sensitivity c), the sums are divided by the batch sizes and
-    one :func:`heterogeneous_update` step moves the ``(k, dim)`` stack of
-    client models.  A client whose subsample is empty skips the epoch
-    without spending.  The step pulls toward ``w_max`` only when
-    ``w_max``/``eps_max`` are given and the client's budget is below
-    ``eps_max``.
+    Client j of ``cfgs`` owns rows ``spans[j][0]:spans[j][1]`` of ``rows``
+    (ascending, disjoint).  In each epoch every client draws a Poisson-style
+    subsample of its rows at the rate q; the sampled rows form one batch, one
+    segment per client.  The ghost-norm kernel ``model.clipped_gradient_sum``
+    sums each segment's per-example gradients clipped at c.  Each noised
+    client then adds one noise draw per coordinate (sensitivity c), the sums
+    are divided by the batch sizes and one :func:`heterogeneous_update` step
+    moves the ``(k, dim)`` stack of client models.  A client whose subsample
+    is empty skips the epoch without spending.  The step pulls toward
+    ``w_max`` only when ``w_max``/``eps_max`` are given and the client's
+    budget is below ``eps_max``.
 
     Client k draws its mask, then its noise, each epoch from ``streams[k]``,
     so its update is the one it makes alone, to the bit except after a
     one-row subsample (see ``clipped_gradient_sum``).  The returned params
     are rows of one stack.
     """
-    global_w = np.asarray(global_w, dtype=float)
+    for cfg in cfgs:
+        if cfg.mechanism is not None and not math.isclose(cfg.mechanism.sensitivity, server.clip_c):
+            raise ValueError(
+                f"mechanism sensitivity {cfg.mechanism.sensitivity} must equal the clip bound {server.clip_c}"
+            )
     if eps_max is None or w_max is None:
-        w_max, eps_max = global_w, math.inf
-    stack = np.tile(global_w, (len(cfgs), 1))
+        w_max, eps_max = server.global_model, math.inf
+    stack = np.tile(server.global_model, (len(cfgs), 1))
     draws = np.zeros(len(cfgs), dtype=int)
-    shard_n = [cfg.shard.n for cfg in cfgs]
-    offsets = np.cumsum([0] + shard_n)
-    spans = list(zip(offsets[:-1].tolist(), offsets[1:].tolist()))
-    labels = np.concatenate([cfg.shard.labels for cfg in cfgs])
-    ghost_term = np.concatenate([cfg.shard.ghost_term for cfg in cfgs])
-    rate = np.repeat([cfg.sample_rate_q for cfg in cfgs], shard_n)
-    clip = np.array([cfg.clip_c for cfg in cfgs])
+    starts, stops = np.asarray(spans).T.tolist()
     noised = np.array([cfg.mechanism is not None for cfg in cfgs])
     lam = np.array([[heterogeneity_penalty(cfg.budget.epsilon, eps_max)] for cfg in cfgs])
-    eta = np.array([[cfg.learning_rate] for cfg in cfgs])
-    uniform = np.empty(offsets[-1])
-    for epoch in range(max(cfg.local_epochs_I for cfg in cfgs)):
-        for cfg, stream, (lo, hi) in zip(cfgs, streams, spans):
-            if epoch < cfg.local_epochs_I:
-                stream.rng.random(out=uniform[lo:hi])
-            else:
-                uniform[lo:hi] = 1.0  # never below a rate q <= 1
-        idx = (uniform < rate).nonzero()[0]
-        bounds = idx.searchsorted(offsets)
+    # Rows outside every span keep 1.0, never below a rate q <= 1.
+    uniform = np.ones(rows.n)
+    for _ in range(server.local_epochs_I):
+        for stream, lo, hi in zip(streams, starts, stops):
+            stream.rng.random(out=uniform[lo:hi])
+        idx = (uniform < server.sample_rate_q).nonzero()[0]
+        bounds = idx.searchsorted(starts + [rows.n])
         sizes = bounds[1:] - bounds[:-1]
         stepped = sizes > 0
         if not stepped.any():
             continue
-        # Each client's rows come straight from its shard; ``mode="clip"``
-        # lets ``take`` write into ``out`` unbuffered (every index is in range).
-        rows = np.empty((idx.size, model.features + 1))
-        for cfg, (lo, _), a, b in zip(cfgs, spans, bounds[:-1].tolist(), bounds[1:].tolist()):
-            cfg.shard.augmented.take(idx[a:b] - lo, axis=0, out=rows[a:b], mode="clip")
-        summed = model.clipped_gradient_sum(stack, rows, labels[idx], ghost_term[idx], clip, bounds)
+        summed = model.clipped_gradient_sum(
+            stack, rows.augmented.take(idx, axis=0), rows.labels[idx], rows.ghost_term[idx], server.clip_c, bounds
+        )
         noisy = (noised & stepped).nonzero()[0]
         if noisy.size:
             # Drawn in the published [W | b] coordinate order, then gathered
@@ -501,7 +495,7 @@ def local_updates(
             draws[noisy] += 1
         # An empty segment's sum is zero, and its client does not step.
         summed /= np.maximum(sizes, 1)[:, None]
-        moved = heterogeneous_update(stack, summed, w_max, lam, eta)
+        moved = heterogeneous_update(stack, summed, w_max, lam, server.learning_rate)
         stack = moved if stepped.all() else np.where(stepped[:, None], moved, stack)
     return [ClientUpdate(client_id=cfg.id, params=w, noise_draws=int(n)) for cfg, w, n in zip(cfgs, stack, draws)]
 
@@ -518,9 +512,9 @@ def heterogeneous_update(
     w_k: np.ndarray, g_clipped: np.ndarray, w_max: np.ndarray, lam_k, eta
 ) -> np.ndarray:
     """One penalized step ``w_k - eta (g + lam_k (w_k - w_max))``, with
-    ``lam_k`` from :func:`heterogeneity_penalty`.  ``lam_k`` and ``eta``
-    broadcast against ``w_k``: scalars for one ``(dim,)`` vector, ``(k, 1)``
-    columns for a ``(k, dim)`` stack of client models."""
+    ``lam_k`` from :func:`heterogeneity_penalty`.  ``lam_k`` broadcasts
+    against ``w_k``: a scalar for one ``(dim,)`` vector, a ``(k, 1)`` column
+    for a ``(k, dim)`` stack of client models."""
     return w_k - eta * (g_clipped + lam_k * (w_k - w_max))
 
 
@@ -561,8 +555,7 @@ def run_round(
     model,
     ledger: RdpLedger,
     master_seed: int,
-    pool: DatasetShard,
-    eval_shard: DatasetShard,
+    fed: Federation,
     shuffle: bool = False,
     curve_cfg: CurveTrainConfig | None = None,
     prior_models: dict[int, np.ndarray] | None = None,
@@ -571,19 +564,20 @@ def run_round(
     selected client's ledger row cannot cover its noise applications, and
     then leaves every row as it was before the round.
 
-    ``ledger`` holds one row per client, in id order (:func:`client_ledger`).
-    The selected clients' local epochs run as one segmented batch
-    (:func:`local_updates`): the matmuls stay per client, everything else is
-    shared.  Their noise draws are charged in one all-or-nothing
-    :meth:`RdpLedger.spend`.  ``train_loss`` is the mean cross-entropy over
-    ``pool`` (every client row) and ``eval_accuracy`` is scored on the
-    held-out ``eval_shard``; mode-connect curves train on ``curve_cfg.shard``,
-    never on ``eval_shard``.
+    ``ledger`` holds one row per client, in id order (:func:`client_ledger`),
+    and client j's rows are ``fed.bounds[j]:fed.bounds[j + 1]`` of
+    ``fed.pool``.  The selected clients' local epochs run under the server's
+    plan as one segmented batch of pool rows (:func:`local_updates`): the
+    matmuls stay per client, everything else is shared.  Their noise draws
+    are charged in one all-or-nothing :meth:`RdpLedger.spend`.
+    ``train_loss`` is the mean cross-entropy over ``fed.pool`` (every client
+    row) and ``eval_accuracy`` is scored on the held-out ``fed.eval``;
+    mode-connect curves train on ``curve_cfg.shard``, never on ``fed.eval``.
     """
     clients = sorted(clients, key=lambda c: c.id)
     n_sel = math.ceil(server.selection_fraction * len(clients))
     sel_rng = NoiseStream(master_seed, server.round_t, 0, "client-selection").rng
-    chosen = sorted(sel_rng.permutation(len(clients))[:n_sel])
+    chosen = np.sort(sel_rng.permutation(len(clients))[:n_sel])
     selected = [clients[i] for i in chosen]
 
     prior_models = dict(prior_models or {})
@@ -592,7 +586,8 @@ def run_round(
     w_max = prior_models.get(anchor, server.global_model)
 
     streams = [NoiseStream(master_seed, server.round_t, cfg.id, "local-update") for cfg in selected]
-    updates = local_updates(selected, server.global_model, model, streams, w_max=w_max, eps_max=eps_max)
+    spans = fed.bounds[np.stack([chosen, chosen + 1], axis=1)]
+    updates = local_updates(server, selected, fed.pool, spans, model, streams, w_max=w_max, eps_max=eps_max)
 
     # A noise-disabled client draws no noise, so only noised clients are charged.
     draws = np.zeros(len(clients), dtype=int)
@@ -622,8 +617,8 @@ def run_round(
     metrics = RoundMetrics(
         round_index=server.round_t,
         cumulative_epsilon=float(ledger.to_dp()[0].max()) if noised else math.inf,
-        train_loss=model.loss(new_global, pool),
-        eval_accuracy=model.accuracy(new_global, eval_shard),
+        train_loss=model.loss(new_global, fed.pool),
+        eval_accuracy=model.accuracy(new_global, fed.eval),
     )
     new_server = replace(server, global_model=new_global, round_t=server.round_t + 1)
     return RoundResult(server=new_server, metrics=metrics, client_models=prior_models)
@@ -642,10 +637,12 @@ def client_ledger(clients, grid) -> RdpLedger:
 class Federation:
     """Every data role of a run as a row range of ``data``, whose rows are in
     role order: clients 0..K-1 (together, the ``pool``), the server's
-    ``validation`` rows, then the held-out ``eval`` rows."""
+    ``validation`` rows, then the held-out ``eval`` rows.  Client j's rows
+    are ``bounds[j]:bounds[j + 1]``, its view ``clients[j]``."""
 
     data: DatasetShard
     clients: list[DatasetShard]
+    bounds: np.ndarray
     pool: DatasetShard
     validation: DatasetShard
     eval: DatasetShard
@@ -658,6 +655,7 @@ class Federation:
         return cls(
             data=data,
             clients=[data.row_range(a, b) for a, b in zip(bounds[:-1], bounds[1:])],
+            bounds=bounds,
             pool=data.row_range(0, pool_n),
             validation=data.row_range(pool_n, pool_n + validation_n),
             eval=data.row_range(pool_n + validation_n, data.n),

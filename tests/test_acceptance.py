@@ -369,13 +369,11 @@ def test_criterion_10_privacy_ceiling(experiment_grid):
     from dpfed.fl_core import run_round
     from test_fl_core import build_federation
 
-    server, clients, model, ledger, pool, eval_shard = build_federation(
-        mech_kind=MechanismKind.GAUSSIAN, horizon=4
-    )
+    server, clients, model, ledger, fed = build_federation(mech_kind=MechanismKind.GAUSSIAN, horizon=4)
     halted = False
     try:
         for _ in range(3):
-            server = run_round(server, clients, model, ledger, 1, pool, eval_shard=eval_shard).server
+            server = run_round(server, clients, model, ledger, 1, fed).server
     except BudgetExhaustedError:
         halted = True
     announce(

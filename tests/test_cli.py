@@ -157,9 +157,9 @@ class TestRunExperiment:
         rounds = []
         real_run_round = cli_mod.run_round
 
-        def recording(server, clients, model, *args, **kwargs):
-            result = real_run_round(server, clients, model, *args, **kwargs)
-            rounds.append((result, clients, model))
+        def recording(server, clients, model, ledger, seed, fed, **kwargs):
+            result = real_run_round(server, clients, model, ledger, seed, fed, **kwargs)
+            rounds.append((result, clients, model, fed))
             return result
 
         monkeypatch.setattr(cli_mod, "run_round", recording)
@@ -167,10 +167,10 @@ class TestRunExperiment:
         cfg = small_cfg(dataset=write_csv_dataset(tmp_path, 83), clients=4, rounds=3, sample_rate=0.5)
         assert run_experiment(cfg).exit_code == 0
         assert len(rounds) == 3
-        for result, clients, model in rounds:
-            assert len({c.shard.n for c in clients}) > 1
+        for result, clients, model, fed in rounds:
+            assert [s.n for s in fed.clients] == [19, 19, 19, 18]
             w, weights = result.server.global_model, result.server.weights
-            want = sum(weights[c.id] * model.loss(w, c.shard) for c in clients)
+            want = sum(weights[c.id] * model.loss(w, fed.clients[c.id]) for c in clients)
             assert result.metrics.train_loss == pytest.approx(want, rel=1e-12)
 
 
@@ -189,24 +189,25 @@ class TestDataRoles:
         from dpfed import cli as cli_mod
         from dpfed import fl_core
 
-        built, trained, curve_shards = [], [], []
-        real_build, real_local = cli_mod._build_federation, fl_core.local_updates
+        built, batches, curve_shards = [], [], []
+        real_build = cli_mod._build_federation
+        real_kernel = fl_core.LogisticRegressionModel.clipped_gradient_sum
         real_bind = fl_core.LogisticRegressionModel.stack_gradient
 
         def build(cfg):
             built.append(real_build(cfg))
             return built[-1]
 
-        def local(cfgs, *args, **kwargs):
-            trained.extend(cfg.shard for cfg in cfgs)
-            return real_local(cfgs, *args, **kwargs)
+        def kernel(self, w, rows, *args):
+            batches.append(rows.copy())
+            return real_kernel(self, w, rows, *args)
 
         def stack_gradient(self, shard, k):
             curve_shards.append(shard)
             return real_bind(self, shard, k)
 
         monkeypatch.setattr(cli_mod, "_build_federation", build)
-        monkeypatch.setattr(fl_core, "local_updates", local)
+        monkeypatch.setattr(fl_core.LogisticRegressionModel, "clipped_gradient_sum", kernel)
         monkeypatch.setattr(fl_core.LogisticRegressionModel, "stack_gradient", stack_gradient)
         path = "synthetic" if dataset == "synthetic" else write_csv_dataset(tmp_path, 90)
         cfg = small_cfg(dataset=path, clients=4, rounds=2, aggregator=aggregator, sample_rate=0.5)
@@ -226,7 +227,14 @@ class TestDataRoles:
             for name in ("augmented", "features", "labels", "ghost_term"):
                 assert not np.shares_memory(getattr(shard, name), getattr(fed.eval, name)), name
 
-        assert trained and all(row_span(s, data) in clients for s in trained)
+        # Every row the kernel trained on is a client row, and none is a
+        # validation or eval row.
+        roles = {}
+        for role, span in [("client", range(0, clients[-1].stop)), ("validation", validation), ("eval", evaluation)]:
+            for i in span:
+                roles.setdefault(data.augmented[i].tobytes(), set()).add(role)
+        trained = [row.tobytes() for batch in batches for row in batch]
+        assert trained and all(roles.get(row) == {"client"} for row in trained)
         if aggregator == "modeconnect":
             assert curve_shards and all(row_span(s, data) == validation for s in curve_shards)
         else:

@@ -3,7 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dpfed.accountant import PrivacyBudget, calibrate_noise, default_alpha_grid, rdp_curve
@@ -40,19 +40,29 @@ def tiny_shard(seed=0, n=40, f=4, classes=3):
     return DatasetShard(rng.normal(size=(n, f)), rng.integers(0, classes, n))
 
 
-def make_client(shard, mech=None, **kw):
+def make_client(mech=None, **kw):
+    args = dict(id=0, budget=PrivacyBudget(8.0, 1e-5, 1), mechanism=mech)
+    args.update(kw)
+    return ClientConfig(**args)
+
+
+def make_plan(w0, clients=1, **kw):
+    """A server broadcasting ``w0`` to ``clients`` equally weighted clients,
+    with the local-training plan q = 1, one epoch, c = 1 and step 0.1
+    unless ``kw`` overrides it."""
     args = dict(
-        id=0,
-        shard=shard,
-        budget=PrivacyBudget(8.0, 1e-5, 1),
-        mechanism=mech,
+        global_model=w0,
+        round_t=0,
+        weights=np.full(clients, 1.0 / clients),
+        aggregator=Aggregator.FEDAVG,
+        selection_fraction=1.0,
         clip_c=1.0,
         sample_rate_q=1.0,
         local_epochs_I=1,
         learning_rate=0.1,
     )
     args.update(kw)
-    return ClientConfig(**args)
+    return ServerState(**args)
 
 
 class TestShard:
@@ -116,6 +126,7 @@ class TestShard:
         data = tiny_shard(4, n=12)
         fed = Federation.deal(data, [3, 5], 2)
         assert [s.n for s in fed.clients] == [3, 5]
+        assert fed.bounds.tolist() == [0, 3, 8]
         assert np.array_equal(fed.clients[1].features, data.features[3:8])
         assert np.array_equal(fed.pool.features, data.features[:8])
         assert np.array_equal(fed.validation.features, data.features[8:10])
@@ -266,7 +277,7 @@ class TestLossModel:
 
 def one_segment(model, w, rows, labels, ghost_term, c):
     """``clipped_gradient_sum`` of one model over one batch: its one-segment case."""
-    return model.clipped_gradient_sum(w[None], rows, labels, ghost_term, [c], (0, len(rows)))[0]
+    return model.clipped_gradient_sum(w[None], rows, labels, ghost_term, c, (0, len(rows)))[0]
 
 
 def clip_rows_and_sum(grads, c):
@@ -438,9 +449,9 @@ class TestLocalUpdate:
         # q=1, I=1, one step: exactly global - eta * mean clipped gradient
         model = LogisticRegressionModel(3, 4)
         shard = tiny_shard(5)
-        cfg = make_client(shard, clip_c=100.0)
         w0 = np.random.default_rng(3).normal(scale=0.3, size=model.dim)
-        upd = local_update(cfg, w0, model, NoiseStream(0, 0, 0, "local-update"))
+        plan = make_plan(w0, clip_c=100.0)
+        upd = local_update(plan, make_client(), shard, model, NoiseStream(0, 0, 0, "local-update"))
         grads = model.per_example_gradients(w0, shard)
         norms = np.linalg.norm(grads, axis=1, keepdims=True)
         clipped = grads * np.minimum(1.0, 100.0 / norms)
@@ -452,9 +463,8 @@ class TestLocalUpdate:
         model = LogisticRegressionModel(3, 4)
         shard = tiny_shard(21)
         c = 0.05
-        cfg = make_client(shard, clip_c=c)
         w0 = np.random.default_rng(6).normal(scale=2.0, size=model.dim)
-        upd = local_update(cfg, w0, model, NoiseStream(2, 0, 0, "local-update"))
+        upd = local_update(make_plan(w0, clip_c=c), make_client(), shard, model, NoiseStream(2, 0, 0, "local-update"))
         grads = model.per_example_gradients(w0, shard)
         norms = np.linalg.norm(grads, axis=1, keepdims=True)
         assert (norms > c).any()  # clipping is actually active
@@ -467,10 +477,11 @@ class TestLocalUpdate:
         # q=1, I=1: exactly one heterogeneous_update step on the mean clipped gradient
         model = LogisticRegressionModel(3, 4)
         shard = tiny_shard(24)
-        cfg = make_client(shard, budget=PrivacyBudget(2.0, 1e-5, 1), clip_c=0.5)
+        cfg = make_client(budget=PrivacyBudget(2.0, 1e-5, 1))
         rng = np.random.default_rng(4)
         w0, w_max = rng.normal(scale=0.5, size=(2, model.dim))
-        upd = local_update(cfg, w0, model, NoiseStream(0, 0, 0, "local-update"), w_max=w_max, eps_max=8.0)
+        stream = NoiseStream(0, 0, 0, "local-update")
+        upd = local_update(make_plan(w0, clip_c=0.5), cfg, shard, model, stream, w_max=w_max, eps_max=8.0)
         mean = clipped_sum_oracle(model, w0, shard, 0.5) / shard.n
         want = heterogeneous_update(w0, mean, w_max, heterogeneity_penalty(2.0, 8.0), 0.1)
         assert np.allclose(upd.params, want, rtol=1e-12)
@@ -483,9 +494,9 @@ class TestLocalUpdate:
         model = LogisticRegressionModel(3, 4)
         shard = tiny_shard(26)
         mech = MechanismParams(MechanismKind.LAPLACE, 1.0, 2.0)
-        cfg = make_client(shard, mech)
         published = np.random.default_rng(27).normal(scale=0.5, size=model.dim)
-        upd = local_update(cfg, published[model.from_published], model, NoiseStream(4, 0, 0, "local-update"))
+        plan = make_plan(published[model.from_published])
+        upd = local_update(plan, make_client(mech), shard, model, NoiseStream(4, 0, 0, "local-update"))
         assert upd.noise_draws == 1
 
         stream = NoiseStream(4, 0, 0, "local-update")
@@ -505,10 +516,11 @@ class TestLocalUpdate:
 
         model = LogisticRegressionModel(3, 4)
         mech = MechanismParams(MechanismKind.GAUSSIAN, 1.0, 5.0)
-        cfg = make_client(tiny_shard(25), mech, sample_rate_q=0.5, local_epochs_I=3)
+        shard = tiny_shard(25)
         monkeypatch.setattr(DatasetShard, "__init__", counting_init)
         w0 = model.init_params()
-        upd = local_update(cfg, w0, model, NoiseStream(5, 0, 0, "local-update"))
+        plan = make_plan(w0, sample_rate_q=0.5, local_epochs_I=3)
+        upd = local_update(plan, make_client(mech), shard, model, NoiseStream(5, 0, 0, "local-update"))
         assert upd.noise_draws == 3
         assert created == []
         assert not np.array_equal(upd.params, w0)
@@ -516,48 +528,75 @@ class TestLocalUpdate:
     def test_determinism(self):
         model = LogisticRegressionModel(3, 4)
         shard = tiny_shard(6)
-        mech = MechanismParams(MechanismKind.GAUSSIAN, 1.0, 5.0)
-        cfg = make_client(shard, mech, sample_rate_q=0.3, local_epochs_I=3)
-        a = local_update(cfg, model.init_params(), model, NoiseStream(9, 2, 0, "local-update"))
-        b = local_update(cfg, model.init_params(), model, NoiseStream(9, 2, 0, "local-update"))
+        cfg = make_client(MechanismParams(MechanismKind.GAUSSIAN, 1.0, 5.0))
+        plan = make_plan(model.init_params(), sample_rate_q=0.3, local_epochs_I=3)
+        a = local_update(plan, cfg, shard, model, NoiseStream(9, 2, 0, "local-update"))
+        b = local_update(plan, cfg, shard, model, NoiseStream(9, 2, 0, "local-update"))
         assert np.array_equal(a.params, b.params)
-        c = local_update(cfg, model.init_params(), model, NoiseStream(9, 3, 0, "local-update"))
+        c = local_update(plan, cfg, shard, model, NoiseStream(9, 3, 0, "local-update"))
         assert not np.array_equal(a.params, c.params)
 
     def test_huge_noise_gives_chance_accuracy(self):
-        rng = np.random.default_rng(8)
         fed = make_synthetic_federation(1, 400, 20, 10, seed=55, eval_fraction=2.5)
         model = LogisticRegressionModel(10, 20)
-        mech = MechanismParams(MechanismKind.GAUSSIAN, 1.0, 1e6)
-        cfg = make_client(fed.clients[0], mech, sample_rate_q=0.5, local_epochs_I=2)
+        cfg = make_client(MechanismParams(MechanismKind.GAUSSIAN, 1.0, 1e6))
         w = model.init_params()
         for r in range(3):
-            w = local_update(cfg, w, model, NoiseStream(13, r, 0, "local-update")).params
+            plan = make_plan(w, sample_rate_q=0.5, local_epochs_I=2)
+            w = local_update(plan, cfg, fed.clients[0], model, NoiseStream(13, r, 0, "local-update")).params
         assert model.accuracy(w, fed.eval) == pytest.approx(0.1, abs=0.05)
 
     def test_noise_draw_counting(self):
         model = LogisticRegressionModel(3, 4)
-        mech = MechanismParams(MechanismKind.LAPLACE, 1.0, 2.0)
-        cfg = make_client(tiny_shard(7), mech, local_epochs_I=4, sample_rate_q=1.0)
-        upd = local_update(cfg, model.init_params(), model, NoiseStream(1, 0, 0, "local-update"))
+        cfg = make_client(MechanismParams(MechanismKind.LAPLACE, 1.0, 2.0))
+        plan = make_plan(model.init_params(), local_epochs_I=4, sample_rate_q=1.0)
+        upd = local_update(plan, cfg, tiny_shard(7), model, NoiseStream(1, 0, 0, "local-update"))
         assert upd.noise_draws == 4
 
     def test_mechanism_sensitivity_must_match_clip(self):
-        mech = MechanismParams(MechanismKind.LAPLACE, 2.0, 1.0)
-        with pytest.raises(ValueError):
-            make_client(tiny_shard(8), mech, clip_c=1.0)
+        model = LogisticRegressionModel(3, 4)
+        cfg = make_client(MechanismParams(MechanismKind.LAPLACE, 2.0, 1.0))
+        plan = make_plan(model.init_params(), clip_c=1.0)
+        with pytest.raises(ValueError, match="^mechanism sensitivity 2.0 must equal the clip bound 1.0$"):
+            local_update(plan, cfg, tiny_shard(8), model, NoiseStream(0, 0, 0, "local-update"))
+        # A noise-disabled client has no sensitivity to check.
+        local_update(plan, make_client(), tiny_shard(8), model, NoiseStream(0, 0, 0, "local-update"))
+
+
+class TestServerState:
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("clip_c", 0.0, "clip bound must be positive, got 0.0"),
+            ("clip_c", -1.0, "clip bound must be positive, got -1.0"),
+            ("clip_c", math.nan, "clip bound must be positive, got nan"),
+            ("sample_rate_q", 0.0, "sample rate must lie in \\(0, 1\\], got 0.0"),
+            ("sample_rate_q", 1.5, "sample rate must lie in \\(0, 1\\], got 1.5"),
+            ("sample_rate_q", -0.25, "sample rate must lie in \\(0, 1\\], got -0.25"),
+            ("local_epochs_I", 0, "local epochs must be >= 1, got 0"),
+            ("local_epochs_I", -2, "local epochs must be >= 1, got -2"),
+            ("learning_rate", 0.0, "learning rate must be positive, got 0.0"),
+            ("learning_rate", -0.1, "learning rate must be positive, got -0.1"),
+            ("learning_rate", math.nan, "learning rate must be positive, got nan"),
+        ],
+    )
+    def test_rejects_an_invalid_plan(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make_plan(np.zeros(3), **{field: value})
+
+    def test_accepts_the_plan_edges(self):
+        plan = make_plan(np.zeros(3), clip_c=1e-9, sample_rate_q=1.0, local_epochs_I=1, learning_rate=1e-9)
+        assert (plan.clip_c, plan.sample_rate_q, plan.local_epochs_I, plan.learning_rate) == (1e-9, 1.0, 1, 1e-9)
+
+    def test_run_round_rejects_a_mechanism_off_the_clip(self):
+        server, clients, model, ledger, fed = build_federation(mech_kind=MechanismKind.GAUSSIAN)
+        server.clip_c = 0.5
+        with pytest.raises(ValueError, match="must equal the clip bound 0.5$"):
+            run_round(server, clients, model, ledger, 3, fed)
 
 
 def client_streams(seed, round_t, cfgs):
     return [NoiseStream(seed, round_t, cfg.id, "local-update") for cfg in cfgs]
-
-
-def one_at_a_time(cfgs, w0, model, seed, round_t, w_max=None, eps_max=None):
-    """Each client's ``local_update`` alone, on the stream ``local_updates`` gives it."""
-    return [
-        local_update(cfg, w0, model, stream, w_max=w_max, eps_max=eps_max)
-        for cfg, stream in zip(cfgs, client_streams(seed, round_t, cfgs))
-    ]
 
 
 class TestLocalUpdates:
@@ -565,40 +604,63 @@ class TestLocalUpdates:
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(
+        q=st.one_of(st.sampled_from([1e-3, 1.0]), st.floats(0.05, 1.0)),  # empty, all, between
+        epochs=st.integers(1, 3),
+        c=st.floats(0.05, 5.0),  # clip bound
+        lr=st.floats(0.01, 1.0),
         clients=st.lists(
             st.tuples(
                 st.integers(1, 12),  # rows
-                st.one_of(st.sampled_from([1e-3, 1.0]), st.floats(0.05, 1.0)),  # q: empty, all, between
-                st.integers(1, 3),  # local epochs
-                st.floats(0.05, 5.0),  # clip bound
-                st.floats(0.01, 1.0),  # learning rate
                 st.floats(0.5, 8.0),  # epsilon
                 st.booleans(),  # mechanism on
+                st.booleans(),  # selected
             ),
             min_size=1,
             max_size=5,
-        ),
+        ).filter(lambda clients: any(selected for *_, selected in clients)),
         anchored=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_property_matches_one_client_at_a_time(self, clients, anchored, seed):
-        # A one-row shard at q = 1 makes a one-row segment every epoch, and
-        # q = 1e-3 mostly an empty one.
+    # Uneven sizes: the first and the last client unselected, then every
+    # other client with both ends selected.
+    @example(
+        q=0.6, epochs=3, c=0.7, lr=0.2, anchored=True, seed=17,
+        clients=[(3, 2.0, True, False), (9, 4.0, True, True), (1, 6.0, True, True), (6, 8.0, True, False)],
+    )
+    @example(
+        q=0.6, epochs=3, c=0.7, lr=0.2, anchored=True, seed=18,
+        clients=[
+            (1, 8.0, True, True), (8, 2.0, True, False), (4, 5.0, False, True),
+            (12, 3.0, True, False), (2, 7.0, True, True),
+        ],
+    )
+    def test_property_matches_one_client_at_a_time(self, q, epochs, c, lr, clients, anchored, seed):
+        # A one-row client at q = 1 makes a one-row segment every epoch, and
+        # q = 1e-3 mostly an empty one.  Unselected clients' rows lie between
+        # and around the selected ones in the pool.
         rng = np.random.default_rng(seed)
         model = LogisticRegressionModel(3, 4)
-        cfgs = []
-        for cid, (n, q, epochs, c, lr, eps, noisy) in enumerate(clients):
-            shard = DatasetShard(rng.normal(size=(n, 4)), rng.integers(0, 3, n))
-            mech = MechanismParams(MechanismKind.LAPLACE, c, 0.5) if noisy else None
-            cfgs.append(ClientConfig(cid, shard, PrivacyBudget(eps, 1e-5, 1), mech, c, q, epochs, lr))
+        sizes = [n for n, *_ in clients]
+        # The pool is the clients' rows in order, then one validation and one eval row.
+        n = sum(sizes) + 2
+        fed = Federation.deal(DatasetShard(rng.normal(size=(n, 4)), rng.integers(0, 3, n)), sizes, 1)
+        cfgs, spans, views = [], [], []
+        for cid, (_, eps, noisy, selected) in enumerate(clients):
+            if selected:
+                mech = MechanismParams(MechanismKind.LAPLACE, c, 0.5) if noisy else None
+                cfgs.append(ClientConfig(cid, PrivacyBudget(eps, 1e-5, 1), mech))
+                spans.append((fed.bounds[cid], fed.bounds[cid + 1]))
+                views.append(fed.clients[cid])
         w0 = rng.normal(scale=0.5, size=model.dim)
         w_max, eps_max = (rng.normal(scale=0.5, size=model.dim), 8.0) if anchored else (None, None)
-        got = local_updates(cfgs, w0, model, client_streams(seed, 1, cfgs), w_max=w_max, eps_max=eps_max)
-        want = one_at_a_time(cfgs, w0, model, seed, 1, w_max, eps_max)
+        plan = make_plan(w0, len(clients), clip_c=c, sample_rate_q=q, local_epochs_I=epochs, learning_rate=lr)
+        streams = client_streams(seed, 1, cfgs)
+        got = local_updates(plan, cfgs, fed.pool, spans, model, streams, w_max=w_max, eps_max=eps_max)
         assert [u.client_id for u in got] == [cfg.id for cfg in cfgs]
-        for g, w in zip(got, want):
-            assert g.noise_draws == w.noise_draws
-            assert_matches_oracle(g.params, w.params)
+        for cfg, view, stream, g in zip(cfgs, views, client_streams(seed, 1, cfgs), got):
+            want = local_update(plan, cfg, view, model, stream, w_max=w_max, eps_max=eps_max)
+            assert g.noise_draws == want.noise_draws
+            assert_matches_oracle(g.params, want.params)
 
     @pytest.mark.parametrize("q, kind", [(0.5, MechanismKind.GAUSSIAN), (0.05, MechanismKind.STAIRCASE)])
     def test_bit_equal_at_the_benchmark_shapes(self, q, kind):
@@ -609,18 +671,17 @@ class TestLocalUpdates:
         eps = np.linspace(8.0, 16.0, 10) if q < 0.5 else np.full(10, 8.0)
         budgets = [PrivacyBudget(e, 1e-5, 300) for e in eps]
         cfgs = [
-            make_client(
-                shard, calibrate_noise(kind, 1.0, budget).mechanism,
-                id=cid, budget=budget, sample_rate_q=q, local_epochs_I=2,
-            )
-            for cid, (shard, budget) in enumerate(zip(fed.clients, budgets))
+            make_client(calibrate_noise(kind, 1.0, budget).mechanism, id=cid, budget=budget)
+            for cid, budget in enumerate(budgets)
         ]
+        spans = np.stack([fed.bounds[:-1], fed.bounds[1:]], axis=1)
         w = np.random.default_rng(32).normal(scale=0.1, size=model.dim)
         w_max = np.random.default_rng(33).normal(scale=0.1, size=model.dim)
         for round_t in range(3):
-            got = local_updates(cfgs, w, model, client_streams(7, round_t, cfgs), w_max=w_max, eps_max=eps.max())
-            want = one_at_a_time(cfgs, w, model, 7, round_t, w_max, eps.max())
-            for g, x in zip(got, want):
+            plan = make_plan(w, 10, sample_rate_q=q, local_epochs_I=2)
+            got = local_updates(plan, cfgs, fed.pool, spans, model, client_streams(7, round_t, cfgs), w_max, eps.max())
+            for cfg, shard, stream, g in zip(cfgs, fed.clients, client_streams(7, round_t, cfgs), got):
+                x = local_update(plan, cfg, shard, model, stream, w_max=w_max, eps_max=eps.max())
                 assert g.noise_draws == x.noise_draws == 2
                 assert np.array_equal(g.params, x.params)
             w = fedavg_aggregate([g.params for g in got], np.full(10, 0.1))
@@ -628,17 +689,15 @@ class TestLocalUpdates:
     def test_returned_models_outlive_the_next_round(self):
         # Round t's client models are rows of one stack, and round t + 1
         # pulls toward the anchor's (a view of that stack).
-        server, clients, model, ledger, pool, eval_shard = build_federation(
+        server, clients, model, ledger, fed = build_federation(
             mech_kind=MechanismKind.GAUSSIAN, eps_list=[2.0, 4.0, 6.0, 8.0]
         )
         prior = None
         for _ in range(3):
-            result = run_round(
-                server, clients, model, ledger, 12, pool, eval_shard=eval_shard, prior_models=prior
-            )
+            result = run_round(server, clients, model, ledger, 12, fed, prior_models=prior)
             kept = {cid: w.copy() for cid, w in result.client_models.items()}
             server, prior = result.server, result.client_models
-            run_round(server, clients, model, ledger, 12, pool, eval_shard=eval_shard, prior_models=prior)
+            run_round(server, clients, model, ledger, 12, fed, prior_models=prior)
             for cid, w in kept.items():
                 assert np.array_equal(prior[cid], w)
 
@@ -648,23 +707,28 @@ class TestLocalUpdates:
         stack = np.zeros((2, model.dim))
         for bounds in ([0, 6], [0, 2, 5], [1, 3, 6], [0, 3, 4, 6]):
             with pytest.raises(ValueError):
-                model.clipped_gradient_sum(
-                    stack, shard.augmented, shard.labels, shard.ghost_term, np.ones(2), np.array(bounds)
-                )
+                model.clipped_gradient_sum(stack, shard.augmented, shard.labels, shard.ghost_term, 1.0, bounds)
 
     def test_empty_subsample_skips_the_step_and_the_noise(self):
+        # One rate for both clients: the 1-row client's segment is empty in
+        # every epoch, the 60-row client's never is.
         model = LogisticRegressionModel(3, 4)
         mech = MechanismParams(MechanismKind.GAUSSIAN, 1.0, 5.0)
+        q, epochs, seed = 0.05, 3, 3
+        fed = Federation.deal(tiny_shard(40, n=63), [1, 60], 1)
         # The empty client's budget is below eps_max, so a step would move it.
-        never = make_client(
-            tiny_shard(40, n=1), mech, id=0, sample_rate_q=1e-9, local_epochs_I=3, budget=PrivacyBudget(2.0, 1e-5, 1)
-        )
-        always = make_client(tiny_shard(41), mech, id=1, local_epochs_I=3)
+        cfgs = [make_client(mech, id=0, budget=PrivacyBudget(2.0, 1e-5, 1)), make_client(mech, id=1)]
         w0 = np.random.default_rng(42).normal(size=model.dim)
-        w_max = np.zeros(model.dim)
-        got = local_updates([never, always], w0, model, client_streams(3, 0, [never, always]), w_max, 8.0)
+        plan = make_plan(w0, 2, sample_rate_q=q, local_epochs_I=epochs)
+        # Precondition: the 1-row client draws one uniform per epoch (and,
+        # its segment empty, no noise), and each is at least q.
+        assert (NoiseStream(seed, 0, 0, "local-update").rng.random(epochs) >= q).all()
+        spans = [(0, 1), (1, 61)]
+        streams = client_streams(seed, 0, cfgs)
+        got = local_updates(plan, cfgs, fed.pool, spans, model, streams, np.zeros(model.dim), 8.0)
         assert got[0].noise_draws == 0 and np.array_equal(got[0].params, w0)
-        assert got[1].noise_draws == 3 and not np.array_equal(got[1].params, w0)
+        # Three draws: the 60-row client's segment is non-empty in every epoch.
+        assert got[1].noise_draws == epochs and not np.array_equal(got[1].params, w0)
 
 
 class TestHeterogeneousUpdate:
@@ -760,63 +824,45 @@ def build_federation(
     model = LogisticRegressionModel(3, 5)
     grid = default_alpha_grid()
     clients = []
-    for cid, shard in enumerate(fed.clients):
+    for cid in range(n_clients):
         eps_k = eps_list[cid] if eps_list else epsilon
         budget = PrivacyBudget(eps_k if mech_kind else math.inf, 1e-5, horizons[cid] if horizons else horizon)
         mech = None
         if mech_kind is not None:
             mech = calibrate_noise(mech_kind, 1.0, budget).mechanism
-        clients.append(
-            ClientConfig(
-                id=cid,
-                shard=shard,
-                budget=budget,
-                mechanism=mech,
-                clip_c=1.0,
-                sample_rate_q=0.5,
-                local_epochs_I=2,
-                learning_rate=0.05,
-            )
-        )
+        clients.append(ClientConfig(id=cid, budget=budget, mechanism=mech))
     ledger = client_ledger(clients, grid)
-    server = ServerState(
-        global_model=model.init_params(),
-        round_t=0,
-        weights=np.full(n_clients, 1.0 / n_clients),
-        aggregator=aggregator,
-        selection_fraction=1.0,
+    server = make_plan(
+        model.init_params(), n_clients, aggregator=aggregator, sample_rate_q=0.5, local_epochs_I=2, learning_rate=0.05
     )
-    return server, clients, model, ledger, fed.pool, fed.eval
+    return server, clients, model, ledger, fed
 
 
 class TestRunRound:
     def test_noiseless_full_participation_loss_non_increasing(self):
-        server, clients, model, ledger, pool, eval_shard = build_federation()
-        for cfg in clients:
-            cfg.sample_rate_q = 1.0
-            cfg.local_epochs_I = 1
-            cfg.clip_c = 1000.0
+        server, clients, model, ledger, fed = build_federation()
+        server.sample_rate_q = 1.0
+        server.local_epochs_I = 1
+        server.clip_c = 1000.0
         losses = []
         for _ in range(20):
-            result = run_round(server, clients, model, ledger, 7, pool, eval_shard=eval_shard)
+            result = run_round(server, clients, model, ledger, 7, fed)
             server = result.server
             losses.append(result.metrics.train_loss)
         assert all(b <= a + 1e-9 for a, b in zip(losses, losses[1:]))
 
     def test_budget_ceiling_and_halt(self):
         horizon = 10  # 5 rounds x 2 local epochs
-        server, clients, model, ledger, pool, eval_shard = build_federation(
-            mech_kind=MechanismKind.GAUSSIAN, horizon=horizon
-        )
+        server, clients, model, ledger, fed = build_federation(mech_kind=MechanismKind.GAUSSIAN, horizon=horizon)
         metrics = []
         for _ in range(5):
-            result = run_round(server, clients, model, ledger, 3, pool, eval_shard=eval_shard)
+            result = run_round(server, clients, model, ledger, 3, fed)
             server = result.server
             metrics.append(result.metrics)
         assert all(m.cumulative_epsilon <= 8.0 for m in metrics)
         assert metrics[-1].cumulative_epsilon == pytest.approx(8.0, abs=1e-3)
         with pytest.raises(BudgetExhaustedError):
-            run_round(server, clients, model, ledger, 3, pool, eval_shard=eval_shard)
+            run_round(server, clients, model, ledger, 3, fed)
         # ledger rows unchanged by the aborted round
         eps_after = ledger.to_dp()[0][0]
         assert eps_after <= 8.0
@@ -824,12 +870,10 @@ class TestRunRound:
     def test_metrics_count_and_determinism(self):
         rows = []
         for attempt in range(2):
-            server, clients, model, ledger, pool, eval_shard = build_federation(
-                mech_kind=MechanismKind.STAIRCASE
-            )
+            server, clients, model, ledger, fed = build_federation(mech_kind=MechanismKind.STAIRCASE)
             acc = []
             for _ in range(3):
-                result = run_round(server, clients, model, ledger, 11, pool, eval_shard=eval_shard)
+                result = run_round(server, clients, model, ledger, 11, fed)
                 server = result.server
                 acc.append(result.metrics)
             rows.append(acc)
@@ -838,24 +882,27 @@ class TestRunRound:
             assert a == b
 
     def test_selection_fraction(self):
-        server, clients, model, ledger, pool, eval_shard = build_federation()
+        server, clients, model, ledger, fed = build_federation(mech_kind=MechanismKind.LAPLACE)
         server.selection_fraction = 0.5
-        result = run_round(server, clients, model, ledger, 4, pool, eval_shard=eval_shard)
+        result = run_round(server, clients, model, ledger, 4, fed)
         # only ceil(0.5 * 4) = 2 clients trained: the others left no local model
         assert len(result.client_models) == 2
+        # each trained on its own rows of the pool, with its own stream
+        for cid, params in result.client_models.items():
+            stream = NoiseStream(4, 0, cid, "local-update")
+            want = local_update(server, clients[cid], fed.clients[cid], model, stream, server.global_model, 8.0)
+            assert_matches_oracle(params, want.params)
 
     def test_mode_connect_round_runs(self):
-        server, clients, model, ledger, pool, eval_shard = build_federation(
-            aggregator=Aggregator.MODE_CONNECT
-        )
-        result = run_round(server, clients, model, ledger, 5, pool, eval_shard=eval_shard)
+        server, clients, model, ledger, fed = build_federation(aggregator=Aggregator.MODE_CONNECT)
+        result = run_round(server, clients, model, ledger, 5, fed)
         assert result.server.global_model.shape == server.global_model.shape
 
     def test_heterogeneous_epsilons_round(self):
-        server, clients, model, ledger, pool, eval_shard = build_federation(
+        server, clients, model, ledger, fed = build_federation(
             mech_kind=MechanismKind.GAUSSIAN, eps_list=[2.0, 4.0, 6.0, 8.0]
         )
-        result = run_round(server, clients, model, ledger, 6, pool, eval_shard=eval_shard)
+        result = run_round(server, clients, model, ledger, 6, fed)
         # system epsilon is the per-client maximum
         per_client = [ledger.to_dp()[0][c.id] for c in clients]
         assert result.metrics.cumulative_epsilon == pytest.approx(max(per_client), rel=1e-12)
@@ -864,12 +911,10 @@ class TestRunRound:
         assert scales == sorted(scales, reverse=True)
 
     def test_shuffled_round_fedavg_invariant(self):
-        a_server, clients, model, ledger, pool, eval_shard = build_federation()
-        a = run_round(a_server, clients, model, ledger, 9, pool, eval_shard=eval_shard)
-        b_server, clients2, model2, ledger2, pool2, eval_shard2 = build_federation()
-        b = run_round(
-            b_server, clients2, model2, ledger2, 9, pool2, eval_shard=eval_shard2, shuffle=True
-        )
+        a_server, clients, model, ledger, fed = build_federation()
+        a = run_round(a_server, clients, model, ledger, 9, fed)
+        b_server, clients2, model2, ledger2, fed2 = build_federation()
+        b = run_round(b_server, clients2, model2, ledger2, 9, fed2, shuffle=True)
         # equal weights: FedAvg is order-invariant, so shuffling changes nothing
         assert np.allclose(a.server.global_model, b.server.global_model, rtol=1e-12)
 
@@ -887,27 +932,26 @@ class TestRunRound:
         n = min(len(eps_list), len(rounds))
         eps_list, rounds = eps_list[:n], rounds[:n]
         rounds[0] = min(rounds[1:]) + first_extra
-        server, clients, model, ledger, pool, eval_shard = build_federation(
+        server, clients, model, ledger, fed = build_federation(
             n_clients=n,
             mech_kind=MechanismKind.GAUSSIAN,
             eps_list=eps_list,
             horizons=[r * epochs for r in rounds],
         )
-        for cfg in clients:
-            cfg.sample_rate_q = 1.0  # every epoch draws noise once
-            cfg.local_epochs_I = epochs
+        server.sample_rate_q = 1.0  # every epoch draws noise once
+        server.local_epochs_I = epochs
         grid = default_alpha_grid()
         for t in range(min(rounds) + 1):
             before = {c.id: (ledger.gamma[c.id].copy(), ledger.rounds_composed[c.id]) for c in clients}
             if t == min(rounds):
                 # The halt names the first client, in id order, that is out of rounds.
                 with pytest.raises(BudgetExhaustedError, match=f"for client {rounds.index(t)}$"):
-                    run_round(server, clients, model, ledger, 21, pool, eval_shard=eval_shard)
+                    run_round(server, clients, model, ledger, 21, fed)
                 for cid, (gamma, composed) in before.items():
                     assert np.array_equal(ledger.gamma[cid], gamma)
                     assert ledger.rounds_composed[cid] == composed
                 return
-            server = run_round(server, clients, model, ledger, 21, pool, eval_shard=eval_shard).server
+            server = run_round(server, clients, model, ledger, 21, fed).server
             for cfg in clients:
                 charge = epochs * rdp_curve(cfg.mechanism, grid)
                 assert np.array_equal(ledger.gamma[cfg.id], before[cfg.id][0] + charge)
