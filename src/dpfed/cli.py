@@ -129,6 +129,13 @@ def _positive_int(raw: str) -> int:
     return val
 
 
+def _parse_seed(raw: str) -> int:
+    val = int(raw)
+    if not 0 <= val < 2**64:
+        raise ValueError("must lie in [0, 2**64), as streams key on its low 64 bits")
+    return val
+
+
 _PARSERS = {
     "mechanism": lambda raw: MechanismKind.parse(raw).value,
     "epsilon": _parse_epsilon,
@@ -144,7 +151,7 @@ _PARSERS = {
     "shuffle": _parse_bool,
     "heterogeneous_epsilons": _parse_eps_list,
     "dataset": lambda raw: raw.strip(),
-    "seed": int,
+    "seed": _parse_seed,
     "output": lambda raw: raw.strip(),
 }
 

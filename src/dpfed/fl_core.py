@@ -42,11 +42,13 @@ the sampled pool rows are one ``take``, one segment per client.  The logits
 and clipped-sum matmuls stay per client, so each client's update keeps its
 bits; the softmax, ghost norms, clip factors, noise gather, averaging and the
 heterogeneous step run once over the batch and the ``(k, dim)`` stack of
-client models.
+client models, which then goes as it is, with the ``(k,)`` noise-draw
+counts, to the ledger, the shuffle, the aggregators and the remembered models.
 
 A run's rows are built once, as one shard whose row ranges are its data roles
-(:class:`Federation`): the clients, whose pool gives the CSV ``train_loss``,
-the server's validation rows that curves train on, and the eval rows.
+(:class:`Federation`): the client pool, which gives the CSV ``train_loss``
+and whose ``bounds`` split it by client, the server's validation rows that
+curves train on, and the eval rows.
 
 Every random decision flows through a :class:`NoiseStream` keyed by (master
 seed, round, client, purpose), so a configuration plus master seed fully
@@ -199,21 +201,16 @@ class LogisticRegressionModel:
         return np.zeros(self.dim)
 
     def _logits(self, w: np.ndarray, rows: np.ndarray, bounds=None) -> np.ndarray:
-        """``(k, classes, n)`` logits of each model on the augmented ``rows``.
-        ``w`` is one ``(dim,)`` vector (k = 1) or, with segment ``bounds``, a
-        ``(k, dim)`` stack: model j then sees only rows
-        ``bounds[j]:bounds[j + 1]`` and writes their logits into those columns
-        of one ``(1, classes, n)`` block.  Each segment keeps its own matmul:
-        one over the whole batch differs in the last bits from the
-        per-segment ones.
-        """
+        """``(1, classes, n)`` logits on the augmented ``rows`` of the
+        ``(k, dim)`` stack ``w``, model j on rows ``bounds[j]:bounds[j + 1]``
+        only; one ``(dim,)`` vector is the one-segment case ``(w[None], (0, n))``.
+        Each segment keeps its own matmul: one over the whole batch differs in
+        the last bits from the per-segment ones."""
         w = np.asarray(w, dtype=float)
-        stack = bounds is not None
-        if w.shape[-1:] != (self.dim,) or w.ndim != 1 + stack:
-            stacks = " or a stack of them" if stack else ""
-            raise ValueError(f"expected a parameter vector of length {self.dim}{stacks}, got {w.shape}")
-        if not stack:
-            return (w.reshape(-1, self.features + 1) @ rows.T).reshape(1, self.classes, rows.shape[0])
+        if bounds is None:
+            w, bounds = w[None], (0, rows.shape[0])
+        if w.shape[-1:] != (self.dim,) or w.ndim != 2:
+            raise ValueError(f"expected a parameter vector of length {self.dim} or a stack of them, got {w.shape}")
         logits = np.empty((1, self.classes, rows.shape[0]))
         for w_j, a, b in zip(w.reshape(-1, self.classes, self.features + 1), bounds[:-1], bounds[1:]):
             np.matmul(w_j, rows[a:b].T, out=logits[0, :, a:b])
@@ -422,11 +419,13 @@ def local_update(
     model,
     stream: NoiseStream,
     w_max: np.ndarray | None = None,
-    eps_max: float | None = None,
+    eps_max: float = math.inf,
 ) -> ClientUpdate:
-    """Run one client's privatized local epochs on its rows ``shard``: the
-    one-client case of :func:`local_updates`."""
-    return local_updates(server, [cfg], shard, [(0, shard.n)], model, [stream], w_max, eps_max)[0]
+    """Run one client's privatized local epochs on its rows ``shard``: the one-client case
+    of :func:`local_updates`, with ``w_max`` the broadcast model and ``eps_max`` inf unless given."""
+    w_max = server.global_model if w_max is None else w_max
+    stack, draws = local_updates(server, [cfg], shard, [(0, shard.n)], model, [stream], w_max, eps_max)
+    return ClientUpdate(client_id=cfg.id, params=stack[0], noise_draws=int(draws[0]))
 
 
 def local_updates(
@@ -436,12 +435,13 @@ def local_updates(
     spans,
     model,
     streams: list[NoiseStream],
-    w_max: np.ndarray | None = None,
-    eps_max: float | None = None,
-) -> list[ClientUpdate]:
+    w_max: np.ndarray,
+    eps_max: float,
+) -> tuple[np.ndarray, np.ndarray]:
     """Run each client's privatized local epochs from the broadcast
     ``server.global_model`` under the server's plan, every epoch of all
-    clients as one segmented batch.
+    clients as one segmented batch.  Returns the ``(k, dim)`` stack of client
+    models and the ``(k,)`` counts of their noise draws, in ``cfgs`` order.
 
     Client j of ``cfgs`` owns rows ``spans[j][0]:spans[j][1]`` of ``rows``
     (ascending, disjoint).  In each epoch every client draws a Poisson-style
@@ -450,23 +450,18 @@ def local_updates(
     sums each segment's per-example gradients clipped at c.  Each noised
     client then adds one noise draw per coordinate (sensitivity c), the sums
     are divided by the batch sizes and one :func:`heterogeneous_update` step
-    moves the ``(k, dim)`` stack of client models.  A client whose subsample
-    is empty skips the epoch without spending.  The step pulls toward
-    ``w_max`` only when ``w_max``/``eps_max`` are given and the client's
-    budget is below ``eps_max``.
+    moves the stack, pulling toward ``w_max`` each client whose budget is below
+    ``eps_max``.  A client whose subsample is empty skips the epoch unspent.
 
     Client k draws its mask, then its noise, each epoch from ``streams[k]``,
     so its update is the one it makes alone, to the bit except after a
-    one-row subsample (see ``clipped_gradient_sum``).  The returned params
-    are rows of one stack.
+    one-row subsample (see ``clipped_gradient_sum``).
     """
     for cfg in cfgs:
         if cfg.mechanism is not None and not math.isclose(cfg.mechanism.sensitivity, server.clip_c):
             raise ValueError(
                 f"mechanism sensitivity {cfg.mechanism.sensitivity} must equal the clip bound {server.clip_c}"
             )
-    if eps_max is None or w_max is None:
-        w_max, eps_max = server.global_model, math.inf
     stack = np.tile(server.global_model, (len(cfgs), 1))
     draws = np.zeros(len(cfgs), dtype=int)
     starts, stops = np.asarray(spans).T.tolist()
@@ -497,7 +492,7 @@ def local_updates(
         summed /= np.maximum(sizes, 1)[:, None]
         moved = heterogeneous_update(stack, summed, w_max, lam, server.learning_rate)
         stack = moved if stepped.all() else np.where(stepped[:, None], moved, stack)
-    return [ClientUpdate(client_id=cfg.id, params=w, noise_draws=int(n)) for cfg, w, n in zip(cfgs, stack, draws)]
+    return stack, draws
 
 
 def heterogeneity_penalty(eps_k: float, eps_max: float) -> float:
@@ -519,16 +514,12 @@ def heterogeneous_update(
 
 
 def fedavg_aggregate(models, weights) -> np.ndarray:
-    """Weighted average of k model vectors, a sequence or a ``(k, dim)``
-    stack, with weights renormalized over the given subset.  One reduce adds
-    the weighted rows in order, as a running sum would."""
-    if len(models) == 0:
-        raise ValueError("at least one model is required")
-    if len({np.shape(m) for m in models}) != 1:
-        raise ValueError("all models must share one dimension")
+    """Weighted average of the rows of a ``(k, dim)`` model stack (or of k
+    equal-length vectors), with weights renormalized over the given subset.
+    One reduce adds the weighted rows in order, as a running sum would."""
     stack = np.asarray(models, dtype=float)
-    if stack.ndim != 2:
-        raise ValueError("models must be vectors")
+    if stack.ndim != 2 or len(stack) == 0:
+        raise ValueError(f"models must be a non-empty (k, dim) stack, got shape {stack.shape}")
     w = np.asarray(weights, dtype=float)
     if w.shape != (len(stack),):
         raise ValueError("weights must match the number of models")
@@ -540,13 +531,19 @@ def fedavg_aggregate(models, weights) -> np.ndarray:
     return np.add.reduce((w / total)[:, None] * stack, axis=0)
 
 
-def shuffle_updates(updates, stream: NoiseStream):
-    """Uniformly permute a sequence of (client id, model) pairs."""
-    updates = list(updates)
-    if not updates:
-        raise ValueError("nothing to shuffle")
-    perm = stream.rng.permutation(len(updates))
-    return [updates[i] for i in perm]
+def selection_count(fraction: float, clients: int) -> int:
+    """``ceil(fraction * clients)`` with the product rounded to 9 decimals first, so
+    that round-off (``0.07 * 100 == 7.000000000000001``) selects no extra client."""
+    return math.ceil(round(fraction * clients, 9))
+
+
+def shuffle_updates(ids: np.ndarray, stack: np.ndarray, stream: NoiseStream) -> tuple[np.ndarray, np.ndarray]:
+    """Uniformly permute a round's client ``ids`` and the rows of their
+    ``(k, dim)`` model ``stack`` together, by one permutation of k."""
+    if len(ids) == 0 or len(ids) != len(stack):
+        raise ValueError(f"need one id per model row and at least one, got {len(ids)} ids and {len(stack)} rows")
+    perm = stream.rng.permutation(len(ids))
+    return ids[perm], stack[perm]
 
 
 def run_round(
@@ -575,7 +572,7 @@ def run_round(
     mode-connect curves train on ``curve_cfg.shard``, never on ``fed.eval``.
     """
     clients = sorted(clients, key=lambda c: c.id)
-    n_sel = math.ceil(server.selection_fraction * len(clients))
+    n_sel = selection_count(server.selection_fraction, len(clients))
     sel_rng = NoiseStream(master_seed, server.round_t, 0, "client-selection").rng
     chosen = np.sort(sel_rng.permutation(len(clients))[:n_sel])
     selected = [clients[i] for i in chosen]
@@ -587,31 +584,26 @@ def run_round(
 
     streams = [NoiseStream(master_seed, server.round_t, cfg.id, "local-update") for cfg in selected]
     spans = fed.bounds[np.stack([chosen, chosen + 1], axis=1)]
-    updates = local_updates(server, selected, fed.pool, spans, model, streams, w_max=w_max, eps_max=eps_max)
+    stack, round_draws = local_updates(server, selected, fed.pool, spans, model, streams, w_max, eps_max)
 
     # A noise-disabled client draws no noise, so only noised clients are charged.
     draws = np.zeros(len(clients), dtype=int)
-    draws[chosen] = [u.noise_draws for u in updates]
+    draws[chosen] = round_draws
     decision = ledger.spend(draws)
     if decision.halted:
         raise BudgetExhaustedError(
             f"privacy budget exhausted at round {server.round_t} for client {clients[decision.row].id}"
         )
 
-    pairs = [(u.client_id, u.params) for u in updates]
+    ids = np.array([cfg.id for cfg in selected])
     if shuffle:
-        pairs = shuffle_updates(pairs, NoiseStream(master_seed, server.round_t, 0, "shuffle"))
+        ids, stack = shuffle_updates(ids, stack, NoiseStream(master_seed, server.round_t, 0, "shuffle"))
     if server.aggregator is Aggregator.FEDAVG:
-        new_global = fedavg_aggregate([p for _, p in pairs], server.weights[[cid for cid, _ in pairs]])
+        new_global = fedavg_aggregate(stack, server.weights[ids])
     else:
-        new_global = mode_connect_aggregate(
-            [p for _, p in pairs],
-            curve_cfg,
-            stream=NoiseStream(master_seed, server.round_t, 0, "curve-train"),
-        )
-
-    for upd in updates:
-        prior_models[upd.client_id] = upd.params
+        curve_stream = NoiseStream(master_seed, server.round_t, 0, "curve-train")
+        new_global = mode_connect_aggregate(stack, curve_cfg, stream=curve_stream)
+    prior_models.update(zip(ids.tolist(), stack))
 
     noised = all(cfg.mechanism is not None for cfg in clients)
     metrics = RoundMetrics(
@@ -638,10 +630,9 @@ class Federation:
     """Every data role of a run as a row range of ``data``, whose rows are in
     role order: clients 0..K-1 (together, the ``pool``), the server's
     ``validation`` rows, then the held-out ``eval`` rows.  Client j's rows
-    are ``bounds[j]:bounds[j + 1]``, its view ``clients[j]``."""
+    are ``bounds[j]:bounds[j + 1]`` of the ``pool``."""
 
     data: DatasetShard
-    clients: list[DatasetShard]
     bounds: np.ndarray
     pool: DatasetShard
     validation: DatasetShard
@@ -654,7 +645,6 @@ class Federation:
         pool_n = int(bounds[-1])
         return cls(
             data=data,
-            clients=[data.row_range(a, b) for a, b in zip(bounds[:-1], bounds[1:])],
             bounds=bounds,
             pool=data.row_range(0, pool_n),
             validation=data.row_range(pool_n, pool_n + validation_n),

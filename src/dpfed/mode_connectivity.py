@@ -168,7 +168,8 @@ def mode_connect_aggregate(
     stream: NoiseStream | None = None,
     kind: CurveKind = CurveKind.POLYGONAL_CHAIN,
 ) -> np.ndarray:
-    """Merge models pairwise along trained curves until one survives.
+    """Merge the rows of a ``(k, d)`` model stack (or k equal-length
+    vectors) pairwise along trained curves until one survives.
 
     Callers supply models ordered as they should be paired (ascending client
     id unless an upstream shuffle reordered them); adjacent models pair up and
@@ -176,10 +177,9 @@ def mode_connect_aggregate(
     together as one ``(pairs, d)`` stack.  With ``cfg`` absent or zero steps
     the merge reduces to iterated pairwise midpoints.
     """
-    level = [np.asarray(m, dtype=float) for m in models]
-    if not level:
-        raise ValueError("at least one model is required")
-    level = np.stack(level)
+    level = np.asarray(models, dtype=float)
+    if level.ndim != 2 or len(level) == 0:
+        raise ValueError(f"models must be a non-empty (k, d) stack, got shape {level.shape}")
     sub = stream or NoiseStream(0, purpose="curve-train")
     merge_round = 0
     while len(level) > 1:

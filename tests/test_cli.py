@@ -30,6 +30,11 @@ def write_csv_dataset(tmp_path, rows):
     return str(path)
 
 
+def client_views(fed):
+    """Each client's rows of the federation's pool, as row-range views."""
+    return [fed.pool.row_range(*fed.bounds[j : j + 2]) for j in range(len(fed.bounds) - 1)]
+
+
 def small_cfg(**kw):
     args = dict(mechanism="gaussian", rounds=5, seed=3)
     args.update(kw)
@@ -68,6 +73,18 @@ class TestParseConfig:
         assert parse_config("").seed == 99
         assert parse_config("seed = 5\n").seed == 5
         assert parse_config("seed = 5\n", {"seed": "7"}).seed == 7
+
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+    def test_seed_outside_64_bits_rejected(self, seed, monkeypatch):
+        # Streams keep the seed's low 64 bits: -1 and 2**64 would alias 2**64 - 1 and 0.
+        message = "invalid value for 'seed' in {}: '" + seed + "' \\(must lie in \\[0, 2\\*\\*64\\), as streams"
+        with pytest.raises(ConfigError, match=message.format("config line 1")):
+            parse_config(f"seed = {seed}\n")
+        with pytest.raises(ConfigError, match=message.format("command-line flag")):
+            parse_config("", {"seed": seed})
+        monkeypatch.setenv("UDPFL_SEED", seed)
+        with pytest.raises(ConfigError, match=message.format("UDPFL_SEED environment variable")):
+            parse_config("")
 
     def test_infinite_epsilon(self):
         cfg = parse_config("epsilon = inf\n")
@@ -168,9 +185,10 @@ class TestRunExperiment:
         assert run_experiment(cfg).exit_code == 0
         assert len(rounds) == 3
         for result, clients, model, fed in rounds:
-            assert [s.n for s in fed.clients] == [19, 19, 19, 18]
+            views = client_views(fed)
+            assert [s.n for s in views] == [19, 19, 19, 18]
             w, weights = result.server.global_model, result.server.weights
-            want = sum(weights[c.id] * model.loss(w, fed.clients[c.id]) for c in clients)
+            want = sum(weights[c.id] * model.loss(w, views[c.id]) for c in clients)
             assert result.metrics.train_loss == pytest.approx(want, rel=1e-12)
 
 
@@ -215,14 +233,15 @@ class TestDataRoles:
 
         [fed] = built
         data = fed.data
-        clients = [row_span(s, data) for s in fed.clients]
+        views = client_views(fed)
+        clients = [row_span(s, data) for s in views]
         validation, evaluation = row_span(fed.validation, data), row_span(fed.eval, data)
         # the roles cover every row exactly once, in role order
         assert [i for span in [*clients, validation, evaluation] for i in span] == list(range(data.n))
         assert row_span(fed.pool, data) == range(0, clients[-1].stop)
-        assert np.array_equal(fed.pool.augmented, np.concatenate([s.augmented for s in fed.clients]))
-        assert np.array_equal(fed.pool.labels, np.concatenate([s.labels for s in fed.clients]))
-        for shard in [*fed.clients, fed.pool, fed.validation]:
+        assert np.array_equal(fed.pool.augmented, np.concatenate([s.augmented for s in views]))
+        assert np.array_equal(fed.pool.labels, np.concatenate([s.labels for s in views]))
+        for shard in [*views, fed.pool, fed.validation]:
             assert not set(row_span(shard, data)) & set(evaluation)
             for name in ("augmented", "features", "labels", "ghost_term"):
                 assert not np.shares_memory(getattr(shard, name), getattr(fed.eval, name)), name
@@ -323,6 +342,21 @@ class TestCommandLine:
         out1 = run_cli("run", "--rounds", "2", "--mechanism", "gaussian", "--seed", "4")
         assert out0.stdout == out1.stdout
 
+    def test_seeds_that_alias_modulo_2_64_are_rejected(self, tmp_path):
+        # 2**64 and -1 once ran the streams of 0 and 2**64 - 1; now only the
+        # seeds in [0, 2**64) run.
+        for valid, alias in (("0", "18446744073709551616"), ("18446744073709551615", "-1")):
+            ran = run_cli("run", "--rounds", "1", "--mechanism", "gaussian", "--seed", valid)
+            assert ran.returncode == 0, ran.stderr
+            assert ran.stdout.splitlines()[1].endswith(f",{valid}")
+            refused = run_cli("run", "--rounds", "1", "--mechanism", "gaussian", "--seed", alias)
+            assert refused.returncode == 2 and refused.stdout == ""
+            assert f"invalid value for 'seed' in command-line flag: '{alias}'" in refused.stderr
+        cfg = tmp_path / "a.cfg"
+        cfg.write_text("rounds = 1\n", encoding="utf-8")
+        refused = run_cli("sweep", str(cfg), "--seeds", "1,-1")
+        assert refused.returncode == 2 and "'seed'" in refused.stderr
+
     def test_calibrate_json_lines(self):
         proc = run_cli(
             "calibrate", "--mechanism", "gaussian,staircase", "--epsilon", "8", "--rounds", "300"
@@ -358,7 +392,7 @@ class TestCommandLine:
         (tmp_path / "data.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
         fed = _build_federation(cfg)
         assert 2 in fed.validation.labels and 2 in fed.eval.labels
-        assert all(2 not in s.labels for s in fed.clients)
+        assert 2 not in fed.pool.labels
 
         proc = run_cli(
             "run", "--dataset", path, "--clients", "2", "--rounds", "2", "--seed", "3",

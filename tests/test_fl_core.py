@@ -24,8 +24,10 @@ from dpfed.fl_core import (
     local_updates,
     make_synthetic_federation,
     run_round,
+    selection_count,
     shuffle_updates,
 )
+from dpfed.mode_connectivity import CurveTrainConfig, mode_connect_aggregate
 from dpfed.mechanisms import MechanismKind, MechanismParams, NoiseStream, sample_noise_array
 from oracles import (
     central_difference_gradient,
@@ -38,6 +40,11 @@ from oracles import (
 def tiny_shard(seed=0, n=40, f=4, classes=3):
     rng = np.random.default_rng(seed)
     return DatasetShard(rng.normal(size=(n, f)), rng.integers(0, classes, n))
+
+
+def client_view(fed, j):
+    """Client j's rows of the federation's pool, as a row-range view."""
+    return fed.pool.row_range(*fed.bounds[j : j + 2])
 
 
 def make_client(mech=None, **kw):
@@ -107,7 +114,7 @@ class TestShard:
     def test_ghost_term_indexes_like_recomputed(self):
         fed = make_synthetic_federation(2, 200, 20, 10, seed=3)
         rng = np.random.default_rng(4)
-        for shard in fed.clients:
+        for shard in (client_view(fed, 0), client_view(fed, 1)):
             assert np.array_equal(shard.ghost_term, ghost_term(shard.features))
             for q in (0.05, 0.5):
                 idx = np.flatnonzero(rng.random(shard.n) < q)
@@ -115,9 +122,9 @@ class TestShard:
 
     def test_pool_is_a_view_of_dealt_rows(self):
         fed = make_synthetic_federation(3, 7, 2, 3, seed=5)
-        pool, shards = fed.pool, fed.clients
+        pool, shards = fed.pool, [client_view(fed, j) for j in range(3)]
         for name in ("augmented", "features", "labels", "ghost_term"):
-            assert np.shares_memory(getattr(pool, name), getattr(shards[0], name)), name
+            assert np.shares_memory(getattr(pool, name), getattr(fed.data, name)), name
         assert np.array_equal(pool.features, np.concatenate([s.features for s in shards]))
         assert np.array_equal(pool.labels, np.concatenate([s.labels for s in shards]))
         assert np.array_equal(pool.label_index, np.concatenate([s.labels for s in shards]) * pool.n + np.arange(pool.n))
@@ -125,9 +132,9 @@ class TestShard:
     def test_deal_splits_rows_in_role_order(self):
         data = tiny_shard(4, n=12)
         fed = Federation.deal(data, [3, 5], 2)
-        assert [s.n for s in fed.clients] == [3, 5]
         assert fed.bounds.tolist() == [0, 3, 8]
-        assert np.array_equal(fed.clients[1].features, data.features[3:8])
+        assert [client_view(fed, j).n for j in range(2)] == [3, 5]
+        assert np.array_equal(client_view(fed, 1).features, data.features[3:8])
         assert np.array_equal(fed.pool.features, data.features[:8])
         assert np.array_equal(fed.validation.features, data.features[8:10])
         assert np.array_equal(fed.eval.features, data.features[10:])
@@ -233,6 +240,22 @@ class TestLossModel:
             )
             assert model.loss(w, shard) == pytest.approx(want_loss, rel=1e-12)
             assert model.accuracy(w, shard) == want_acc
+
+    def test_one_vector_logits_are_one_matmul(self):
+        # A (dim,) vector is the one-segment case of the stacked logits, with
+        # the bits of one plain matmul over all rows.
+        rng = np.random.default_rng(41)
+        for _ in range(200):
+            classes, f, n = int(rng.integers(2, 11)), int(rng.integers(1, 25)), int(rng.integers(1, 300))
+            model = LogisticRegressionModel(classes, f)
+            rows = augment(rng.normal(scale=3.0, size=(n, f)))
+            w = rng.normal(size=model.dim)
+            want = w.reshape(classes, f + 1) @ rows.T
+            assert np.array_equal(model._logits(w, rows), want[None])
+            assert np.array_equal(model._logits(w[None], rows, (0, n)), want[None])
+        for shape in [(model.dim - 1,), (1, model.dim), ()]:
+            with pytest.raises(ValueError, match=f"expected a parameter vector of length {model.dim}"):
+                model.loss(np.zeros(shape), DatasetShard(rows[:, :-1], np.zeros(n, dtype=int)))
 
     def test_accuracy_range(self):
         model = LogisticRegressionModel(3, 4)
@@ -543,7 +566,7 @@ class TestLocalUpdate:
         w = model.init_params()
         for r in range(3):
             plan = make_plan(w, sample_rate_q=0.5, local_epochs_I=2)
-            w = local_update(plan, cfg, fed.clients[0], model, NoiseStream(13, r, 0, "local-update")).params
+            w = local_update(plan, cfg, client_view(fed, 0), model, NoiseStream(13, r, 0, "local-update")).params
         assert model.accuracy(w, fed.eval) == pytest.approx(0.1, abs=0.05)
 
     def test_noise_draw_counting(self):
@@ -650,17 +673,24 @@ class TestLocalUpdates:
                 mech = MechanismParams(MechanismKind.LAPLACE, c, 0.5) if noisy else None
                 cfgs.append(ClientConfig(cid, PrivacyBudget(eps, 1e-5, 1), mech))
                 spans.append((fed.bounds[cid], fed.bounds[cid + 1]))
-                views.append(fed.clients[cid])
+                views.append(client_view(fed, cid))
         w0 = rng.normal(scale=0.5, size=model.dim)
-        w_max, eps_max = (rng.normal(scale=0.5, size=model.dim), 8.0) if anchored else (None, None)
         plan = make_plan(w0, len(clients), clip_c=c, sample_rate_q=q, local_epochs_I=epochs, learning_rate=lr)
+        if anchored:
+            w_max, eps_max = rng.normal(scale=0.5, size=model.dim), 8.0
+            solo = dict(w_max=w_max, eps_max=eps_max)
+        else:
+            # local_update's defaults: no pull, toward the broadcast model.
+            w_max, eps_max, solo = w0, math.inf, {}
         streams = client_streams(seed, 1, cfgs)
-        got = local_updates(plan, cfgs, fed.pool, spans, model, streams, w_max=w_max, eps_max=eps_max)
-        assert [u.client_id for u in got] == [cfg.id for cfg in cfgs]
-        for cfg, view, stream, g in zip(cfgs, views, client_streams(seed, 1, cfgs), got):
-            want = local_update(plan, cfg, view, model, stream, w_max=w_max, eps_max=eps_max)
-            assert g.noise_draws == want.noise_draws
-            assert_matches_oracle(g.params, want.params)
+        stack, draws = local_updates(plan, cfgs, fed.pool, spans, model, streams, w_max, eps_max)
+        assert stack.shape == (len(cfgs), model.dim) and draws.shape == (len(cfgs),)
+        assert np.issubdtype(draws.dtype, np.integer)
+        for cfg, view, stream, params, n_draws in zip(cfgs, views, client_streams(seed, 1, cfgs), stack, draws):
+            want = local_update(plan, cfg, view, model, stream, **solo)
+            assert want.client_id == cfg.id
+            assert n_draws == want.noise_draws
+            assert_matches_oracle(params, want.params)
 
     @pytest.mark.parametrize("q, kind", [(0.5, MechanismKind.GAUSSIAN), (0.05, MechanismKind.STAIRCASE)])
     def test_bit_equal_at_the_benchmark_shapes(self, q, kind):
@@ -679,12 +709,13 @@ class TestLocalUpdates:
         w_max = np.random.default_rng(33).normal(scale=0.1, size=model.dim)
         for round_t in range(3):
             plan = make_plan(w, 10, sample_rate_q=q, local_epochs_I=2)
-            got = local_updates(plan, cfgs, fed.pool, spans, model, client_streams(7, round_t, cfgs), w_max, eps.max())
-            for cfg, shard, stream, g in zip(cfgs, fed.clients, client_streams(7, round_t, cfgs), got):
-                x = local_update(plan, cfg, shard, model, stream, w_max=w_max, eps_max=eps.max())
-                assert g.noise_draws == x.noise_draws == 2
-                assert np.array_equal(g.params, x.params)
-            w = fedavg_aggregate([g.params for g in got], np.full(10, 0.1))
+            streams = client_streams(7, round_t, cfgs)
+            stack, draws = local_updates(plan, cfgs, fed.pool, spans, model, streams, w_max, eps.max())
+            for cfg, stream, params, n_draws in zip(cfgs, client_streams(7, round_t, cfgs), stack, draws):
+                x = local_update(plan, cfg, client_view(fed, cfg.id), model, stream, w_max=w_max, eps_max=eps.max())
+                assert n_draws == x.noise_draws == 2
+                assert np.array_equal(params, x.params)
+            w = fedavg_aggregate(stack, np.full(10, 0.1))
 
     def test_returned_models_outlive_the_next_round(self):
         # Round t's client models are rows of one stack, and round t + 1
@@ -725,10 +756,10 @@ class TestLocalUpdates:
         assert (NoiseStream(seed, 0, 0, "local-update").rng.random(epochs) >= q).all()
         spans = [(0, 1), (1, 61)]
         streams = client_streams(seed, 0, cfgs)
-        got = local_updates(plan, cfgs, fed.pool, spans, model, streams, np.zeros(model.dim), 8.0)
-        assert got[0].noise_draws == 0 and np.array_equal(got[0].params, w0)
+        stack, draws = local_updates(plan, cfgs, fed.pool, spans, model, streams, np.zeros(model.dim), 8.0)
+        assert draws[0] == 0 and np.array_equal(stack[0], w0)
         # Three draws: the 60-row client's segment is non-empty in every epoch.
-        assert got[1].noise_draws == epochs and not np.array_equal(got[1].params, w0)
+        assert draws[1] == epochs and not np.array_equal(stack[1], w0)
 
 
 class TestHeterogeneousUpdate:
@@ -779,35 +810,51 @@ class TestFedAvg:
         assert np.array_equal(fedavg_aggregate([m], [0.4]), m)
 
     def test_errors(self):
-        with pytest.raises(ValueError):
-            fedavg_aggregate([], [])
+        for empty in ([], np.zeros((0, 3))):
+            with pytest.raises(ValueError, match="non-empty \\(k, dim\\) stack"):
+                fedavg_aggregate(empty, [])
         with pytest.raises(ValueError):
             fedavg_aggregate([np.zeros(2), np.zeros(3)], [1.0, 1.0])
+        for flat_or_deep in (np.zeros(3), np.zeros((2, 2, 2))):
+            with pytest.raises(ValueError, match="non-empty \\(k, dim\\) stack"):
+                fedavg_aggregate(flat_or_deep, [1.0, 1.0])
         with pytest.raises(ValueError):
             fedavg_aggregate([np.zeros(2)], [0.0])
 
 
 class TestShuffle:
     def test_single_unchanged(self):
-        pairs = [(3, np.array([1.0]))]
-        assert shuffle_updates(pairs, NoiseStream(0, purpose="shuffle")) == pairs
+        ids, stack = shuffle_updates(np.array([3]), np.array([[1.0, 2.0]]), NoiseStream(0, purpose="shuffle"))
+        assert ids.tolist() == [3] and stack.tolist() == [[1.0, 2.0]]
 
-    def test_multiset_preserved(self):
-        pairs = [(i, np.array([float(i)])) for i in range(6)]
-        out = shuffle_updates(pairs, NoiseStream(1, purpose="shuffle"))
-        assert sorted(cid for cid, _ in out) == list(range(6))
-        for cid, vec in out:
-            assert vec[0] == float(cid)  # pairs stay intact
+    def test_ids_stay_with_their_rows(self):
+        ids = np.array([4, 0, 7, 2, 9, 5])
+        stack = np.stack([ids * 1.0, -ids * 1.0], axis=1)
+        out_ids, out_stack = shuffle_updates(ids, stack, NoiseStream(1, purpose="shuffle"))
+        assert sorted(out_ids.tolist()) == sorted(ids.tolist())
+        assert np.array_equal(out_stack[:, 0], out_ids) and np.array_equal(out_stack[:, 1], -out_ids)
+        # One permutation of k from the stream, applied to both.
+        perm = NoiseStream(1, purpose="shuffle").rng.permutation(len(ids))
+        assert np.array_equal(out_ids, ids[perm]) and np.array_equal(out_stack, stack[perm])
+        assert not np.array_equal(perm, np.arange(len(ids)))
 
     def test_uniformity_chi_square(self):
-        items = [(0, np.array([0.0])), (1, np.array([1.0])), (2, np.array([2.0]))]
+        ids, stack = np.arange(3), np.arange(3.0)[:, None]
         counts = Counter()
         for trial in range(10_000):
-            out = shuffle_updates(items, NoiseStream(12345, trial, 0, "shuffle"))
-            counts[tuple(cid for cid, _ in out)] += 1
+            out_ids, out_stack = shuffle_updates(ids, stack, NoiseStream(12345, trial, 0, "shuffle"))
+            assert np.array_equal(out_stack[:, 0], out_ids)
+            counts[tuple(out_ids.tolist())] += 1
         assert len(counts) == 6
         for perm, count in counts.items():
             assert count / 10_000 == pytest.approx(1.0 / 6.0, abs=0.02)
+
+    def test_empty_round_and_mismatch_rejected(self):
+        stream = NoiseStream(0, purpose="shuffle")
+        with pytest.raises(ValueError, match="at least one"):
+            shuffle_updates(np.array([], dtype=int), np.zeros((0, 2)), stream)
+        with pytest.raises(ValueError, match="one id per model row"):
+            shuffle_updates(np.arange(3), np.zeros((2, 2)), stream)
 
 
 def build_federation(
@@ -890,8 +937,66 @@ class TestRunRound:
         # each trained on its own rows of the pool, with its own stream
         for cid, params in result.client_models.items():
             stream = NoiseStream(4, 0, cid, "local-update")
-            want = local_update(server, clients[cid], fed.clients[cid], model, stream, server.global_model, 8.0)
+            want = local_update(server, clients[cid], client_view(fed, cid), model, stream, server.global_model, 8.0)
             assert_matches_oracle(params, want.params)
+
+    @pytest.mark.parametrize("fraction, want", [(0.07, 7), (0.14, 14), (0.28, 28), (0.55, 55), (0.56, 56)])
+    def test_selection_count_ignores_round_off(self, fraction, want):
+        # fraction * 100 lies just above want in floating point: 0.07 * 100 == 7.000000000000001.
+        assert fraction * 100 > want
+        server, clients, model, ledger, fed = build_federation(n_clients=100)
+        server.selection_fraction = fraction
+        result = run_round(server, clients, model, ledger, 2, fed)
+        assert len(result.client_models) == want
+
+    def test_selection_count_is_the_ceiling_at_the_grid_sizes(self):
+        # The acceptance grid and CI run 4, 10 or 20 clients: there no
+        # fraction of hundredths changes its count.
+        for clients in (4, 10, 20):
+            for fraction in np.arange(1, 101) / 100:  # 0.01 ... 1.00, the doubles the config parses
+                assert selection_count(fraction, clients) == math.ceil(fraction * clients)
+        assert selection_count(0.07, 100) == 7 and selection_count(0.071, 100) == 8
+
+    def test_shuffled_round_keeps_each_weight_with_its_client(self):
+        # Uneven clients, so unequal weights, with heterogeneous Gaussian budgets.
+        sizes, seed = [3, 9, 5, 12], 23
+        fed = Federation.deal(tiny_shard(50, n=sum(sizes) + 8, f=5), sizes, 4)
+        model = LogisticRegressionModel(3, 5)
+        budgets = [PrivacyBudget(eps, 1e-5, 40) for eps in (2.0, 8.0, 4.0, 6.0)]
+        clients = [
+            ClientConfig(cid, b, calibrate_noise(MechanismKind.GAUSSIAN, 1.0, b).mechanism)
+            for cid, b in enumerate(budgets)
+        ]
+        weights = np.array(sizes) / sum(sizes)
+        perm = NoiseStream(seed, 0, 0, "shuffle").rng.permutation(len(sizes))
+        assert not np.array_equal(perm, np.arange(len(sizes)))
+        ids = np.arange(len(sizes))
+
+        def shuffled_round(aggregator, curve_cfg=None):
+            server = make_plan(
+                np.random.default_rng(51).normal(scale=0.3, size=model.dim), weights=weights,
+                aggregator=aggregator, sample_rate_q=0.7, local_epochs_I=2,
+            )
+            ledger = client_ledger(clients, default_alpha_grid())
+            result = run_round(server, clients, model, ledger, seed, fed, shuffle=True, curve_cfg=curve_cfg)
+            for cfg in clients:
+                stream = NoiseStream(seed, 0, cfg.id, "local-update")
+                want = local_update(server, cfg, client_view(fed, cfg.id), model, stream, server.global_model, 8.0)
+                assert_matches_oracle(result.client_models[cfg.id], want.params)
+            return result, np.stack([result.client_models[cid] for cid in ids])
+
+        result, stack = shuffled_round(Aggregator.FEDAVG)
+        want = fedavg_aggregate(stack[perm], weights[ids[perm]])
+        assert np.array_equal(result.server.global_model, want)
+        # Rows shuffled without their ids would weigh each model by another client's weight.
+        assert not np.allclose(fedavg_aggregate(stack[perm], weights), want, rtol=1e-9)
+
+        curve_cfg = CurveTrainConfig(5, 0.05, model, fed.validation)
+        result, stack = shuffled_round(Aggregator.MODE_CONNECT, curve_cfg)
+        stream = NoiseStream(seed, 0, 0, "curve-train")
+        want = mode_connect_aggregate(stack[perm], curve_cfg, stream=stream)
+        assert np.array_equal(result.server.global_model, want)
+        assert not np.allclose(mode_connect_aggregate(stack, curve_cfg, stream=stream), want, rtol=1e-9)
 
     def test_mode_connect_round_runs(self):
         server, clients, model, ledger, fed = build_federation(aggregator=Aggregator.MODE_CONNECT)

@@ -350,8 +350,16 @@ class TestModeConnectAggregate:
         assert len(set(keys)) == len(keys)
 
     def test_empty_rejected(self):
+        for empty in ([], np.zeros((0, 3))):
+            with pytest.raises(ValueError, match="non-empty \\(k, d\\) stack"):
+                mode_connect_aggregate(empty, None)
+
+    def test_ragged_or_flat_rejected(self):
         with pytest.raises(ValueError):
-            mode_connect_aggregate([], None)
+            mode_connect_aggregate([np.zeros(2), np.zeros(3)], None)
+        for flat_or_deep in (np.zeros(3), np.zeros((2, 2, 2))):
+            with pytest.raises(ValueError, match="non-empty \\(k, d\\) stack"):
+                mode_connect_aggregate(flat_or_deep, None)
 
 
 class TestExtraRounds:
