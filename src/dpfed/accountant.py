@@ -222,8 +222,10 @@ def calibrate_noise(
     bracket is within the relative ``tolerance``; the returned scale sits on
     the feasible side, and perturbing it one tolerance step toward less noise
     violates the budget.  Raises :class:`InfeasibleBudgetError` when even the
-    maximum-noise knob cannot meet the budget (never clamps silently).
+    maximum-noise knob cannot meet the budget (never clamps silently); an infinite epsilon is a ``ValueError``.
     """
+    if not math.isfinite(budget.epsilon):
+        raise ValueError(f"calibration needs a finite budget epsilon, got {budget.epsilon}")
     arr = validate_alpha_grid(default_alpha_grid() if grid is None else grid)
     if not tolerance > 0:
         raise ValueError(f"tolerance must be positive, got {tolerance}")

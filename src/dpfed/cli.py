@@ -298,20 +298,17 @@ def run_experiment(cfg: ExperimentConfig, csv_stream=None) -> ExperimentResult:
     # A noise-disabled run has epsilon = inf and no heterogeneous epsilons.
     eps_list = cfg.heterogeneous_epsilons or (cfg.epsilon,) * cfg.clients
     clients = []
-    for cid, eps_k in enumerate(eps_list):
+    for eps_k in eps_list:
         budget = PrivacyBudget(eps_k, cfg.delta, cfg.horizon)
         mech = None if cfg.noise_disabled else _calibrate_cached(kind, cfg.clip, budget).mechanism
-        clients.append(ClientConfig(id=cid, budget=budget, mechanism=mech))
+        clients.append(ClientConfig(budget=budget, mechanism=mech))
     ledger = client_ledger(clients, default_alpha_grid())
     scale = max((c.mechanism.scale for c in clients if c.mechanism), default=math.inf)
     run_cells = f"{cfg.mechanism},{_format_value(scale)},{cfg.seed}"
 
-    # The pooled train loss is the sizes-weighted mean of the shard losses.
-    sizes = np.diff(fed.bounds).astype(float)
     server = ServerState(
         global_model=model.init_params(),
         round_t=0,
-        weights=sizes / sizes.sum(),
         aggregator=Aggregator(cfg.aggregator),
         selection_fraction=cfg.selection_fraction,
         clip_c=cfg.clip,
@@ -326,7 +323,6 @@ def run_experiment(cfg: ExperimentConfig, csv_stream=None) -> ExperimentResult:
     if csv_stream is not None:
         csv_stream.write(CSV_HEADER + "\n")
     metrics: list[RoundMetrics] = []
-    prior_models: dict[int, np.ndarray] = {}
     exit_code = EXIT_OK
     for _ in range(cfg.rounds):
         try:
@@ -339,12 +335,11 @@ def run_experiment(cfg: ExperimentConfig, csv_stream=None) -> ExperimentResult:
                 fed,
                 shuffle=cfg.shuffle,
                 curve_cfg=curve_cfg,
-                prior_models=prior_models,
             )
         except BudgetExhaustedError:
             exit_code = EXIT_BUDGET_HALT
             break
-        server, prior_models = result.server, result.client_models
+        server = result.server
         metrics.append(result.metrics)
         if csv_stream is not None:
             csv_stream.write(format_metrics_row(result.metrics, run_cells) + "\n")

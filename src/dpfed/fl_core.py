@@ -7,7 +7,10 @@ coordinate per epoch at sensitivity c, the sum is averaged and an SGD step
 taken), the ledger charges one Renyi curve per noise application, and the
 server aggregates by FedAvg or pairwise mode-connectivity merging.
 
-A run keeps one :class:`RdpLedger` with a row per client
+A client is its position j in the run's client list: ``clients[j]`` holds
+its budget and mechanism, ``fed.bounds[j]`` and ``fed.weights[j]`` its rows
+and FedAvg weight, and ``server.client_models[j]`` its last trained model.
+A run keeps one :class:`RdpLedger` with a row per client, row j for client j
 (:func:`client_ledger`): each row's per-application curve is computed once,
 at set-up, and a round charges every selected client's draws in one
 all-or-nothing ``spend``, so a halt leaves every row as it was.  FedAvg is
@@ -314,7 +317,7 @@ class LogisticRegressionModel:
         return self.stack_gradient(shard, len(stack))(stack, np.empty(stack.shape)).reshape(w.shape)
 
     def accuracy(self, w: np.ndarray, shard: DatasetShard) -> float:
-        pred = _max_shift(self._logits(w, shard.augmented))[0].argmax(axis=0)
+        pred = self._logits(w, shard.augmented)[0].argmax(axis=0)
         return float((pred == shard.labels).mean())
 
 
@@ -341,11 +344,11 @@ def _softmax_residuals(logits: np.ndarray, hot: np.ndarray, col: np.ndarray | No
 
 @dataclass
 class ClientConfig:
-    """One client: only what differs per client.  Its mechanism is calibrated
-    against ``budget`` and its ledger charged against it; a noise-disabled
-    client has no mechanism and a budget of epsilon = inf."""
+    """One client, known only by its position in the run's client list: what
+    differs per client.  Its mechanism is calibrated against ``budget`` and its
+    ledger charged against it; a noise-disabled client has no mechanism and a
+    budget of epsilon = inf."""
 
-    id: int
     budget: PrivacyBudget
     mechanism: MechanismParams | None
 
@@ -357,27 +360,22 @@ class Aggregator(enum.Enum):
 
 @dataclass
 class ServerState:
-    """The global model and round, and the run's plan: selection, aggregation
-    and the one local-training plan of every client (clip bound, sampling
-    rate, epochs and step)."""
+    """The global model and round, each client's last trained model keyed by
+    its position, and the run's plan: selection, aggregation and the one
+    local-training plan of every client (clip bound, sampling rate, epochs and step)."""
 
     global_model: np.ndarray
     round_t: int
-    weights: np.ndarray
     aggregator: Aggregator
     selection_fraction: float
     clip_c: float
     sample_rate_q: float
     local_epochs_I: int
     learning_rate: float
+    client_models: dict[int, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         self.global_model = np.asarray(self.global_model, dtype=float)
-        self.weights = np.asarray(self.weights, dtype=float)
-        if np.any(self.weights < 0):
-            raise ValueError("client weights must be non-negative")
-        if abs(self.weights.sum() - 1.0) > 1e-12:
-            raise ValueError("client weights must sum to 1")
         if not (0.0 < self.selection_fraction <= 1.0):
             raise ValueError(f"selection fraction must lie in (0, 1], got {self.selection_fraction}")
         if not self.clip_c > 0:
@@ -400,7 +398,6 @@ class RoundMetrics:
 
 @dataclass
 class ClientUpdate:
-    client_id: int
     params: np.ndarray
     noise_draws: int
 
@@ -409,7 +406,6 @@ class ClientUpdate:
 class RoundResult:
     server: ServerState
     metrics: RoundMetrics
-    client_models: dict[int, np.ndarray]
 
 
 def local_update(
@@ -425,7 +421,7 @@ def local_update(
     of :func:`local_updates`, with ``w_max`` the broadcast model and ``eps_max`` inf unless given."""
     w_max = server.global_model if w_max is None else w_max
     stack, draws = local_updates(server, [cfg], shard, [(0, shard.n)], model, [stream], w_max, eps_max)
-    return ClientUpdate(client_id=cfg.id, params=stack[0], noise_draws=int(draws[0]))
+    return ClientUpdate(params=stack[0], noise_draws=int(draws[0]))
 
 
 def local_updates(
@@ -532,14 +528,14 @@ def fedavg_aggregate(models, weights) -> np.ndarray:
 
 
 def selection_count(fraction: float, clients: int) -> int:
-    """``ceil(fraction * clients)`` with the product rounded to 9 decimals first, so
-    that round-off (``0.07 * 100 == 7.000000000000001``) selects no extra client."""
-    return math.ceil(round(fraction * clients, 9))
+    """``max(1, ceil(fraction * clients))`` with the product rounded to 9 decimals first,
+    so that round-off (``0.07 * 100 == 7.000000000000001``) selects no extra client."""
+    return max(1, math.ceil(round(fraction * clients, 9)))
 
 
 def shuffle_updates(ids: np.ndarray, stack: np.ndarray, stream: NoiseStream) -> tuple[np.ndarray, np.ndarray]:
-    """Uniformly permute a round's client ``ids`` and the rows of their
-    ``(k, dim)`` model ``stack`` together, by one permutation of k."""
+    """Uniformly permute a round's client positions ``ids`` and the rows of
+    their ``(k, dim)`` model ``stack`` together, by one permutation of k."""
     if len(ids) == 0 or len(ids) != len(stack):
         raise ValueError(f"need one id per model row and at least one, got {len(ids)} ids and {len(stack)} rows")
     perm = stream.rng.permutation(len(ids))
@@ -555,34 +551,37 @@ def run_round(
     fed: Federation,
     shuffle: bool = False,
     curve_cfg: CurveTrainConfig | None = None,
-    prior_models: dict[int, np.ndarray] | None = None,
 ) -> RoundResult:
     """Execute one federated round; raises ``BudgetExhaustedError`` when any
     selected client's ledger row cannot cover its noise applications, and
     then leaves every row as it was before the round.
 
-    ``ledger`` holds one row per client, in id order (:func:`client_ledger`),
-    and client j's rows are ``fed.bounds[j]:fed.bounds[j + 1]`` of
-    ``fed.pool``.  The selected clients' local epochs run under the server's
-    plan as one segmented batch of pool rows (:func:`local_updates`): the
-    matmuls stay per client, everything else is shared.  Their noise draws
-    are charged in one all-or-nothing :meth:`RdpLedger.spend`.
+    Client j is ``clients[j]``, ledger row j (:func:`client_ledger`), rows
+    ``fed.bounds[j]:fed.bounds[j + 1]`` of ``fed.pool`` and weight
+    ``fed.weights[j]``; the three client counts must agree.  The selected
+    clients' local epochs run under the server's plan as one segmented batch
+    of pool rows (:func:`local_updates`): the matmuls stay per client,
+    everything else is shared.  Their noise draws are charged in one
+    all-or-nothing :meth:`RdpLedger.spend`, and the returned server state
+    remembers their models.
     ``train_loss`` is the mean cross-entropy over ``fed.pool`` (every client
     row) and ``eval_accuracy`` is scored on the held-out ``fed.eval``;
     mode-connect curves train on ``curve_cfg.shard``, never on ``fed.eval``.
     """
-    clients = sorted(clients, key=lambda c: c.id)
+    counts = (len(clients), len(ledger.budgets), len(fed.bounds) - 1)
+    if len(set(counts)) != 1:
+        raise ValueError("{} clients, {} ledger rows and {} client row ranges must agree".format(*counts))
     n_sel = selection_count(server.selection_fraction, len(clients))
     sel_rng = NoiseStream(master_seed, server.round_t, 0, "client-selection").rng
     chosen = np.sort(sel_rng.permutation(len(clients))[:n_sel])
     selected = [clients[i] for i in chosen]
 
-    prior_models = dict(prior_models or {})
-    eps_max = max(c.budget.epsilon for c in selected)
-    anchor = min(c.id for c in selected if c.budget.epsilon == eps_max)
-    w_max = prior_models.get(anchor, server.global_model)
+    eps = [c.budget.epsilon for c in selected]
+    eps_max = max(eps)
+    # The anchor is the first selected client with the largest budget.
+    w_max = server.client_models.get(int(chosen[eps.index(eps_max)]), server.global_model)
 
-    streams = [NoiseStream(master_seed, server.round_t, cfg.id, "local-update") for cfg in selected]
+    streams = [NoiseStream(master_seed, server.round_t, j, "local-update") for j in chosen.tolist()]
     spans = fed.bounds[np.stack([chosen, chosen + 1], axis=1)]
     stack, round_draws = local_updates(server, selected, fed.pool, spans, model, streams, w_max, eps_max)
 
@@ -592,18 +591,18 @@ def run_round(
     decision = ledger.spend(draws)
     if decision.halted:
         raise BudgetExhaustedError(
-            f"privacy budget exhausted at round {server.round_t} for client {clients[decision.row].id}"
+            f"privacy budget exhausted at round {server.round_t} for client {decision.row}"
         )
 
-    ids = np.array([cfg.id for cfg in selected])
     if shuffle:
-        ids, stack = shuffle_updates(ids, stack, NoiseStream(master_seed, server.round_t, 0, "shuffle"))
+        chosen, stack = shuffle_updates(chosen, stack, NoiseStream(master_seed, server.round_t, 0, "shuffle"))
     if server.aggregator is Aggregator.FEDAVG:
-        new_global = fedavg_aggregate(stack, server.weights[ids])
+        new_global = fedavg_aggregate(stack, fed.weights[chosen])
     else:
         curve_stream = NoiseStream(master_seed, server.round_t, 0, "curve-train")
         new_global = mode_connect_aggregate(stack, curve_cfg, stream=curve_stream)
-    prior_models.update(zip(ids.tolist(), stack))
+    client_models = dict(server.client_models)
+    client_models.update(zip(chosen.tolist(), stack))
 
     noised = all(cfg.mechanism is not None for cfg in clients)
     metrics = RoundMetrics(
@@ -612,15 +611,14 @@ def run_round(
         train_loss=model.loss(new_global, fed.pool),
         eval_accuracy=model.accuracy(new_global, fed.eval),
     )
-    new_server = replace(server, global_model=new_global, round_t=server.round_t + 1)
-    return RoundResult(server=new_server, metrics=metrics, client_models=prior_models)
+    new_server = replace(server, global_model=new_global, round_t=server.round_t + 1, client_models=client_models)
+    return RoundResult(server=new_server, metrics=metrics)
 
 
 def client_ledger(clients, grid) -> RdpLedger:
-    """One ledger row per client, in id order: its budget and its
+    """One ledger row per client, row j for ``clients[j]``: its budget and its
     per-application curve on ``grid``, zero for a noise-disabled client
     (which draws no noise and is never charged)."""
-    clients = sorted(clients, key=lambda c: c.id)
     curves = [np.zeros(np.shape(grid)) if c.mechanism is None else cached_rdp_curve(c.mechanism, grid) for c in clients]
     return RdpLedger(grid, curves, [c.budget for c in clients])
 
@@ -630,10 +628,11 @@ class Federation:
     """Every data role of a run as a row range of ``data``, whose rows are in
     role order: clients 0..K-1 (together, the ``pool``), the server's
     ``validation`` rows, then the held-out ``eval`` rows.  Client j's rows
-    are ``bounds[j]:bounds[j + 1]`` of the ``pool``."""
+    are ``bounds[j]:bounds[j + 1]`` of the ``pool``; their share of it is its FedAvg weight ``weights[j]``."""
 
     data: DatasetShard
     bounds: np.ndarray
+    weights: np.ndarray
     pool: DatasetShard
     validation: DatasetShard
     eval: DatasetShard
@@ -646,6 +645,7 @@ class Federation:
         return cls(
             data=data,
             bounds=bounds,
+            weights=np.diff(bounds) / pool_n,
             pool=data.row_range(0, pool_n),
             validation=data.row_range(pool_n, pool_n + validation_n),
             eval=data.row_range(pool_n + validation_n, data.n),

@@ -369,6 +369,12 @@ class TestCalibration:
         result = calibrate_noise(MechanismKind.STAIRCASE, 1.0, PrivacyBudget(8.0, DELTA, 10))
         assert result.mechanism.nu == pytest.approx(optimal_staircase_nu(result.mechanism.scale), rel=1e-12)
 
+    @pytest.mark.parametrize("kind", list(MechanismKind))
+    def test_infinite_epsilon_rejected(self, kind):
+        # No noise scale answers epsilon = inf; the knob floor is not one.
+        with pytest.raises(ValueError, match="^calibration needs a finite budget epsilon, got inf$"):
+            calibrate_noise(kind, 1.0, PrivacyBudget(math.inf, DELTA, 5))
+
     def test_infeasible_budget_raises(self):
         # epsilon below the conversion floor log(1/delta)/(alpha_max - 1)
         with pytest.raises(InfeasibleBudgetError):

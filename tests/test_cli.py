@@ -187,8 +187,8 @@ class TestRunExperiment:
         for result, clients, model, fed in rounds:
             views = client_views(fed)
             assert [s.n for s in views] == [19, 19, 19, 18]
-            w, weights = result.server.global_model, result.server.weights
-            want = sum(weights[c.id] * model.loss(w, views[c.id]) for c in clients)
+            w = result.server.global_model
+            want = sum(fed.weights[j] * model.loss(w, views[j]) for j in range(len(clients)))
             assert result.metrics.train_loss == pytest.approx(want, rel=1e-12)
 
 
@@ -336,6 +336,16 @@ class TestCommandLine:
         proc = run_cli("run", "--epsilon", "0.05", "--rounds", "2")
         assert proc.returncode == 2
         assert "infeasible" in proc.stderr.lower()
+
+    def test_tiny_selection_fraction_runs_one_client(self):
+        proc = run_cli("run", "--rounds", "2", "--mechanism", "gaussian", "--selection-fraction", "1e-12")
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1])["rounds_run"] == 2
+
+    def test_calibrate_rejects_infinite_epsilon(self):
+        proc = run_cli("calibrate", "--mechanism", "laplace", "--epsilon", "inf", "--rounds", "5")
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "finite budget epsilon" in proc.stderr
 
     def test_env_seed(self, tmp_path):
         out0 = run_cli("run", "--rounds", "2", "--mechanism", "gaussian", env={"UDPFL_SEED": "4"})

@@ -47,20 +47,16 @@ def client_view(fed, j):
     return fed.pool.row_range(*fed.bounds[j : j + 2])
 
 
-def make_client(mech=None, **kw):
-    args = dict(id=0, budget=PrivacyBudget(8.0, 1e-5, 1), mechanism=mech)
-    args.update(kw)
-    return ClientConfig(**args)
+def make_client(mech=None, budget=PrivacyBudget(8.0, 1e-5, 1)):
+    return ClientConfig(budget, mech)
 
 
-def make_plan(w0, clients=1, **kw):
-    """A server broadcasting ``w0`` to ``clients`` equally weighted clients,
-    with the local-training plan q = 1, one epoch, c = 1 and step 0.1
-    unless ``kw`` overrides it."""
+def make_plan(w0, **kw):
+    """A server broadcasting ``w0``, with the local-training plan q = 1, one
+    epoch, c = 1 and step 0.1 unless ``kw`` overrides it."""
     args = dict(
         global_model=w0,
         round_t=0,
-        weights=np.full(clients, 1.0 / clients),
         aggregator=Aggregator.FEDAVG,
         selection_fraction=1.0,
         clip_c=1.0,
@@ -139,6 +135,12 @@ class TestShard:
         assert np.array_equal(fed.validation.features, data.features[8:10])
         assert np.array_equal(fed.eval.features, data.features[10:])
         assert fed.data is data
+
+    @pytest.mark.parametrize("sizes", [[19, 19, 19, 18], [3, 9, 5, 12], [200] * 10])
+    def test_deal_weights_are_the_pool_shares_bit_for_bit(self, sizes):
+        fed = Federation.deal(tiny_shard(6, n=sum(sizes) + 2), sizes, 1)
+        floats = np.array(sizes, dtype=float)
+        assert fed.weights.tobytes() == (floats / floats.sum()).tobytes()
 
     def test_synthetic_validation_rows_leave_the_data_stream_alone(self):
         # Client and eval rows are the "synthetic-data" draws exactly as if
@@ -618,8 +620,8 @@ class TestServerState:
             run_round(server, clients, model, ledger, 3, fed)
 
 
-def client_streams(seed, round_t, cfgs):
-    return [NoiseStream(seed, round_t, cfg.id, "local-update") for cfg in cfgs]
+def client_streams(seed, round_t, positions):
+    return [NoiseStream(seed, round_t, j, "local-update") for j in positions]
 
 
 class TestLocalUpdates:
@@ -667,28 +669,28 @@ class TestLocalUpdates:
         # The pool is the clients' rows in order, then one validation and one eval row.
         n = sum(sizes) + 2
         fed = Federation.deal(DatasetShard(rng.normal(size=(n, 4)), rng.integers(0, 3, n)), sizes, 1)
-        cfgs, spans, views = [], [], []
-        for cid, (_, eps, noisy, selected) in enumerate(clients):
+        cfgs, positions, spans, views = [], [], [], []
+        for j, (_, eps, noisy, selected) in enumerate(clients):
             if selected:
                 mech = MechanismParams(MechanismKind.LAPLACE, c, 0.5) if noisy else None
-                cfgs.append(ClientConfig(cid, PrivacyBudget(eps, 1e-5, 1), mech))
-                spans.append((fed.bounds[cid], fed.bounds[cid + 1]))
-                views.append(client_view(fed, cid))
+                cfgs.append(ClientConfig(PrivacyBudget(eps, 1e-5, 1), mech))
+                positions.append(j)
+                spans.append((fed.bounds[j], fed.bounds[j + 1]))
+                views.append(client_view(fed, j))
         w0 = rng.normal(scale=0.5, size=model.dim)
-        plan = make_plan(w0, len(clients), clip_c=c, sample_rate_q=q, local_epochs_I=epochs, learning_rate=lr)
+        plan = make_plan(w0, clip_c=c, sample_rate_q=q, local_epochs_I=epochs, learning_rate=lr)
         if anchored:
             w_max, eps_max = rng.normal(scale=0.5, size=model.dim), 8.0
             solo = dict(w_max=w_max, eps_max=eps_max)
         else:
             # local_update's defaults: no pull, toward the broadcast model.
             w_max, eps_max, solo = w0, math.inf, {}
-        streams = client_streams(seed, 1, cfgs)
+        streams = client_streams(seed, 1, positions)
         stack, draws = local_updates(plan, cfgs, fed.pool, spans, model, streams, w_max, eps_max)
         assert stack.shape == (len(cfgs), model.dim) and draws.shape == (len(cfgs),)
         assert np.issubdtype(draws.dtype, np.integer)
-        for cfg, view, stream, params, n_draws in zip(cfgs, views, client_streams(seed, 1, cfgs), stack, draws):
+        for cfg, view, stream, params, n_draws in zip(cfgs, views, client_streams(seed, 1, positions), stack, draws):
             want = local_update(plan, cfg, view, model, stream, **solo)
-            assert want.client_id == cfg.id
             assert n_draws == want.noise_draws
             assert_matches_oracle(params, want.params)
 
@@ -700,19 +702,17 @@ class TestLocalUpdates:
         model = LogisticRegressionModel(10, 20)
         eps = np.linspace(8.0, 16.0, 10) if q < 0.5 else np.full(10, 8.0)
         budgets = [PrivacyBudget(e, 1e-5, 300) for e in eps]
-        cfgs = [
-            make_client(calibrate_noise(kind, 1.0, budget).mechanism, id=cid, budget=budget)
-            for cid, budget in enumerate(budgets)
-        ]
+        cfgs = [make_client(calibrate_noise(kind, 1.0, budget).mechanism, budget) for budget in budgets]
         spans = np.stack([fed.bounds[:-1], fed.bounds[1:]], axis=1)
         w = np.random.default_rng(32).normal(scale=0.1, size=model.dim)
         w_max = np.random.default_rng(33).normal(scale=0.1, size=model.dim)
         for round_t in range(3):
-            plan = make_plan(w, 10, sample_rate_q=q, local_epochs_I=2)
-            streams = client_streams(7, round_t, cfgs)
+            plan = make_plan(w, sample_rate_q=q, local_epochs_I=2)
+            streams = client_streams(7, round_t, range(10))
             stack, draws = local_updates(plan, cfgs, fed.pool, spans, model, streams, w_max, eps.max())
-            for cfg, stream, params, n_draws in zip(cfgs, client_streams(7, round_t, cfgs), stack, draws):
-                x = local_update(plan, cfg, client_view(fed, cfg.id), model, stream, w_max=w_max, eps_max=eps.max())
+            solo = client_streams(7, round_t, range(10))
+            for j, (cfg, stream, params, n_draws) in enumerate(zip(cfgs, solo, stack, draws)):
+                x = local_update(plan, cfg, client_view(fed, j), model, stream, w_max=w_max, eps_max=eps.max())
                 assert n_draws == x.noise_draws == 2
                 assert np.array_equal(params, x.params)
             w = fedavg_aggregate(stack, np.full(10, 0.1))
@@ -723,14 +723,12 @@ class TestLocalUpdates:
         server, clients, model, ledger, fed = build_federation(
             mech_kind=MechanismKind.GAUSSIAN, eps_list=[2.0, 4.0, 6.0, 8.0]
         )
-        prior = None
         for _ in range(3):
-            result = run_round(server, clients, model, ledger, 12, fed, prior_models=prior)
-            kept = {cid: w.copy() for cid, w in result.client_models.items()}
-            server, prior = result.server, result.client_models
-            run_round(server, clients, model, ledger, 12, fed, prior_models=prior)
-            for cid, w in kept.items():
-                assert np.array_equal(prior[cid], w)
+            server = run_round(server, clients, model, ledger, 12, fed).server
+            kept = {j: w.copy() for j, w in server.client_models.items()}
+            run_round(server, clients, model, ledger, 12, fed)
+            for j, w in kept.items():
+                assert np.array_equal(server.client_models[j], w)
 
     def test_segment_bounds_checked(self):
         model = LogisticRegressionModel(3, 4)
@@ -748,14 +746,14 @@ class TestLocalUpdates:
         q, epochs, seed = 0.05, 3, 3
         fed = Federation.deal(tiny_shard(40, n=63), [1, 60], 1)
         # The empty client's budget is below eps_max, so a step would move it.
-        cfgs = [make_client(mech, id=0, budget=PrivacyBudget(2.0, 1e-5, 1)), make_client(mech, id=1)]
+        cfgs = [make_client(mech, PrivacyBudget(2.0, 1e-5, 1)), make_client(mech)]
         w0 = np.random.default_rng(42).normal(size=model.dim)
-        plan = make_plan(w0, 2, sample_rate_q=q, local_epochs_I=epochs)
+        plan = make_plan(w0, sample_rate_q=q, local_epochs_I=epochs)
         # Precondition: the 1-row client draws one uniform per epoch (and,
         # its segment empty, no noise), and each is at least q.
         assert (NoiseStream(seed, 0, 0, "local-update").rng.random(epochs) >= q).all()
         spans = [(0, 1), (1, 61)]
-        streams = client_streams(seed, 0, cfgs)
+        streams = client_streams(seed, 0, range(2))
         stack, draws = local_updates(plan, cfgs, fed.pool, spans, model, streams, np.zeros(model.dim), 8.0)
         assert draws[0] == 0 and np.array_equal(stack[0], w0)
         # Three draws: the 60-row client's segment is non-empty in every epoch.
@@ -877,10 +875,10 @@ def build_federation(
         mech = None
         if mech_kind is not None:
             mech = calibrate_noise(mech_kind, 1.0, budget).mechanism
-        clients.append(ClientConfig(id=cid, budget=budget, mechanism=mech))
+        clients.append(ClientConfig(budget=budget, mechanism=mech))
     ledger = client_ledger(clients, grid)
     server = make_plan(
-        model.init_params(), n_clients, aggregator=aggregator, sample_rate_q=0.5, local_epochs_I=2, learning_rate=0.05
+        model.init_params(), aggregator=aggregator, sample_rate_q=0.5, local_epochs_I=2, learning_rate=0.05
     )
     return server, clients, model, ledger, fed
 
@@ -933,11 +931,11 @@ class TestRunRound:
         server.selection_fraction = 0.5
         result = run_round(server, clients, model, ledger, 4, fed)
         # only ceil(0.5 * 4) = 2 clients trained: the others left no local model
-        assert len(result.client_models) == 2
+        assert len(result.server.client_models) == 2
         # each trained on its own rows of the pool, with its own stream
-        for cid, params in result.client_models.items():
-            stream = NoiseStream(4, 0, cid, "local-update")
-            want = local_update(server, clients[cid], client_view(fed, cid), model, stream, server.global_model, 8.0)
+        for j, params in result.server.client_models.items():
+            stream = NoiseStream(4, 0, j, "local-update")
+            want = local_update(server, clients[j], client_view(fed, j), model, stream, server.global_model, 8.0)
             assert_matches_oracle(params, want.params)
 
     @pytest.mark.parametrize("fraction, want", [(0.07, 7), (0.14, 14), (0.28, 28), (0.55, 55), (0.56, 56)])
@@ -947,7 +945,7 @@ class TestRunRound:
         server, clients, model, ledger, fed = build_federation(n_clients=100)
         server.selection_fraction = fraction
         result = run_round(server, clients, model, ledger, 2, fed)
-        assert len(result.client_models) == want
+        assert len(result.server.client_models) == want
 
     def test_selection_count_is_the_ceiling_at_the_grid_sizes(self):
         # The acceptance grid and CI run 4, 10 or 20 clients: there no
@@ -957,36 +955,55 @@ class TestRunRound:
                 assert selection_count(fraction, clients) == math.ceil(fraction * clients)
         assert selection_count(0.07, 100) == 7 and selection_count(0.071, 100) == 8
 
+    @pytest.mark.parametrize("fraction", [1e-12, 4e-11])
+    def test_a_tiny_fraction_selects_one_client(self, fraction):
+        # The product rounds to 0 at 9 decimals; a positive fraction still selects a client.
+        assert selection_count(fraction, 10) == 1
+        server, clients, model, ledger, fed = build_federation(n_clients=10)
+        server.selection_fraction = fraction
+        assert len(run_round(server, clients, model, ledger, 2, fed).server.client_models) == 1
+
+    def test_client_counts_must_agree(self):
+        # One client list, one ledger row each and one row range each, or no round.
+        server, clients, model, ledger, fed = build_federation()
+        _, five_clients, _, five_rows, five_ranges = build_federation(n_clients=5)
+        for cfgs, rows, ranges, counts in [
+            (clients, ledger, five_ranges, (4, 4, 5)),
+            (clients, five_rows, fed, (4, 5, 4)),
+            (five_clients, ledger, fed, (5, 4, 4)),
+        ]:
+            message = "^{} clients, {} ledger rows and {} client row ranges must agree$".format(*counts)
+            with pytest.raises(ValueError, match=message):
+                run_round(server, cfgs, model, rows, 1, ranges)
+        assert ledger.rounds_composed.tolist() == [0, 0, 0, 0]
+
     def test_shuffled_round_keeps_each_weight_with_its_client(self):
         # Uneven clients, so unequal weights, with heterogeneous Gaussian budgets.
         sizes, seed = [3, 9, 5, 12], 23
         fed = Federation.deal(tiny_shard(50, n=sum(sizes) + 8, f=5), sizes, 4)
         model = LogisticRegressionModel(3, 5)
         budgets = [PrivacyBudget(eps, 1e-5, 40) for eps in (2.0, 8.0, 4.0, 6.0)]
-        clients = [
-            ClientConfig(cid, b, calibrate_noise(MechanismKind.GAUSSIAN, 1.0, b).mechanism)
-            for cid, b in enumerate(budgets)
-        ]
+        clients = [ClientConfig(b, calibrate_noise(MechanismKind.GAUSSIAN, 1.0, b).mechanism) for b in budgets]
         weights = np.array(sizes) / sum(sizes)
         perm = NoiseStream(seed, 0, 0, "shuffle").rng.permutation(len(sizes))
         assert not np.array_equal(perm, np.arange(len(sizes)))
-        ids = np.arange(len(sizes))
 
         def shuffled_round(aggregator, curve_cfg=None):
             server = make_plan(
-                np.random.default_rng(51).normal(scale=0.3, size=model.dim), weights=weights,
+                np.random.default_rng(51).normal(scale=0.3, size=model.dim),
                 aggregator=aggregator, sample_rate_q=0.7, local_epochs_I=2,
             )
             ledger = client_ledger(clients, default_alpha_grid())
             result = run_round(server, clients, model, ledger, seed, fed, shuffle=True, curve_cfg=curve_cfg)
-            for cfg in clients:
-                stream = NoiseStream(seed, 0, cfg.id, "local-update")
-                want = local_update(server, cfg, client_view(fed, cfg.id), model, stream, server.global_model, 8.0)
-                assert_matches_oracle(result.client_models[cfg.id], want.params)
-            return result, np.stack([result.client_models[cid] for cid in ids])
+            models = result.server.client_models
+            for j, cfg in enumerate(clients):
+                stream = NoiseStream(seed, 0, j, "local-update")
+                want = local_update(server, cfg, client_view(fed, j), model, stream, server.global_model, 8.0)
+                assert_matches_oracle(models[j], want.params)
+            return result, np.stack([models[j] for j in range(len(clients))])
 
         result, stack = shuffled_round(Aggregator.FEDAVG)
-        want = fedavg_aggregate(stack[perm], weights[ids[perm]])
+        want = fedavg_aggregate(stack[perm], weights[perm])
         assert np.array_equal(result.server.global_model, want)
         # Rows shuffled without their ids would weigh each model by another client's weight.
         assert not np.allclose(fedavg_aggregate(stack[perm], weights), want, rtol=1e-9)
@@ -1009,8 +1026,7 @@ class TestRunRound:
         )
         result = run_round(server, clients, model, ledger, 6, fed)
         # system epsilon is the per-client maximum
-        per_client = [ledger.to_dp()[0][c.id] for c in clients]
-        assert result.metrics.cumulative_epsilon == pytest.approx(max(per_client), rel=1e-12)
+        assert result.metrics.cumulative_epsilon == pytest.approx(ledger.to_dp()[0].max(), rel=1e-12)
         # weaker-budget clients got more noise
         scales = [c.mechanism.scale for c in clients]
         assert scales == sorted(scales, reverse=True)
@@ -1047,17 +1063,17 @@ class TestRunRound:
         server.local_epochs_I = epochs
         grid = default_alpha_grid()
         for t in range(min(rounds) + 1):
-            before = {c.id: (ledger.gamma[c.id].copy(), ledger.rounds_composed[c.id]) for c in clients}
+            before = [(ledger.gamma[j].copy(), ledger.rounds_composed[j]) for j in range(n)]
             if t == min(rounds):
-                # The halt names the first client, in id order, that is out of rounds.
+                # The halt names the first client, in position order, that is out of rounds.
                 with pytest.raises(BudgetExhaustedError, match=f"for client {rounds.index(t)}$"):
                     run_round(server, clients, model, ledger, 21, fed)
-                for cid, (gamma, composed) in before.items():
-                    assert np.array_equal(ledger.gamma[cid], gamma)
-                    assert ledger.rounds_composed[cid] == composed
+                for j, (gamma, composed) in enumerate(before):
+                    assert np.array_equal(ledger.gamma[j], gamma)
+                    assert ledger.rounds_composed[j] == composed
                 return
             server = run_round(server, clients, model, ledger, 21, fed).server
-            for cfg in clients:
+            for j, cfg in enumerate(clients):
                 charge = epochs * rdp_curve(cfg.mechanism, grid)
-                assert np.array_equal(ledger.gamma[cfg.id], before[cfg.id][0] + charge)
-                assert ledger.rounds_composed[cfg.id] == before[cfg.id][1] + 1
+                assert np.array_equal(ledger.gamma[j], before[j][0] + charge)
+                assert ledger.rounds_composed[j] == before[j][1] + 1
