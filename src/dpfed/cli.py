@@ -175,6 +175,17 @@ class ExperimentConfig:
     seed: int = 0
     output: str | None = None
 
+    def __post_init__(self) -> None:
+        # Checked here, so a config built directly fails before any calibration.
+        if self.heterogeneous_epsilons is not None:
+            if len(self.heterogeneous_epsilons) != self.clients:
+                raise ConfigError(
+                    "invalid value for 'heterogeneous_epsilons': need exactly one epsilon per client "
+                    f"({self.clients} clients, {len(self.heterogeneous_epsilons)} values)"
+                )
+            if self.noise_disabled:
+                raise ConfigError("invalid value for 'heterogeneous_epsilons': incompatible with epsilon = inf")
+
     @property
     def noise_disabled(self) -> bool:
         return math.isinf(self.epsilon)
@@ -217,16 +228,7 @@ def parse_config(text: str, flag_overrides: dict[str, str] | None = None) -> Exp
     if "seed" not in values and "UDPFL_SEED" in os.environ:
         assign("seed", os.environ["UDPFL_SEED"], "UDPFL_SEED environment variable")
 
-    cfg = ExperimentConfig(**values)
-    if cfg.heterogeneous_epsilons is not None:
-        if len(cfg.heterogeneous_epsilons) != cfg.clients:
-            raise ConfigError(
-                "invalid value for 'heterogeneous_epsilons': need exactly one epsilon per client "
-                f"({cfg.clients} clients, {len(cfg.heterogeneous_epsilons)} values)"
-            )
-        if cfg.noise_disabled:
-            raise ConfigError("invalid value for 'heterogeneous_epsilons': incompatible with epsilon = inf")
-    return cfg
+    return ExperimentConfig(**values)
 
 
 def _format_value(value) -> str:

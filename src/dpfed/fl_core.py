@@ -43,10 +43,14 @@ A round's client epochs run as one segmented batch (:func:`local_updates`):
 each epoch every selected client samples its own row range of the pool, and
 the sampled pool rows are one ``take``, one segment per client.  The logits
 and clipped-sum matmuls stay per client, so each client's update keeps its
-bits; the softmax, ghost norms, clip factors, noise gather, averaging and the
+bits; the softmax, ghost norms, clip factors, averaging and the
 heterogeneous step run once over the batch and the ``(k, dim)`` stack of
 client models, which then goes as it is, with the ``(k,)`` noise-draw
 counts, to the ledger, the shuffle, the aggregators and the remembered models.
+The round's randomness is drawn before training by :func:`round_draws`, in
+one call per stream: the subsample uniforms of every selected row for every
+epoch, and the noised clients' ``(epochs, k_noised, dim)`` noise block,
+gathered once into the row layout.
 
 A run's rows are built once, as one shard whose row ranges are its data roles
 (:class:`Federation`): the client pool, which gives the CSV ``train_loss``
@@ -55,9 +59,15 @@ curves train on, and the eval rows.
 
 Every random decision flows through a :class:`NoiseStream` keyed by (master
 seed, round, client, purpose), so a configuration plus master seed fully
-determines the run.  Mechanism noise is the only stream salted by nothing
-else; data, selection and subsampling streams are mechanism-independent so
-that runs differing only in the noise mechanism are otherwise paired.
+determines the run.  :func:`run_round` builds a fixed set of streams,
+whatever the number of clients, each keyed by client 0:
+``"client-selection"``, ``"subsample"`` for the masks, ``"local-noise"`` for
+the noise (only when a selected client is noised), ``"shuffle"`` with
+shuffling and ``"curve-train"`` under mode-connect merging, which derives one
+stream per merged pair from it.  Only the local-noise stream depends on the
+mechanism, its scale or noise being on: data, selection, masks, shuffle and
+curve training do not, so runs that differ only there train on the same
+batches and are paired.
 
 Clients with heterogeneous privacy budgets are pulled toward the model of the
 weakest-budget client: the local step becomes
@@ -75,7 +85,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .accountant import PrivacyBudget, RdpLedger, cached_rdp_curve
-from .mechanisms import MechanismParams, NoiseStream, sample_noise_array
+from .mechanisms import MechanismParams, NoiseStream, sample_noise_block
 from .mode_connectivity import CurveTrainConfig, mode_connect_aggregate
 
 
@@ -408,19 +418,41 @@ class RoundResult:
     metrics: RoundMetrics
 
 
+def round_draws(
+    master_seed: int, server: ServerState, selected: list[ClientConfig], rows_n: int, dim: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The randomness of a round's local training, each round-wide stream
+    drawn once: the ``"subsample"`` stream's ``(epochs, rows_n)`` uniforms,
+    the masks of the ``selected`` clients' ``rows_n`` rows, and the
+    ``"local-noise"`` stream's ``(epochs, k_noised, dim)`` block of the noised
+    clients' draws (:func:`sample_noise_block`), in ``selected`` order.  With
+    no noised client the block is empty and no noise stream is built."""
+    epochs, round_t = server.local_epochs_I, server.round_t
+    uniforms = NoiseStream(master_seed, round_t, 0, "subsample").rng.random((epochs, rows_n))
+    mechs = [cfg.mechanism for cfg in selected if cfg.mechanism is not None]
+    if not mechs:
+        return uniforms, np.empty((epochs, 0, dim))
+    stream = NoiseStream(master_seed, round_t, 0, "local-noise")
+    return uniforms, sample_noise_block(mechs, stream, (epochs, len(mechs), dim))
+
+
 def local_update(
     server: ServerState,
     cfg: ClientConfig,
     shard: DatasetShard,
     model,
-    stream: NoiseStream,
+    uniforms: np.ndarray,
+    noise: np.ndarray,
     w_max: np.ndarray | None = None,
     eps_max: float = math.inf,
 ) -> ClientUpdate:
     """Run one client's privatized local epochs on its rows ``shard``: the one-client case
-    of :func:`local_updates`, with ``w_max`` the broadcast model and ``eps_max`` inf unless given."""
+    of :func:`local_updates`.  ``uniforms`` is its ``(epochs, shard.n)`` slice of the round's
+    masks and ``noise`` its ``(epochs, 1, dim)`` slice of the noise block, ``(epochs, 0, dim)``
+    for a noise-disabled client, as :func:`round_draws` draws them for a round of this client
+    alone; ``w_max`` is the broadcast model and ``eps_max`` inf unless given."""
     w_max = server.global_model if w_max is None else w_max
-    stack, draws = local_updates(server, [cfg], shard, [(0, shard.n)], model, [stream], w_max, eps_max)
+    stack, draws = local_updates(server, [cfg], shard, [(0, shard.n)], model, uniforms, noise, w_max, eps_max)
     return ClientUpdate(params=stack[0], noise_draws=int(draws[0]))
 
 
@@ -430,7 +462,8 @@ def local_updates(
     rows: DatasetShard,
     spans,
     model,
-    streams: list[NoiseStream],
+    uniforms: np.ndarray,
+    noise: np.ndarray,
     w_max: np.ndarray,
     eps_max: float,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -440,50 +473,59 @@ def local_updates(
     models and the ``(k,)`` counts of their noise draws, in ``cfgs`` order.
 
     Client j of ``cfgs`` owns rows ``spans[j][0]:spans[j][1]`` of ``rows``
-    (ascending, disjoint).  In each epoch every client draws a Poisson-style
-    subsample of its rows at the rate q; the sampled rows form one batch, one
-    segment per client.  The ghost-norm kernel ``model.clipped_gradient_sum``
-    sums each segment's per-example gradients clipped at c.  Each noised
-    client then adds one noise draw per coordinate (sensitivity c), the sums
-    are divided by the batch sizes and one :func:`heterogeneous_update` step
-    moves the stack, pulling toward ``w_max`` each client whose budget is below
-    ``eps_max``.  A client whose subsample is empty skips the epoch unspent.
+    (ascending, disjoint).  The round's randomness comes drawn: ``uniforms``
+    is the ``(epochs, m)`` array of masks, one column per span row in span
+    order, and ``noise`` the ``(epochs, k_noised, dim)`` block of the noised
+    clients' draws, in ``cfgs`` order and the published ``[W | b]`` packing,
+    gathered here once into the row layout.  In each epoch a client's
+    subsample is its rows whose uniform lies below the rate q; the sampled
+    rows form one batch, one segment per client.  The ghost-norm kernel
+    ``model.clipped_gradient_sum`` sums each segment's per-example gradients
+    clipped at c.  Each noised client then adds its epoch's noise row
+    (sensitivity c), the sums are divided by the batch sizes and one
+    :func:`heterogeneous_update` step moves the stack, pulling toward
+    ``w_max`` each client whose budget is below ``eps_max``.  A client whose
+    subsample is empty skips the epoch: its noise row is discarded and not
+    counted.
 
-    Client k draws its mask, then its noise, each epoch from ``streams[k]``,
-    so its update is the one it makes alone, to the bit except after a
-    one-row subsample (see ``clipped_gradient_sum``).
+    Client j's update depends only on its own slices of the two arrays, so
+    it is the one :func:`local_update` makes from them alone, to the bit
+    except after a one-row subsample (see ``clipped_gradient_sum``).
     """
     for cfg in cfgs:
         if cfg.mechanism is not None and not math.isclose(cfg.mechanism.sensitivity, server.clip_c):
             raise ValueError(
                 f"mechanism sensitivity {cfg.mechanism.sensitivity} must equal the clip bound {server.clip_c}"
             )
+    epochs = server.local_epochs_I
+    starts, stops = np.asarray(spans).T
+    offsets = np.concatenate([[0], np.cumsum(stops - starts)])
+    noised = np.array([cfg.mechanism is not None for cfg in cfgs])
+    want = (epochs, int(offsets[-1])), (epochs, int(noised.sum()), model.dim)
+    if (uniforms.shape, noise.shape) != want:
+        shapes = (*want, uniforms.shape, noise.shape)
+        raise ValueError("masks and noise must have shapes {} and {}, got {} and {}".format(*shapes))
+    # The pool row of each mask column, and each client's row of the noise block.
+    pool_rows = np.arange(offsets[-1]) + np.repeat(starts - offsets[:-1], stops - starts)
+    slot = np.cumsum(noised) - 1
+    noise = noise[..., model.from_published]
+    lam = np.array([[heterogeneity_penalty(cfg.budget.epsilon, eps_max)] for cfg in cfgs])
     stack = np.tile(server.global_model, (len(cfgs), 1))
     draws = np.zeros(len(cfgs), dtype=int)
-    starts, stops = np.asarray(spans).T.tolist()
-    noised = np.array([cfg.mechanism is not None for cfg in cfgs])
-    lam = np.array([[heterogeneity_penalty(cfg.budget.epsilon, eps_max)] for cfg in cfgs])
-    # Rows outside every span keep 1.0, never below a rate q <= 1.
-    uniform = np.ones(rows.n)
-    for _ in range(server.local_epochs_I):
-        for stream, lo, hi in zip(streams, starts, stops):
-            stream.rng.random(out=uniform[lo:hi])
-        idx = (uniform < server.sample_rate_q).nonzero()[0]
-        bounds = idx.searchsorted(starts + [rows.n])
+    for epoch, hit in enumerate(uniforms < server.sample_rate_q):
+        picked = hit.nonzero()[0]
+        bounds = picked.searchsorted(offsets)
         sizes = bounds[1:] - bounds[:-1]
         stepped = sizes > 0
         if not stepped.any():
             continue
+        idx = pool_rows[picked]
         summed = model.clipped_gradient_sum(
             stack, rows.augmented.take(idx, axis=0), rows.labels[idx], rows.ghost_term[idx], server.clip_c, bounds
         )
         noisy = (noised & stepped).nonzero()[0]
-        if noisy.size:
-            # Drawn in the published [W | b] coordinate order, then gathered
-            # into the model's row layout.
-            noise = np.array([sample_noise_array(cfgs[k].mechanism, streams[k], model.dim) for k in noisy])
-            summed[noisy] += noise[:, model.from_published]
-            draws[noisy] += 1
+        summed[noisy] += noise[epoch, slot[noisy]]
+        draws[noisy] += 1
         # An empty segment's sum is zero, and its client does not step.
         summed /= np.maximum(sizes, 1)[:, None]
         moved = heterogeneous_update(stack, summed, w_max, lam, server.learning_rate)
@@ -561,9 +603,16 @@ def run_round(
     ``fed.weights[j]``; the three client counts must agree.  The selected
     clients' local epochs run under the server's plan as one segmented batch
     of pool rows (:func:`local_updates`): the matmuls stay per client,
-    everything else is shared.  Their noise draws are charged in one
-    all-or-nothing :meth:`RdpLedger.spend`, and the returned server state
-    remembers their models.
+    everything else is shared.  Their randomness is drawn first by
+    :func:`round_draws`, from two round-wide streams, once each: the
+    ``"subsample"`` stream gives the masks of the selected clients' rows and,
+    if any selected client is noised, the ``"local-noise"`` stream gives the
+    noised clients' noise block, so the masks never depend on the mechanism,
+    its scale or noise being on.  The noised clients may use different
+    mechanism kinds (see :func:`sample_noise_block`).  The noise
+    applications made (an empty subsample discards its noise row) are
+    charged in one all-or-nothing :meth:`RdpLedger.spend`, and the returned
+    server state remembers the clients' models.
     ``train_loss`` is the mean cross-entropy over ``fed.pool`` (every client
     row) and ``eval_accuracy`` is scored on the held-out ``fed.eval``;
     mode-connect curves train on ``curve_cfg.shard``, never on ``fed.eval``.
@@ -581,13 +630,13 @@ def run_round(
     # The anchor is the first selected client with the largest budget.
     w_max = server.client_models.get(int(chosen[eps.index(eps_max)]), server.global_model)
 
-    streams = [NoiseStream(master_seed, server.round_t, j, "local-update") for j in chosen.tolist()]
     spans = fed.bounds[np.stack([chosen, chosen + 1], axis=1)]
-    stack, round_draws = local_updates(server, selected, fed.pool, spans, model, streams, w_max, eps_max)
+    drawn = round_draws(master_seed, server, selected, int(np.diff(fed.bounds)[chosen].sum()), model.dim)
+    stack, applied = local_updates(server, selected, fed.pool, spans, model, *drawn, w_max, eps_max)
 
     # A noise-disabled client draws no noise, so only noised clients are charged.
     draws = np.zeros(len(clients), dtype=int)
-    draws[chosen] = round_draws
+    draws[chosen] = applied
     decision = ledger.spend(draws)
     if decision.halted:
         raise BudgetExhaustedError(

@@ -190,24 +190,57 @@ def density_as_published(params: MechanismParams, x) -> float | np.ndarray:
 
 
 def sample_noise_array(params: MechanismParams, stream: NoiseStream, size: int) -> np.ndarray:
-    """Vectorized sampler; ``size`` i.i.d. draws from the mechanism's density."""
-    rng = stream.rng
-    if params.kind is MechanismKind.GAUSSIAN:
-        return rng.normal(0.0, params.scale, size)
-    if params.kind is MechanismKind.LAPLACE:
-        return rng.laplace(0.0, params.scale, size)
-    delta, lam, nu = params.sensitivity, params.scale, params.nu
-    e = math.exp(-lam)
+    """Vectorized sampler; ``size`` i.i.d. draws from the mechanism's density:
+    the one-row case of :func:`sample_noise_block`."""
+    return sample_noise_block([params], stream, (1, size))[0]
+
+
+def sample_noise_block(params, stream: NoiseStream, shape) -> np.ndarray:
+    """Draws of ``shape`` ``(..., k, d)`` with row j from ``params[j]``.  The
+    rows of one kind are drawn together, each kind in turn in the order it
+    first appears in ``params``, so a block of one kind is one draw of each
+    call its sampler makes."""
+    if shape[-2] != len(params):
+        raise ValueError(f"a noise block needs one parameter set per row: got {len(params)} for shape {shape}")
+    rows_of: dict[MechanismKind, list[int]] = {}
+    for j, p in enumerate(params):
+        rows_of.setdefault(p.kind, []).append(j)
+    if len(rows_of) == 1:
+        return _sample_one_kind(params, stream.rng, shape)
+    block = np.empty(shape)
+    for rows in rows_of.values():
+        sets = [params[j] for j in rows]
+        block[..., rows, :] = _sample_one_kind(sets, stream.rng, (*shape[:-2], len(rows), shape[-1]))
+    return block
+
+
+def _sample_one_kind(params, rng: np.random.Generator, shape) -> np.ndarray:
+    # Each field of the k sets becomes a (k, 1) column, so each draw call and
+    # the Staircase arithmetic run once over the whole block.  Gaussian and
+    # Laplace draw unit noise and scale it by the column.
+    def column(values) -> np.ndarray:
+        return np.array(values, dtype=float)[:, None]
+
+    kind = params[0].kind
+    if kind is MechanismKind.GAUSSIAN:
+        return rng.standard_normal(shape) * column([p.scale for p in params])
+    if kind is MechanismKind.LAPLACE:
+        return rng.laplace(0.0, 1.0, shape) * column([p.scale for p in params])
+    # Built per set in Python floats, so each row's constants are those of one set alone.
+    e = [math.exp(-p.scale) for p in params]
+    nu = column([p.nu for p in params])
     # band index: P(rho = i) = (1 - e^-lam) e^{-i lam}
-    rho = rng.geometric(1.0 - e, size) - 1.0
+    rho = rng.geometric(column([1.0 - e_j for e_j in e]), shape) - 1.0
     # One call draws the piece, the offset within it and the sign, in that
-    # order: the same doubles as three calls of ``size`` each.
-    piece, u, coin = rng.random((3, size))
-    inner = piece < nu / (nu + e * (1.0 - nu))
-    # In bands of width delta, the inner piece is [rho, rho + nu), the outer [rho + nu, rho + 1).
-    start = np.where(inner, rho, rho + nu)
-    width = np.where(inner, nu, 1.0 - nu)
-    return np.copysign((start + u * width) * delta, coin - 0.5)
+    # order: the same doubles as three calls of the block's size each.
+    piece, u, coin = rng.random((3, *shape))
+    inner = piece < column([p.nu / (p.nu + e_j * (1.0 - p.nu)) for p, e_j in zip(params, e)])
+    # In bands of width delta, the inner piece is [rho, rho + nu), the outer
+    # [rho + nu, rho + 1): the draw is (start + u * width) * delta, in place.
+    u *= np.where(inner, nu, 1.0 - nu)
+    u += np.where(inner, rho, rho + nu)
+    u *= column([p.sensitivity for p in params])
+    return np.copysign(u, coin - 0.5, out=u)
 
 
 def rdp(params: MechanismParams, alpha: float) -> float:

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from dpfed import cli
 from dpfed.cli import (
     CSV_HEADER,
     SWEEP_HEADER,
@@ -104,6 +105,22 @@ class TestParseConfig:
 
 
 class TestRunExperiment:
+    @pytest.mark.parametrize(
+        "kw, message",
+        [
+            (dict(clients=5, heterogeneous_epsilons=(7.0, 8.0, 9.0, 10.0)), "\\(5 clients, 4 values\\)$"),
+            (dict(epsilon=math.inf, clients=2, heterogeneous_epsilons=(7.0, 8.0)), "incompatible with epsilon = inf$"),
+        ],
+    )
+    def test_directly_built_config_fails_before_any_output(self, monkeypatch, kw, message):
+        # The config's own checks run before calibration and before the CSV header.
+        calibrated = []
+        monkeypatch.setattr(cli, "calibrate_noise", lambda *args: calibrated.append(args))
+        buf = io.StringIO()
+        with pytest.raises(ConfigError, match="^invalid value for 'heterogeneous_epsilons': .*" + message):
+            run_experiment(small_cfg(**kw), csv_stream=buf)
+        assert buf.getvalue() == "" and calibrated == []
+
     def test_csv_schema_and_determinism(self):
         outs = []
         for _ in range(2):
@@ -132,6 +149,36 @@ class TestRunExperiment:
         assert result.summary["final_epsilon"] is None
         assert result.summary["calibrated_scale"] is None
         assert ",inf," in buf.getvalue().splitlines()[1]
+
+    def test_batches_do_not_depend_on_the_noise(self, monkeypatch):
+        # Runs that differ only in mechanism, epsilon or noise on/off train on
+        # the same rows in every epoch of every round.  Three epochs, so the
+        # masks of later epochs come after a noise draw; half the clients
+        # selected, so selection is exercised too.
+        batches = []
+        kernel = cli.LogisticRegressionModel.clipped_gradient_sum
+
+        def recording(self, w, rows, labels, ghost_term, c, bounds):
+            batches[-1].append((rows.copy(), labels.copy(), np.asarray(bounds).copy()))
+            return kernel(self, w, rows, labels, ghost_term, c, bounds)
+
+        monkeypatch.setattr(cli.LogisticRegressionModel, "clipped_gradient_sum", recording)
+        variants = [
+            dict(mechanism=mech, epsilon=eps)
+            for mech in ("gaussian", "laplace", "staircase")
+            for eps in (2.0, 8.0, math.inf)
+        ] + [dict(mechanism="staircase", epsilon=16.0, heterogeneous_epsilons=(4.0, 16.0, 8.0, 2.0))]
+        for kw in variants:
+            batches.append([])
+            cfg = small_cfg(rounds=4, clients=4, selection_fraction=0.5, local_epochs=3, sample_rate=0.3, **kw)
+            assert run_experiment(cfg).exit_code == 0
+        want = batches[0]
+        assert len(want) == 4 * 3
+        for kw, got in zip(variants[1:], batches[1:]):
+            assert len(got) == len(want), kw
+            for (rows, labels, bounds), (rows0, labels0, bounds0) in zip(got, want):
+                assert np.array_equal(rows, rows0) and np.array_equal(labels, labels0), kw
+                assert np.array_equal(bounds, bounds0), kw
 
     def test_seed_changes_output(self):
         a = run_experiment(small_cfg(seed=1))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dpfed import fl_core
 from dpfed.accountant import PrivacyBudget, calibrate_noise, default_alpha_grid, rdp_curve
 from dpfed.fl_core import (
     Aggregator,
@@ -23,12 +24,13 @@ from dpfed.fl_core import (
     local_update,
     local_updates,
     make_synthetic_federation,
+    round_draws,
     run_round,
     selection_count,
     shuffle_updates,
 )
 from dpfed.mode_connectivity import CurveTrainConfig, mode_connect_aggregate
-from dpfed.mechanisms import MechanismKind, MechanismParams, NoiseStream, sample_noise_array
+from dpfed.mechanisms import MechanismKind, MechanismParams, NoiseStream
 from oracles import (
     central_difference_gradient,
     published_softmax_oracle,
@@ -49,6 +51,21 @@ def client_view(fed, j):
 
 def make_client(mech=None, budget=PrivacyBudget(8.0, 1e-5, 1)):
     return ClientConfig(budget, mech)
+
+
+def client_slices(uniforms, noise, cfgs, sizes):
+    """Each client's ``(masks, noise)`` slices of a round's arrays: its noise
+    is its ``(epochs, 1, dim)`` rows of the block, none if it is noise-disabled."""
+    slices, bounds = [], np.cumsum([0, *sizes])
+    noised = [cfg.mechanism is not None for cfg in cfgs]
+    for a, b, slot, width in zip(bounds[:-1], bounds[1:], np.cumsum(noised) - noised, noised):
+        slices.append((uniforms[:, a:b], noise[:, slot : slot + width]))
+    return slices
+
+
+def solo_update(plan, cfg, shard, model, seed, **kw):
+    """One client's ``local_update`` on the arrays a round of ``plan`` with it alone draws."""
+    return local_update(plan, cfg, shard, model, *round_draws(seed, plan, [cfg], shard.n, model.dim), **kw)
 
 
 def make_plan(w0, **kw):
@@ -476,7 +493,7 @@ class TestLocalUpdate:
         shard = tiny_shard(5)
         w0 = np.random.default_rng(3).normal(scale=0.3, size=model.dim)
         plan = make_plan(w0, clip_c=100.0)
-        upd = local_update(plan, make_client(), shard, model, NoiseStream(0, 0, 0, "local-update"))
+        upd = solo_update(plan, make_client(), shard, model, 0)
         grads = model.per_example_gradients(w0, shard)
         norms = np.linalg.norm(grads, axis=1, keepdims=True)
         clipped = grads * np.minimum(1.0, 100.0 / norms)
@@ -489,7 +506,7 @@ class TestLocalUpdate:
         shard = tiny_shard(21)
         c = 0.05
         w0 = np.random.default_rng(6).normal(scale=2.0, size=model.dim)
-        upd = local_update(make_plan(w0, clip_c=c), make_client(), shard, model, NoiseStream(2, 0, 0, "local-update"))
+        upd = solo_update(make_plan(w0, clip_c=c), make_client(), shard, model, 2)
         grads = model.per_example_gradients(w0, shard)
         norms = np.linalg.norm(grads, axis=1, keepdims=True)
         assert (norms > c).any()  # clipping is actually active
@@ -505,8 +522,7 @@ class TestLocalUpdate:
         cfg = make_client(budget=PrivacyBudget(2.0, 1e-5, 1))
         rng = np.random.default_rng(4)
         w0, w_max = rng.normal(scale=0.5, size=(2, model.dim))
-        stream = NoiseStream(0, 0, 0, "local-update")
-        upd = local_update(make_plan(w0, clip_c=0.5), cfg, shard, model, stream, w_max=w_max, eps_max=8.0)
+        upd = solo_update(make_plan(w0, clip_c=0.5), cfg, shard, model, 0, w_max=w_max, eps_max=8.0)
         mean = clipped_sum_oracle(model, w0, shard, 0.5) / shard.n
         want = heterogeneous_update(w0, mean, w_max, heterogeneity_penalty(2.0, 8.0), 0.1)
         assert np.allclose(upd.params, want, rtol=1e-12)
@@ -514,19 +530,17 @@ class TestLocalUpdate:
 
     def test_noise_lands_through_the_index_map(self):
         # q = 1, one epoch, lam = 0: one noisy step.  The oracle takes it in
-        # the published [W | b] packing, with the noise the same stream
-        # draws, and then moves it to the row layout.
+        # the published [W | b] packing, with the noise the round's
+        # local-noise stream draws, and then moves it to the row layout.
         model = LogisticRegressionModel(3, 4)
         shard = tiny_shard(26)
         mech = MechanismParams(MechanismKind.LAPLACE, 1.0, 2.0)
         published = np.random.default_rng(27).normal(scale=0.5, size=model.dim)
         plan = make_plan(published[model.from_published])
-        upd = local_update(plan, make_client(mech), shard, model, NoiseStream(4, 0, 0, "local-update"))
+        upd = solo_update(plan, make_client(mech), shard, model, 4)
         assert upd.noise_draws == 1
 
-        stream = NoiseStream(4, 0, 0, "local-update")
-        stream.rng.random(shard.n)  # the subsample draw, which keeps every row at q = 1
-        noise = sample_noise_array(mech, stream, model.dim)
+        noise = NoiseStream(4, 0, 0, "local-noise").rng.laplace(0.0, 1.0, model.dim) * 2.0
         per_example, _, _ = published_softmax_oracle(published, shard.features, shard.labels, 3)
         want = published - 0.1 * (clip_rows_and_sum(per_example, 1.0) + noise) / shard.n
         assert_matches_oracle(upd.params, want[model.from_published])
@@ -545,7 +559,7 @@ class TestLocalUpdate:
         monkeypatch.setattr(DatasetShard, "__init__", counting_init)
         w0 = model.init_params()
         plan = make_plan(w0, sample_rate_q=0.5, local_epochs_I=3)
-        upd = local_update(plan, make_client(mech), shard, model, NoiseStream(5, 0, 0, "local-update"))
+        upd = solo_update(plan, make_client(mech), shard, model, 5)
         assert upd.noise_draws == 3
         assert created == []
         assert not np.array_equal(upd.params, w0)
@@ -554,28 +568,34 @@ class TestLocalUpdate:
         model = LogisticRegressionModel(3, 4)
         shard = tiny_shard(6)
         cfg = make_client(MechanismParams(MechanismKind.GAUSSIAN, 1.0, 5.0))
-        plan = make_plan(model.init_params(), sample_rate_q=0.3, local_epochs_I=3)
-        a = local_update(plan, cfg, shard, model, NoiseStream(9, 2, 0, "local-update"))
-        b = local_update(plan, cfg, shard, model, NoiseStream(9, 2, 0, "local-update"))
+        a, b, c = (
+            solo_update(make_plan(model.init_params(), round_t=t, sample_rate_q=0.3, local_epochs_I=3), cfg, shard, model, 9)
+            for t in (2, 2, 3)
+        )
         assert np.array_equal(a.params, b.params)
-        c = local_update(plan, cfg, shard, model, NoiseStream(9, 3, 0, "local-update"))
         assert not np.array_equal(a.params, c.params)
 
     def test_huge_noise_gives_chance_accuracy(self):
         fed = make_synthetic_federation(1, 400, 20, 10, seed=55, eval_fraction=2.5)
         model = LogisticRegressionModel(10, 20)
         cfg = make_client(MechanismParams(MechanismKind.GAUSSIAN, 1.0, 1e6))
-        w = model.init_params()
-        for r in range(3):
-            plan = make_plan(w, sample_rate_q=0.5, local_epochs_I=2)
-            w = local_update(plan, cfg, client_view(fed, 0), model, NoiseStream(13, r, 0, "local-update")).params
-        assert model.accuracy(w, fed.eval) == pytest.approx(0.1, abs=0.05)
+        # One noise-dominated model scores like a random map of the 10 blobs
+        # onto the classes, anywhere from 0 to about 0.4; its mean over
+        # seeds is the chance level.
+        accuracies = []
+        for seed in range(13, 53):
+            w = model.init_params()
+            for r in range(3):
+                plan = make_plan(w, round_t=r, sample_rate_q=0.5, local_epochs_I=2)
+                w = solo_update(plan, cfg, client_view(fed, 0), model, seed).params
+            accuracies.append(model.accuracy(w, fed.eval))
+        assert np.mean(accuracies) == pytest.approx(0.1, abs=0.05)
 
     def test_noise_draw_counting(self):
         model = LogisticRegressionModel(3, 4)
         cfg = make_client(MechanismParams(MechanismKind.LAPLACE, 1.0, 2.0))
         plan = make_plan(model.init_params(), local_epochs_I=4, sample_rate_q=1.0)
-        upd = local_update(plan, cfg, tiny_shard(7), model, NoiseStream(1, 0, 0, "local-update"))
+        upd = solo_update(plan, cfg, tiny_shard(7), model, 1)
         assert upd.noise_draws == 4
 
     def test_mechanism_sensitivity_must_match_clip(self):
@@ -583,9 +603,9 @@ class TestLocalUpdate:
         cfg = make_client(MechanismParams(MechanismKind.LAPLACE, 2.0, 1.0))
         plan = make_plan(model.init_params(), clip_c=1.0)
         with pytest.raises(ValueError, match="^mechanism sensitivity 2.0 must equal the clip bound 1.0$"):
-            local_update(plan, cfg, tiny_shard(8), model, NoiseStream(0, 0, 0, "local-update"))
+            solo_update(plan, cfg, tiny_shard(8), model, 0)
         # A noise-disabled client has no sensitivity to check.
-        local_update(plan, make_client(), tiny_shard(8), model, NoiseStream(0, 0, 0, "local-update"))
+        solo_update(plan, make_client(), tiny_shard(8), model, 0)
 
 
 class TestServerState:
@@ -618,10 +638,6 @@ class TestServerState:
         server.clip_c = 0.5
         with pytest.raises(ValueError, match="must equal the clip bound 0.5$"):
             run_round(server, clients, model, ledger, 3, fed)
-
-
-def client_streams(seed, round_t, positions):
-    return [NoiseStream(seed, round_t, j, "local-update") for j in positions]
 
 
 class TestLocalUpdates:
@@ -669,28 +685,29 @@ class TestLocalUpdates:
         # The pool is the clients' rows in order, then one validation and one eval row.
         n = sum(sizes) + 2
         fed = Federation.deal(DatasetShard(rng.normal(size=(n, 4)), rng.integers(0, 3, n)), sizes, 1)
-        cfgs, positions, spans, views = [], [], [], []
+        cfgs, spans, views = [], [], []
         for j, (_, eps, noisy, selected) in enumerate(clients):
             if selected:
                 mech = MechanismParams(MechanismKind.LAPLACE, c, 0.5) if noisy else None
                 cfgs.append(ClientConfig(PrivacyBudget(eps, 1e-5, 1), mech))
-                positions.append(j)
                 spans.append((fed.bounds[j], fed.bounds[j + 1]))
                 views.append(client_view(fed, j))
         w0 = rng.normal(scale=0.5, size=model.dim)
-        plan = make_plan(w0, clip_c=c, sample_rate_q=q, local_epochs_I=epochs, learning_rate=lr)
+        plan = make_plan(w0, round_t=1, clip_c=c, sample_rate_q=q, local_epochs_I=epochs, learning_rate=lr)
         if anchored:
             w_max, eps_max = rng.normal(scale=0.5, size=model.dim), 8.0
             solo = dict(w_max=w_max, eps_max=eps_max)
         else:
             # local_update's defaults: no pull, toward the broadcast model.
             w_max, eps_max, solo = w0, math.inf, {}
-        streams = client_streams(seed, 1, positions)
-        stack, draws = local_updates(plan, cfgs, fed.pool, spans, model, streams, w_max, eps_max)
+        sizes = [view.n for view in views]
+        uniforms, noise = round_draws(seed, plan, cfgs, sum(sizes), model.dim)
+        stack, draws = local_updates(plan, cfgs, fed.pool, spans, model, uniforms, noise, w_max, eps_max)
         assert stack.shape == (len(cfgs), model.dim) and draws.shape == (len(cfgs),)
         assert np.issubdtype(draws.dtype, np.integer)
-        for cfg, view, stream, params, n_draws in zip(cfgs, views, client_streams(seed, 1, positions), stack, draws):
-            want = local_update(plan, cfg, view, model, stream, **solo)
+        slices = client_slices(uniforms, noise, cfgs, sizes)
+        for cfg, view, (masks, own), params, n_draws in zip(cfgs, views, slices, stack, draws):
+            want = local_update(plan, cfg, view, model, masks, own, **solo)
             assert n_draws == want.noise_draws
             assert_matches_oracle(params, want.params)
 
@@ -707,12 +724,13 @@ class TestLocalUpdates:
         w = np.random.default_rng(32).normal(scale=0.1, size=model.dim)
         w_max = np.random.default_rng(33).normal(scale=0.1, size=model.dim)
         for round_t in range(3):
-            plan = make_plan(w, sample_rate_q=q, local_epochs_I=2)
-            streams = client_streams(7, round_t, range(10))
-            stack, draws = local_updates(plan, cfgs, fed.pool, spans, model, streams, w_max, eps.max())
-            solo = client_streams(7, round_t, range(10))
-            for j, (cfg, stream, params, n_draws) in enumerate(zip(cfgs, solo, stack, draws)):
-                x = local_update(plan, cfg, client_view(fed, j), model, stream, w_max=w_max, eps_max=eps.max())
+            plan = make_plan(w, round_t=round_t, sample_rate_q=q, local_epochs_I=2)
+            uniforms, noise = round_draws(7, plan, cfgs, 2000, model.dim)
+            stack, draws = local_updates(plan, cfgs, fed.pool, spans, model, uniforms, noise, w_max, eps.max())
+            slices = client_slices(uniforms, noise, cfgs, [200] * 10)
+            for j, (cfg, (masks, own), params, n_draws) in enumerate(zip(cfgs, slices, stack, draws)):
+                view = client_view(fed, j)
+                x = local_update(plan, cfg, view, model, masks, own, w_max=w_max, eps_max=eps.max())
                 assert n_draws == x.noise_draws == 2
                 assert np.array_equal(params, x.params)
             w = fedavg_aggregate(stack, np.full(10, 0.1))
@@ -730,6 +748,22 @@ class TestLocalUpdates:
             for j, w in kept.items():
                 assert np.array_equal(server.client_models[j], w)
 
+    def test_draw_shapes_checked(self):
+        # Masks cover every span row in every epoch; the noise block has one
+        # row per noised client and no more.
+        model = LogisticRegressionModel(3, 4)
+        shard = tiny_shard(44, n=6)
+        plan = make_plan(model.init_params(), local_epochs_I=2)
+        noised = make_client(MechanismParams(MechanismKind.GAUSSIAN, 1.0, 1.0))
+        masks, noise = np.zeros((2, 6)), np.zeros((2, 1, model.dim))
+        for cfg, u, z in [(noised, masks[:, :5], noise), (noised, masks[:1], noise), (noised, masks, noise[:, :0])]:
+            with pytest.raises(ValueError, match="^masks and noise must have shapes"):
+                local_update(plan, cfg, shard, model, u, z)
+        message = "shapes \\(2, 6\\) and \\(2, 0, 15\\), got \\(2, 6\\) and \\(2, 1, 15\\)$"
+        with pytest.raises(ValueError, match=message):
+            local_update(plan, make_client(), shard, model, masks, noise)
+        assert local_update(plan, noised, shard, model, masks, noise).noise_draws == 2
+
     def test_segment_bounds_checked(self):
         model = LogisticRegressionModel(3, 4)
         shard = tiny_shard(43, n=6)
@@ -739,25 +773,38 @@ class TestLocalUpdates:
                 model.clipped_gradient_sum(stack, shard.augmented, shard.labels, shard.ghost_term, 1.0, bounds)
 
     def test_empty_subsample_skips_the_step_and_the_noise(self):
-        # One rate for both clients: the 1-row client's segment is empty in
-        # every epoch, the 60-row client's never is.
+        # The 1-row client's segment is empty in the first and last of three
+        # epochs, the 60-row client's never is.
         model = LogisticRegressionModel(3, 4)
         mech = MechanismParams(MechanismKind.GAUSSIAN, 1.0, 5.0)
-        q, epochs, seed = 0.05, 3, 3
+        q, epochs = 0.05, 3
         fed = Federation.deal(tiny_shard(40, n=63), [1, 60], 1)
         # The empty client's budget is below eps_max, so a step would move it.
         cfgs = [make_client(mech, PrivacyBudget(2.0, 1e-5, 1)), make_client(mech)]
         w0 = np.random.default_rng(42).normal(size=model.dim)
         plan = make_plan(w0, sample_rate_q=q, local_epochs_I=epochs)
-        # Precondition: the 1-row client draws one uniform per epoch (and,
-        # its segment empty, no noise), and each is at least q.
-        assert (NoiseStream(seed, 0, 0, "local-update").rng.random(epochs) >= q).all()
+        uniforms, noise = round_draws(3, plan, cfgs, 61, model.dim)
+        # The 1-row client's uniform is not below q in epochs 0 and 2; the
+        # other client always samples its first row.
+        uniforms[:, 0], uniforms[:, 1] = [q, 0.0, 1.0], 0.0
         spans = [(0, 1), (1, 61)]
-        streams = client_streams(seed, 0, range(2))
-        stack, draws = local_updates(plan, cfgs, fed.pool, spans, model, streams, np.zeros(model.dim), 8.0)
-        assert draws[0] == 0 and np.array_equal(stack[0], w0)
+        stack, draws = local_updates(plan, cfgs, fed.pool, spans, model, uniforms, noise, np.zeros(model.dim), 8.0)
+        # One step, on the one epoch it sampled its row: the same as a round whose
+        # other two noise rows are any others.
+        assert draws[0] == 1
+        for other in (noise[[0, 2], :1] * 0.0, noise[[0, 2], :1] + 1.0):
+            own = noise[:, :1].copy()
+            own[[0, 2]] = other
+            view = client_view(fed, 0)
+            alone = local_update(plan, cfgs[0], view, model, uniforms[:, :1], own, np.zeros(model.dim), 8.0)
+            assert alone.noise_draws == 1 and np.array_equal(stack[0], alone.params)
+        assert not np.array_equal(stack[0], w0)
         # Three draws: the 60-row client's segment is non-empty in every epoch.
         assert draws[1] == epochs and not np.array_equal(stack[1], w0)
+        # Never sampled, the client neither steps nor draws.
+        uniforms[:, 0] = 1.0
+        stack, draws = local_updates(plan, cfgs, fed.pool, spans, model, uniforms, noise, np.zeros(model.dim), 8.0)
+        assert draws[0] == 0 and np.array_equal(stack[0], w0)
 
 
 class TestHeterogeneousUpdate:
@@ -926,16 +973,37 @@ class TestRunRound:
         for a, b in zip(rows[0], rows[1]):
             assert a == b
 
+    def test_clients_of_different_mechanisms_share_a_round(self):
+        # Gaussian, Laplace, Staircase and Gaussian clients: each trains on
+        # its slices of the round's draws, and every ledger row is charged.
+        server, clients, model, _, fed = build_federation(
+            mech_kind=MechanismKind.GAUSSIAN, eps_list=[2.0, 4.0, 6.0, 8.0]
+        )
+        kinds = [MechanismKind.GAUSSIAN, MechanismKind.LAPLACE, MechanismKind.STAIRCASE, MechanismKind.GAUSSIAN]
+        clients = [ClientConfig(c.budget, calibrate_noise(k, 1.0, c.budget).mechanism) for c, k in zip(clients, kinds)]
+        ledger = client_ledger(clients, default_alpha_grid())
+        result = run_round(server, clients, model, ledger, 6, fed)
+        sizes = [client_view(fed, j).n for j in range(4)]
+        slices = client_slices(*round_draws(6, server, clients, sum(sizes), model.dim), clients, sizes)
+        for j, (masks, own) in enumerate(slices):
+            want = local_update(server, clients[j], client_view(fed, j), model, masks, own, server.global_model, 8.0)
+            assert want.noise_draws == 2
+            assert_matches_oracle(result.server.client_models[j], want.params)
+        assert ledger.rounds_composed.tolist() == [1, 1, 1, 1]
+
     def test_selection_fraction(self):
         server, clients, model, ledger, fed = build_federation(mech_kind=MechanismKind.LAPLACE)
         server.selection_fraction = 0.5
         result = run_round(server, clients, model, ledger, 4, fed)
         # only ceil(0.5 * 4) = 2 clients trained: the others left no local model
         assert len(result.server.client_models) == 2
-        # each trained on its own rows of the pool, with its own stream
-        for j, params in result.server.client_models.items():
-            stream = NoiseStream(4, 0, j, "local-update")
-            want = local_update(server, clients[j], client_view(fed, j), model, stream, server.global_model, 8.0)
+        # each trained on its own rows of the pool, with its own slices of the round's draws
+        chosen = sorted(result.server.client_models)
+        selected, sizes = [clients[j] for j in chosen], [client_view(fed, j).n for j in chosen]
+        slices = client_slices(*round_draws(4, server, selected, sum(sizes), model.dim), selected, sizes)
+        for j, (masks, own) in zip(chosen, slices):
+            params = result.server.client_models[j]
+            want = local_update(server, clients[j], client_view(fed, j), model, masks, own, server.global_model, 8.0)
             assert_matches_oracle(params, want.params)
 
     @pytest.mark.parametrize("fraction, want", [(0.07, 7), (0.14, 14), (0.28, 28), (0.55, 55), (0.56, 56)])
@@ -996,9 +1064,9 @@ class TestRunRound:
             ledger = client_ledger(clients, default_alpha_grid())
             result = run_round(server, clients, model, ledger, seed, fed, shuffle=True, curve_cfg=curve_cfg)
             models = result.server.client_models
-            for j, cfg in enumerate(clients):
-                stream = NoiseStream(seed, 0, j, "local-update")
-                want = local_update(server, cfg, client_view(fed, j), model, stream, server.global_model, 8.0)
+            slices = client_slices(*round_draws(seed, server, clients, sum(sizes), model.dim), clients, sizes)
+            for j, (cfg, (masks, own)) in enumerate(zip(clients, slices)):
+                want = local_update(server, cfg, client_view(fed, j), model, masks, own, server.global_model, 8.0)
                 assert_matches_oracle(models[j], want.params)
             return result, np.stack([models[j] for j in range(len(clients))])
 
@@ -1014,6 +1082,28 @@ class TestRunRound:
         want = mode_connect_aggregate(stack[perm], curve_cfg, stream=stream)
         assert np.array_equal(result.server.global_model, want)
         assert not np.allclose(mode_connect_aggregate(stack, curve_cfg, stream=stream), want, rtol=1e-9)
+
+    @pytest.mark.parametrize("noised", [True, False])
+    @pytest.mark.parametrize("shuffle", [False, True])
+    def test_stream_count_does_not_grow_with_clients(self, monkeypatch, noised, shuffle):
+        # Selection, the masks and the noise block: three round-wide streams,
+        # one more with the shuffle, one fewer with noise disabled.
+        for n_clients in (4, 20):
+            server, clients, model, ledger, fed = build_federation(
+                n_clients=n_clients, mech_kind=MechanismKind.GAUSSIAN if noised else None
+            )
+            built = []
+
+            class RecordingStream(NoiseStream):
+                def __post_init__(self):
+                    built.append(self.purpose)
+                    super().__post_init__()
+
+            monkeypatch.setattr(fl_core, "NoiseStream", RecordingStream)
+            run_round(server, clients, model, ledger, 14, fed, shuffle=shuffle)
+            assert len(built) == 3 + shuffle - (not noised), (n_clients, built)
+            assert len(set(built)) == len(built) and "local-update" not in built
+            assert ("local-noise" in built) == noised
 
     def test_mode_connect_round_runs(self):
         server, clients, model, ledger, fed = build_federation(aggregator=Aggregator.MODE_CONNECT)

@@ -17,6 +17,7 @@ from dpfed.mechanisms import (
     rdp,
     rdp_as_published,
     sample_noise_array,
+    sample_noise_block,
 )
 from oracles import (
     gaussian_logpdf,
@@ -225,6 +226,58 @@ class TestSampling:
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
             assert got_stream.rng.random() == want_stream.rng.random()
+
+    @pytest.mark.parametrize(
+        "sets",
+        [
+            [gauss(0.5), gauss(2.0), gauss(1.0)],
+            [lap(0.5), lap(2.0), lap(1.0)],
+            [stair(0.3, 0.4), stair(2.0, 0.2), stair(0.9, 0.7, delta=1.5)],
+            [stair(0.05, 0.3), stair(0.2, 0.6), stair(0.35, 0.45, delta=1.5)],
+        ],
+        ids=["gaussian", "laplace", "staircase", "staircase-small-lam"],
+    )
+    def test_block_rows_follow_their_own_parameters(self, sets):
+        # Two epochs of three rows: each row's draws pass the KS test against
+        # its own density and fail it against the next row's.
+        block = sample_noise_block(sets, NoiseStream(5, 2, 0, "local-noise"), (2, 3, 25_000))
+        assert block.shape == (2, 3, 25_000)
+        critical = 1.95 / math.sqrt(50_000)
+
+        def cdf(p):
+            if p.kind is MechanismKind.STAIRCASE:
+                return staircase_band_edges_and_cdf(lambda v: density(p, v), p.sensitivity, p.nu)
+            return integrated_density_cdf(lambda v: density(p, v), 60.0 * p.scale)
+
+        for j, p in enumerate(sets):
+            row = block[:, j].ravel()
+            assert ks_statistic(row, *cdf(p)) < critical, p
+            assert ks_statistic(row, *cdf(sets[(j + 1) % 3])) > critical, p
+
+    @pytest.mark.parametrize("lams", [(0.05, 0.2, 0.39), (0.05, 0.2, 0.7), (0.7, 3.0, 12.0)])
+    def test_staircase_block_bands_are_numpys_geometric_draws(self, lams):
+        # Every band index is the one numpy's geometric draws from the same
+        # stream with the block's column of p = 1 - e^-lam.
+        sets = [stair(lam, 0.4) for lam in lams]
+        got = sample_noise_block(sets, NoiseStream(3, 1, 0, "local-noise"), (2, 3, 400))
+        p = np.array([[1.0 - math.exp(-lam)] for lam in lams])
+        rho = NoiseStream(3, 1, 0, "local-noise").rng.geometric(p, (2, 3, 400)) - 1
+        assert np.array_equal(np.floor(np.abs(got)), rho)
+
+    def test_mixed_kinds_draw_each_kind_in_turn(self):
+        # A Laplace and a Staircase row between Gaussian rows: the Gaussian
+        # rows are drawn first, as a block of their own, then the Laplace row
+        # and the Staircase row, each from where the stream has got to.
+        sets = [gauss(1.0), lap(2.0), gauss(3.0), stair(0.5, 0.3)]
+        got = sample_noise_block(sets, NoiseStream(4, 1, 0, "local-noise"), (2, 4, 50))
+        stream = NoiseStream(4, 1, 0, "local-noise")
+        for rows in ([0, 2], [1], [3]):
+            want = sample_noise_block([sets[j] for j in rows], stream, (2, len(rows), 50))
+            assert np.array_equal(got[:, rows], want)
+
+    def test_block_needs_one_set_per_row(self):
+        with pytest.raises(ValueError, match="^a noise block needs one parameter set per row: got 2 for shape"):
+            sample_noise_block([gauss(1.0), gauss(2.0)], NoiseStream(0, purpose="local-noise"), (1, 3, 4))
 
     def test_scalar_draw_matches_stream(self):
         p = gauss(2.0)
