@@ -46,14 +46,7 @@ from .fl_core import (
     run_round,
 )
 from .mechanisms import MechanismKind, MechanismParams, NoiseStream
-from .mode_connectivity import CurveTrainConfig
-from .utility_bounds import (
-    BoundQuery,
-    l1_bound_gaussian,
-    l1_bound_laplace,
-    l1_bound_staircase,
-    optimal_nu,
-)
+from .utility_bounds import BoundQuery, l1_bound, optimal_nu
 
 CSV_HEADER = "round,cumulative_epsilon,train_loss,eval_accuracy,mechanism,noise_scale,seed"
 SWEEP_HEADER = "experiment_id," + CSV_HEADER
@@ -64,8 +57,6 @@ SYNTH_CLASSES = 10
 SYNTH_SAMPLES_PER_CLIENT = 200
 SYNTH_CENTER_SCALE = 3.0
 EVAL_FRACTION = 0.05
-CURVE_TRAIN_STEPS = 100
-CURVE_TRAIN_LR = 0.01
 
 EXIT_OK = 0
 EXIT_BUDGET_HALT = 1
@@ -156,7 +147,7 @@ _PARSERS = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     mechanism: str = "staircase"
     epsilon: float = 8.0
@@ -176,7 +167,8 @@ class ExperimentConfig:
     output: str | None = None
 
     def __post_init__(self) -> None:
-        # Checked here, so a config built directly fails before any calibration.
+        # Checked here, so a config built directly fails before any
+        # calibration; frozen, so no later assignment skips the checks.
         if self.heterogeneous_epsilons is not None:
             if len(self.heterogeneous_epsilons) != self.clients:
                 raise ConfigError(
@@ -317,10 +309,8 @@ def run_experiment(cfg: ExperimentConfig, csv_stream=None) -> ExperimentResult:
         sample_rate_q=cfg.sample_rate,
         local_epochs_I=cfg.local_epochs,
         learning_rate=cfg.learning_rate,
+        shuffle=cfg.shuffle,
     )
-    curve_cfg = None
-    if server.aggregator is Aggregator.MODE_CONNECT:
-        curve_cfg = CurveTrainConfig(CURVE_TRAIN_STEPS, CURVE_TRAIN_LR, model, fed.validation)
 
     if csv_stream is not None:
         csv_stream.write(CSV_HEADER + "\n")
@@ -328,16 +318,7 @@ def run_experiment(cfg: ExperimentConfig, csv_stream=None) -> ExperimentResult:
     exit_code = EXIT_OK
     for _ in range(cfg.rounds):
         try:
-            result = run_round(
-                server,
-                clients,
-                model,
-                ledger,
-                cfg.seed,
-                fed,
-                shuffle=cfg.shuffle,
-                curve_cfg=curve_cfg,
-            )
+            result = run_round(server, clients, model, ledger, cfg.seed, fed)
         except BudgetExhaustedError:
             exit_code = EXIT_BUDGET_HALT
             break
@@ -467,12 +448,6 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
         nu = optimal_nu(float(args.scale))[0]
     params = MechanismParams(kind, float(args.sensitivity), float(args.scale), nu=nu)
     query = BoundQuery(params, int(args.loss_length), int(args.rounds))
-    if kind is MechanismKind.GAUSSIAN:
-        bound = l1_bound_gaussian(query)
-    elif kind is MechanismKind.LAPLACE:
-        bound = l1_bound_laplace(query)
-    else:
-        bound = l1_bound_staircase(query, mode=args.mode)
     print(
         json.dumps(
             {
@@ -483,7 +458,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
                 "loss_length_m": query.loss_length_m,
                 "rounds_T": query.rounds_T,
                 "mode": args.mode,
-                "l1_bound": bound,
+                "l1_bound": l1_bound(query, mode=args.mode),
             }
         )
     )

@@ -37,8 +37,10 @@ gradient is bound once to a shard and a stack size
 (:meth:`LogisticRegressionModel.stack_gradient`) and owns its buffers, so
 each step of mode-connect curve training allocates nothing.
 
-A run has one local-training plan, kept on :class:`ServerState` (clip bound,
-sampling rate, epochs, step); only budgets and mechanisms differ per client.
+A run has one plan, kept on the frozen :class:`ServerState`: selection,
+the local-training plan every client shares (clip bound, sampling rate,
+epochs, step), shuffling and the aggregator; only budgets and mechanisms
+differ per client.
 A round's client epochs run as one segmented batch (:func:`local_updates`):
 each epoch every selected client samples its own row range of the pool, and
 the sampled pool rows are one ``take``, one segment per client.  The logits
@@ -87,6 +89,9 @@ import numpy as np
 from .accountant import PrivacyBudget, RdpLedger, cached_rdp_curve
 from .mechanisms import MechanismParams, NoiseStream, sample_noise_block
 from .mode_connectivity import CurveTrainConfig, mode_connect_aggregate
+
+CURVE_TRAIN_STEPS = 100
+CURVE_TRAIN_LR = 0.01
 
 
 class BudgetExhaustedError(RuntimeError):
@@ -368,11 +373,13 @@ class Aggregator(enum.Enum):
     MODE_CONNECT = "modeconnect"
 
 
-@dataclass
+@dataclass(frozen=True)
 class ServerState:
     """The global model and round, each client's last trained model keyed by
-    its position, and the run's plan: selection, aggregation and the one
-    local-training plan of every client (clip bound, sampling rate, epochs and step)."""
+    its position, and the run's whole plan: selection, the one local-training
+    plan of every client (clip bound, sampling rate, epochs and step),
+    shuffling and aggregation.  Frozen, so the checks below hold for every
+    value a round reads; a round returns a new state (``dataclasses.replace``)."""
 
     global_model: np.ndarray
     round_t: int
@@ -382,10 +389,11 @@ class ServerState:
     sample_rate_q: float
     local_epochs_I: int
     learning_rate: float
+    shuffle: bool = False
     client_models: dict[int, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        self.global_model = np.asarray(self.global_model, dtype=float)
+        object.__setattr__(self, "global_model", np.asarray(self.global_model, dtype=float))
         if not (0.0 < self.selection_fraction <= 1.0):
             raise ValueError(f"selection fraction must lie in (0, 1], got {self.selection_fraction}")
         if not self.clip_c > 0:
@@ -591,8 +599,6 @@ def run_round(
     ledger: RdpLedger,
     master_seed: int,
     fed: Federation,
-    shuffle: bool = False,
-    curve_cfg: CurveTrainConfig | None = None,
 ) -> RoundResult:
     """Execute one federated round; raises ``BudgetExhaustedError`` when any
     selected client's ledger row cannot cover its noise applications, and
@@ -612,10 +618,14 @@ def run_round(
     mechanism kinds (see :func:`sample_noise_block`).  The noise
     applications made (an empty subsample discards its noise row) are
     charged in one all-or-nothing :meth:`RdpLedger.spend`, and the returned
-    server state remembers the clients' models.
+    server state remembers the clients' models.  The whole plan is read from
+    ``server``: with ``server.shuffle`` the client stack is permuted before
+    aggregation, and ``server.aggregator`` alone picks FedAvg or
+    mode-connect merging, whose curves train ``CURVE_TRAIN_STEPS`` steps at
+    ``CURVE_TRAIN_LR`` on ``fed.validation``.
     ``train_loss`` is the mean cross-entropy over ``fed.pool`` (every client
-    row) and ``eval_accuracy`` is scored on the held-out ``fed.eval``;
-    mode-connect curves train on ``curve_cfg.shard``, never on ``fed.eval``.
+    row) and ``eval_accuracy`` is scored on the held-out ``fed.eval``, on
+    which nothing trains.
     """
     counts = (len(clients), len(ledger.budgets), len(fed.bounds) - 1)
     if len(set(counts)) != 1:
@@ -643,13 +653,13 @@ def run_round(
             f"privacy budget exhausted at round {server.round_t} for client {decision.row}"
         )
 
-    if shuffle:
+    if server.shuffle:
         chosen, stack = shuffle_updates(chosen, stack, NoiseStream(master_seed, server.round_t, 0, "shuffle"))
     if server.aggregator is Aggregator.FEDAVG:
         new_global = fedavg_aggregate(stack, fed.weights[chosen])
     else:
-        curve_stream = NoiseStream(master_seed, server.round_t, 0, "curve-train")
-        new_global = mode_connect_aggregate(stack, curve_cfg, stream=curve_stream)
+        curves = CurveTrainConfig(CURVE_TRAIN_STEPS, CURVE_TRAIN_LR, model, fed.validation)
+        new_global = mode_connect_aggregate(stack, curves, NoiseStream(master_seed, server.round_t, 0, "curve-train"))
     client_models = dict(server.client_models)
     client_models.update(zip(chosen.tolist(), stack))
 

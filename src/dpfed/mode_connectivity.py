@@ -174,22 +174,25 @@ def mode_connect_aggregate(
     Callers supply models ordered as they should be paired (ascending client
     id unless an upstream shuffle reordered them); adjacent models pair up and
     an odd leftover carries to the next level.  All curves of one level train
-    together as one ``(pairs, d)`` stack.  With ``cfg`` absent or zero steps
-    the merge reduces to iterated pairwise midpoints.
+    together as one ``(pairs, d)`` stack, each pair on its own stream derived
+    from ``stream``, which training needs.  With ``cfg`` absent or zero steps
+    the merge reduces to iterated pairwise midpoints and needs no stream.
     """
     level = np.asarray(models, dtype=float)
     if level.ndim != 2 or len(level) == 0:
         raise ValueError(f"models must be a non-empty (k, d) stack, got shape {level.shape}")
-    sub = stream or NoiseStream(0, purpose="curve-train")
+    train = cfg is not None and cfg.steps > 0
+    if train and stream is None:
+        raise ValueError("training curves needs a stream to derive the pair streams from")
     merge_round = 0
     while len(level) > 1:
         paired = len(level) - len(level) % 2
         spec = CurveSpec(kind, level[0:paired:2], level[1:paired:2])
         bends = spec.bend_theta
-        if cfg is not None and cfg.steps > 0:
+        if train:
             # Keyed by (level, pair): a stream per pair whatever the level's size.
             rngs = [
-                NoiseStream(sub.master_seed, sub.round_index, pair, f"{sub.purpose}:level{merge_round}").rng
+                NoiseStream(stream.master_seed, stream.round_index, pair, f"{stream.purpose}:level{merge_round}").rng
                 for pair in range(paired // 2)
             ]
             bends = _train_bends(spec, cfg, rngs)

@@ -1,10 +1,11 @@
 """Closed-form expected l1 perturbation of released parameters.
 
-Each bound is ``m * T * E|X|`` for a loss of length m perturbed coordinatewise
-over T rounds.  The staircase bound exists in two modes: ``"numeric"`` (the
-default ground truth, exact band summation of the implemented density) and
-``"as_published"`` (a literal textbook expression that mixes Delta^2 and Delta
-terms; kept inspectable, never asserted equal to the numeric mode).
+The bound is ``m * T * E|X|`` for a loss of length m perturbed coordinatewise
+over T rounds, with ``E|X|`` from :func:`dpfed.mechanisms.expected_abs_noise`.
+It has two modes: ``"numeric"`` (the default ground truth) and
+``"as_published"``, which for the staircase is a literal textbook expression
+that mixes Delta^2 and Delta terms (kept inspectable, never asserted equal to
+the numeric mode); the other kinds have one form, which both modes give.
 """
 
 from __future__ import annotations
@@ -31,35 +32,16 @@ class BoundQuery:
             raise ValueError(f"rounds_T must be a positive integer, got {self.rounds_T}")
 
 
-def _require_kind(q: BoundQuery, kind: MechanismKind) -> None:
-    if q.mechanism.kind is not kind:
-        raise ValueError(f"expected a {kind.value} mechanism, got {q.mechanism.kind.value}")
+def l1_bound(q: BoundQuery, mode: str = "numeric") -> float:
+    """Expected l1 perturbation ``m * T * E|X|``.
 
-
-def l1_bound_gaussian(q: BoundQuery) -> float:
-    """m * T * sigma * sqrt(2/pi)."""
-    _require_kind(q, MechanismKind.GAUSSIAN)
-    return q.loss_length_m * q.rounds_T * q.mechanism.scale * math.sqrt(2.0 / math.pi)
-
-
-def l1_bound_laplace(q: BoundQuery) -> float:
-    """m * T * b."""
-    _require_kind(q, MechanismKind.LAPLACE)
-    return q.loss_length_m * q.rounds_T * q.mechanism.scale
-
-
-def l1_bound_staircase(q: BoundQuery, mode: str = "numeric") -> float:
-    """Staircase expected l1 perturbation.
-
-    ``"numeric"``: m * T * E|X| by exact band summation.  ``"as_published"``:
-    the literal expression
+    Under ``"as_published"`` a staircase query gives the literal expression
     ``(mT / (1 - e^-lam)) * (nu^2 D^2 + e^-lam D^2 - e^-lam nu^2 D^2 + D e^-lam)``.
     """
-    _require_kind(q, MechanismKind.STAIRCASE)
     if mode not in BOUND_MODES:
         raise ValueError(f"mode must be one of {BOUND_MODES}, got {mode!r}")
     m, t = q.loss_length_m, q.rounds_T
-    if mode == "numeric":
+    if mode == "numeric" or q.mechanism.kind is not MechanismKind.STAIRCASE:
         return m * t * expected_abs_noise(q.mechanism)
     lam, nu, d = q.mechanism.scale, q.mechanism.nu, q.mechanism.sensitivity
     e = math.exp(-lam)

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -102,6 +103,54 @@ class TestParseConfig:
         assert cfg.shuffle and cfg.aggregator == "modeconnect"
         with pytest.raises(ConfigError, match="shuffle"):
             parse_config("shuffle = maybe\n")
+
+    @pytest.mark.parametrize(
+        "key, raw, want",
+        [
+            ("clip", "0.5", 0.5),
+            ("clip", "0", None),
+            ("clip", "inf", None),
+            ("clip", "wide", None),
+            ("learning_rate", "1e-3", 1e-3),
+            ("learning_rate", "-0.1", None),
+            ("learning_rate", "nan", None),
+            ("delta", "1e-6", 1e-6),
+            ("delta", "0", None),
+            ("delta", "1", None),
+            ("selection_fraction", "1", 1.0),
+            ("selection_fraction", "0", None),
+            ("sample_rate", "1.5", None),
+            ("rounds", "3", 3),
+            ("rounds", "0", None),
+            ("clients", "-2", None),
+            ("local_epochs", "1.5", None),
+            ("heterogeneous_epsilons", "2, 4.5", (2.0, 4.5)),
+            ("heterogeneous_epsilons", ",", None),
+            ("heterogeneous_epsilons", "2,-1", None),
+            ("heterogeneous_epsilons", "2,inf", None),
+        ],
+    )
+    def test_value_parsers(self, key, raw, want):
+        # From the file and from a flag: a good value round-trips, a bad one names its key.
+        base = "clients = 2\n" if key == "heterogeneous_epsilons" else ""
+        routes = [(base + f"{key} = {raw}\n", None, "config line"), (base, {key: raw}, "command-line flag")]
+        for text, flags, where in routes:
+            if want is None:
+                with pytest.raises(ConfigError, match=f"^invalid value for '{key}' in {where}"):
+                    parse_config(text, flags)
+            else:
+                assert getattr(parse_config(text, flags), key) == want
+
+    def test_line_without_assignment_rejected(self):
+        with pytest.raises(ConfigError, match="^line 2 is not a 'key = value' assignment: 'rounds 3'$"):
+            parse_config("epsilon = 4\nrounds 3\n")
+
+    def test_config_is_frozen(self):
+        # Assignment would skip the checks that ran when the config was built.
+        cfg = parse_config("clients = 2\nheterogeneous_epsilons = 1,2\n")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.clients = 5
+        assert cfg.clients == 2
 
 
 class TestRunExperiment:
@@ -221,8 +270,8 @@ class TestRunExperiment:
         rounds = []
         real_run_round = cli_mod.run_round
 
-        def recording(server, clients, model, ledger, seed, fed, **kwargs):
-            result = real_run_round(server, clients, model, ledger, seed, fed, **kwargs)
+        def recording(server, clients, model, ledger, seed, fed):
+            result = real_run_round(server, clients, model, ledger, seed, fed)
             rounds.append((result, clients, model, fed))
             return result
 
@@ -337,6 +386,27 @@ class TestSweep:
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValueError):
             sweep([small_cfg(), small_cfg()], ids=["a", "a"])
+
+    @pytest.mark.parametrize("seeds", [[], ["--seeds", "0,1"]])
+    def test_same_stem_configs_are_numbered_and_written_to_output(self, tmp_path, capsys, seeds):
+        # a.cfg in two directories: the ids would collide, so each is numbered.
+        paths = []
+        for folder, mech in (("one", "gaussian"), ("two", "laplace")):
+            (tmp_path / folder).mkdir()
+            paths.append(tmp_path / folder / "a.cfg")
+            paths[-1].write_text(f"rounds = 1\nmechanism = {mech}\n", encoding="utf-8")
+        assert cli.main(["sweep", *map(str, paths), *seeds]) == 0
+        printed = capsys.readouterr().out
+        out = tmp_path / "sweep.csv"
+        assert cli.main(["sweep", *map(str, paths), *seeds, "--output", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_text(encoding="utf-8") == printed
+        header, *lines = printed.splitlines()
+        rows = [line.split(",") for line in lines]
+        names = ["a"] * 2 if not seeds else ["a-s0", "a-s1"] * 2
+        assert header == SWEEP_HEADER
+        assert [row[0] for row in rows] == [f"{i:03d}-{name}" for i, name in enumerate(names)]
+        assert [row[5] for row in rows] == [mech for mech in ("gaussian", "laplace") for _ in names[::2]]
 
 
 def run_cli(*argv, env=None):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from collections import Counter
 
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 from dpfed import fl_core
 from dpfed.accountant import PrivacyBudget, calibrate_noise, default_alpha_grid, rdp_curve
 from dpfed.fl_core import (
+    CURVE_TRAIN_LR,
+    CURVE_TRAIN_STEPS,
     Aggregator,
     BudgetExhaustedError,
     ClientConfig,
@@ -629,13 +632,23 @@ class TestServerState:
         with pytest.raises(ValueError, match=f"^{message}$"):
             make_plan(np.zeros(3), **{field: value})
 
+    def test_plan_is_frozen(self):
+        # A plan cannot change past its checks: every value a round reads was checked.
+        plan = make_plan(np.zeros(3))
+        for name, value in [("clip_c", -1.0), ("shuffle", True), ("global_model", np.ones(3))]:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(plan, name, value)
+        assert plan.clip_c == 1.0 and plan.shuffle is False
+        # The one coercion still happens as the state is built.
+        assert make_plan([0, 1]).global_model.dtype == float
+
     def test_accepts_the_plan_edges(self):
         plan = make_plan(np.zeros(3), clip_c=1e-9, sample_rate_q=1.0, local_epochs_I=1, learning_rate=1e-9)
         assert (plan.clip_c, plan.sample_rate_q, plan.local_epochs_I, plan.learning_rate) == (1e-9, 1.0, 1, 1e-9)
 
     def test_run_round_rejects_a_mechanism_off_the_clip(self):
         server, clients, model, ledger, fed = build_federation(mech_kind=MechanismKind.GAUSSIAN)
-        server.clip_c = 0.5
+        server = dataclasses.replace(server, clip_c=0.5)
         with pytest.raises(ValueError, match="must equal the clip bound 0.5$"):
             run_round(server, clients, model, ledger, 3, fed)
 
@@ -933,9 +946,7 @@ def build_federation(
 class TestRunRound:
     def test_noiseless_full_participation_loss_non_increasing(self):
         server, clients, model, ledger, fed = build_federation()
-        server.sample_rate_q = 1.0
-        server.local_epochs_I = 1
-        server.clip_c = 1000.0
+        server = dataclasses.replace(server, sample_rate_q=1.0, local_epochs_I=1, clip_c=1000.0)
         losses = []
         for _ in range(20):
             result = run_round(server, clients, model, ledger, 7, fed)
@@ -993,7 +1004,7 @@ class TestRunRound:
 
     def test_selection_fraction(self):
         server, clients, model, ledger, fed = build_federation(mech_kind=MechanismKind.LAPLACE)
-        server.selection_fraction = 0.5
+        server = dataclasses.replace(server, selection_fraction=0.5)
         result = run_round(server, clients, model, ledger, 4, fed)
         # only ceil(0.5 * 4) = 2 clients trained: the others left no local model
         assert len(result.server.client_models) == 2
@@ -1011,7 +1022,7 @@ class TestRunRound:
         # fraction * 100 lies just above want in floating point: 0.07 * 100 == 7.000000000000001.
         assert fraction * 100 > want
         server, clients, model, ledger, fed = build_federation(n_clients=100)
-        server.selection_fraction = fraction
+        server = dataclasses.replace(server, selection_fraction=fraction)
         result = run_round(server, clients, model, ledger, 2, fed)
         assert len(result.server.client_models) == want
 
@@ -1028,7 +1039,7 @@ class TestRunRound:
         # The product rounds to 0 at 9 decimals; a positive fraction still selects a client.
         assert selection_count(fraction, 10) == 1
         server, clients, model, ledger, fed = build_federation(n_clients=10)
-        server.selection_fraction = fraction
+        server = dataclasses.replace(server, selection_fraction=fraction)
         assert len(run_round(server, clients, model, ledger, 2, fed).server.client_models) == 1
 
     def test_client_counts_must_agree(self):
@@ -1056,13 +1067,13 @@ class TestRunRound:
         perm = NoiseStream(seed, 0, 0, "shuffle").rng.permutation(len(sizes))
         assert not np.array_equal(perm, np.arange(len(sizes)))
 
-        def shuffled_round(aggregator, curve_cfg=None):
+        def shuffled_round(aggregator):
             server = make_plan(
                 np.random.default_rng(51).normal(scale=0.3, size=model.dim),
-                aggregator=aggregator, sample_rate_q=0.7, local_epochs_I=2,
+                aggregator=aggregator, sample_rate_q=0.7, local_epochs_I=2, shuffle=True,
             )
             ledger = client_ledger(clients, default_alpha_grid())
-            result = run_round(server, clients, model, ledger, seed, fed, shuffle=True, curve_cfg=curve_cfg)
+            result = run_round(server, clients, model, ledger, seed, fed)
             models = result.server.client_models
             slices = client_slices(*round_draws(seed, server, clients, sum(sizes), model.dim), clients, sizes)
             for j, (cfg, (masks, own)) in enumerate(zip(clients, slices)):
@@ -1076,8 +1087,8 @@ class TestRunRound:
         # Rows shuffled without their ids would weigh each model by another client's weight.
         assert not np.allclose(fedavg_aggregate(stack[perm], weights), want, rtol=1e-9)
 
-        curve_cfg = CurveTrainConfig(5, 0.05, model, fed.validation)
-        result, stack = shuffled_round(Aggregator.MODE_CONNECT, curve_cfg)
+        curve_cfg = CurveTrainConfig(CURVE_TRAIN_STEPS, CURVE_TRAIN_LR, model, fed.validation)
+        result, stack = shuffled_round(Aggregator.MODE_CONNECT)
         stream = NoiseStream(seed, 0, 0, "curve-train")
         want = mode_connect_aggregate(stack[perm], curve_cfg, stream=stream)
         assert np.array_equal(result.server.global_model, want)
@@ -1100,15 +1111,22 @@ class TestRunRound:
                     super().__post_init__()
 
             monkeypatch.setattr(fl_core, "NoiseStream", RecordingStream)
-            run_round(server, clients, model, ledger, 14, fed, shuffle=shuffle)
+            run_round(dataclasses.replace(server, shuffle=shuffle), clients, model, ledger, 14, fed)
             assert len(built) == 3 + shuffle - (not noised), (n_clients, built)
             assert len(set(built)) == len(built) and "local-update" not in built
             assert ("local-noise" in built) == noised
 
-    def test_mode_connect_round_runs(self):
+    def test_mode_connect_round_trains_the_run_curves_on_the_validation_rows(self):
+        # The aggregator alone asks for curve training: the round merges its
+        # stack along curves trained under the run's settings, not by midpoints.
         server, clients, model, ledger, fed = build_federation(aggregator=Aggregator.MODE_CONNECT)
         result = run_round(server, clients, model, ledger, 5, fed)
-        assert result.server.global_model.shape == server.global_model.shape
+        stack = np.stack([result.server.client_models[j] for j in range(len(clients))])
+        curves = CurveTrainConfig(CURVE_TRAIN_STEPS, CURVE_TRAIN_LR, model, fed.validation)
+        want = mode_connect_aggregate(stack, curves, NoiseStream(5, 0, 0, "curve-train"))
+        assert want.shape == server.global_model.shape
+        assert np.array_equal(result.server.global_model, want)
+        assert not np.allclose(mode_connect_aggregate(stack, None), want, rtol=1e-9)
 
     def test_heterogeneous_epsilons_round(self):
         server, clients, model, ledger, fed = build_federation(
@@ -1125,7 +1143,7 @@ class TestRunRound:
         a_server, clients, model, ledger, fed = build_federation()
         a = run_round(a_server, clients, model, ledger, 9, fed)
         b_server, clients2, model2, ledger2, fed2 = build_federation()
-        b = run_round(b_server, clients2, model2, ledger2, 9, fed2, shuffle=True)
+        b = run_round(dataclasses.replace(b_server, shuffle=True), clients2, model2, ledger2, 9, fed2)
         # equal weights: FedAvg is order-invariant, so shuffling changes nothing
         assert np.allclose(a.server.global_model, b.server.global_model, rtol=1e-12)
 
@@ -1149,8 +1167,8 @@ class TestRunRound:
             eps_list=eps_list,
             horizons=[r * epochs for r in rounds],
         )
-        server.sample_rate_q = 1.0  # every epoch draws noise once
-        server.local_epochs_I = epochs
+        # every epoch draws noise once
+        server = dataclasses.replace(server, sample_rate_q=1.0, local_epochs_I=epochs)
         grid = default_alpha_grid()
         for t in range(min(rounds) + 1):
             before = [(ledger.gamma[j].copy(), ledger.rounds_composed[j]) for j in range(n)]

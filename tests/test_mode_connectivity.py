@@ -349,6 +349,17 @@ class TestModeConnectAggregate:
         assert len(keys) == len(models) - 1
         assert len(set(keys)) == len(keys)
 
+    def test_training_without_a_stream_is_rejected(self):
+        # No fallback stream: a default seed would repeat the pair streams of
+        # a seed-0 run's round 0.
+        models = [np.array([1.0, 0.0]), np.array([-1.0, 0.0])]
+        cfg = CurveTrainConfig(steps=3, learning_rate=0.1, model=QuadraticBowl(np.zeros(2)))
+        with pytest.raises(ValueError, match="needs a stream"):
+            mode_connect_aggregate(models, cfg)
+        # Merges that train nothing need no stream.
+        for untrained in (None, CurveTrainConfig(steps=0, learning_rate=0.1, model=QuadraticBowl(np.zeros(2)))):
+            assert np.array_equal(mode_connect_aggregate(models, untrained), np.zeros(2))
+
     def test_empty_rejected(self):
         for empty in ([], np.zeros((0, 3))):
             with pytest.raises(ValueError, match="non-empty \\(k, d\\) stack"):
