@@ -6,113 +6,3 @@ accountant that composes per-application privacy loss, converts it to
 federated simulator exercises them with FedAvg or mode-connectivity
 aggregation.
 """
-
-from .accountant import (
-    CalibrationResult,
-    InfeasibleBudgetError,
-    PrivacyBudget,
-    RdpLedger,
-    SpendDecision,
-    calibrate_noise,
-    default_alpha_grid,
-    rdp_curve,
-    shuffle_amplify_lower,
-    shuffle_amplify_upper,
-)
-from .fl_core import (
-    Aggregator,
-    BudgetExhaustedError,
-    ClientConfig,
-    DatasetShard,
-    Federation,
-    LogisticRegressionModel,
-    RoundMetrics,
-    ServerState,
-    client_ledger,
-    fedavg_aggregate,
-    heterogeneity_penalty,
-    heterogeneous_update,
-    load_csv_shard,
-    local_update,
-    local_updates,
-    make_synthetic_federation,
-    run_round,
-    shuffle_updates,
-)
-from .mechanisms import (
-    MechanismKind,
-    MechanismParams,
-    NoiseStream,
-    density,
-    density_as_published,
-    expected_abs_noise,
-    pure_dp_epsilon,
-    rdp,
-    rdp_as_published,
-    sample_noise_array,
-)
-from .mode_connectivity import (
-    CurveKind,
-    CurveSpec,
-    CurveTrainConfig,
-    bezier_fedavg_update,
-    curve_point,
-    extra_rounds_bound,
-    mode_connect_aggregate,
-    theta_star,
-    train_curve,
-)
-from .utility_bounds import BoundQuery, l1_bound, optimal_nu
-
-__all__ = [
-    "CalibrationResult",
-    "InfeasibleBudgetError",
-    "PrivacyBudget",
-    "RdpLedger",
-    "SpendDecision",
-    "calibrate_noise",
-    "default_alpha_grid",
-    "rdp_curve",
-    "shuffle_amplify_lower",
-    "shuffle_amplify_upper",
-    "Aggregator",
-    "BudgetExhaustedError",
-    "ClientConfig",
-    "DatasetShard",
-    "Federation",
-    "LogisticRegressionModel",
-    "RoundMetrics",
-    "ServerState",
-    "client_ledger",
-    "fedavg_aggregate",
-    "heterogeneity_penalty",
-    "heterogeneous_update",
-    "load_csv_shard",
-    "local_update",
-    "local_updates",
-    "make_synthetic_federation",
-    "run_round",
-    "shuffle_updates",
-    "MechanismKind",
-    "MechanismParams",
-    "NoiseStream",
-    "density",
-    "density_as_published",
-    "expected_abs_noise",
-    "pure_dp_epsilon",
-    "rdp",
-    "rdp_as_published",
-    "sample_noise_array",
-    "CurveKind",
-    "CurveSpec",
-    "CurveTrainConfig",
-    "bezier_fedavg_update",
-    "curve_point",
-    "extra_rounds_bound",
-    "mode_connect_aggregate",
-    "theta_star",
-    "train_curve",
-    "BoundQuery",
-    "l1_bound",
-    "optimal_nu",
-]

@@ -120,8 +120,7 @@ def _positive_int(raw: str) -> int:
     return val
 
 
-def _parse_seed(raw: str) -> int:
-    val = int(raw)
+def _check_seed(val: int) -> int:
     if not 0 <= val < 2**64:
         raise ValueError("must lie in [0, 2**64), as streams key on its low 64 bits")
     return val
@@ -142,7 +141,7 @@ _PARSERS = {
     "shuffle": _parse_bool,
     "heterogeneous_epsilons": _parse_eps_list,
     "dataset": lambda raw: raw.strip(),
-    "seed": _parse_seed,
+    "seed": lambda raw: _check_seed(int(raw)),
     "output": lambda raw: raw.strip(),
 }
 
@@ -169,6 +168,10 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         # Checked here, so a config built directly fails before any
         # calibration; frozen, so no later assignment skips the checks.
+        try:
+            _check_seed(self.seed)
+        except ValueError as exc:
+            raise ConfigError(f"invalid value for 'seed': {self.seed} ({exc})") from None
         if self.heterogeneous_epsilons is not None:
             if len(self.heterogeneous_epsilons) != self.clients:
                 raise ConfigError(

@@ -82,7 +82,9 @@ from __future__ import annotations
 import csv
 import enum
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 
 import numpy as np
 
@@ -379,7 +381,10 @@ class ServerState:
     its position, and the run's whole plan: selection, the one local-training
     plan of every client (clip bound, sampling rate, epochs and step),
     shuffling and aggregation.  Frozen, so the checks below hold for every
-    value a round reads; a round returns a new state (``dataclasses.replace``)."""
+    value a round reads; a round returns a new state (``dataclasses.replace``).
+    The models are rows of one read-only copy, taken as the state is built,
+    and the client models a read-only mapping: neither the caller's arrays
+    nor a write through the state can change them."""
 
     global_model: np.ndarray
     round_t: int
@@ -390,10 +395,13 @@ class ServerState:
     local_epochs_I: int
     learning_rate: float
     shuffle: bool = False
-    client_models: dict[int, np.ndarray] = field(default_factory=dict)
+    client_models: Mapping[int, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "global_model", np.asarray(self.global_model, dtype=float))
+        models = np.array([self.global_model, *self.client_models.values()], dtype=float)
+        models.flags.writeable = False
+        object.__setattr__(self, "global_model", models[0])
+        object.__setattr__(self, "client_models", MappingProxyType(dict(zip(self.client_models, models[1:]))))
         if not (0.0 < self.selection_fraction <= 1.0):
             raise ValueError(f"selection fraction must lie in (0, 1], got {self.selection_fraction}")
         if not self.clip_c > 0:
@@ -660,8 +668,7 @@ def run_round(
     else:
         curves = CurveTrainConfig(CURVE_TRAIN_STEPS, CURVE_TRAIN_LR, model, fed.validation)
         new_global = mode_connect_aggregate(stack, curves, NoiseStream(master_seed, server.round_t, 0, "curve-train"))
-    client_models = dict(server.client_models)
-    client_models.update(zip(chosen.tolist(), stack))
+    client_models = server.client_models | dict(zip(chosen.tolist(), stack))
 
     noised = all(cfg.mechanism is not None for cfg in clients)
     metrics = RoundMetrics(

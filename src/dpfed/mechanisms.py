@@ -205,8 +205,6 @@ def sample_noise_block(params, stream: NoiseStream, shape) -> np.ndarray:
     rows_of: dict[MechanismKind, list[int]] = {}
     for j, p in enumerate(params):
         rows_of.setdefault(p.kind, []).append(j)
-    if len(rows_of) == 1:
-        return _sample_one_kind(params, stream.rng, shape)
     block = np.empty(shape)
     for rows in rows_of.values():
         sets = [params[j] for j in rows]

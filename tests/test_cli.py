@@ -170,6 +170,18 @@ class TestRunExperiment:
             run_experiment(small_cfg(**kw), csv_stream=buf)
         assert buf.getvalue() == "" and calibrated == []
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
+    def test_directly_built_config_rejects_a_seed_outside_64_bits(self, monkeypatch, seed):
+        # Streams reduce the seed mod 2**64, so -1 and 2**64 + 5 would run the
+        # streams of 2**64 - 1 and 5 under another seed cell.
+        calibrated = []
+        monkeypatch.setattr(cli, "calibrate_noise", lambda *args: calibrated.append(args))
+        buf = io.StringIO()
+        with pytest.raises(ConfigError, match=f"^invalid value for 'seed': {seed} \\(must lie in \\[0, 2\\*\\*64\\)"):
+            run_experiment(small_cfg(seed=seed), csv_stream=buf)
+        assert buf.getvalue() == "" and calibrated == []
+        assert small_cfg(seed=2**64 - 1).seed == 2**64 - 1
+
     def test_csv_schema_and_determinism(self):
         outs = []
         for _ in range(2):

@@ -642,6 +642,28 @@ class TestServerState:
         # The one coercion still happens as the state is built.
         assert make_plan([0, 1]).global_model.dtype == float
 
+    def test_models_are_read_only_copies(self):
+        # Neither the caller's array nor a write through the state changes the
+        # model a round broadcasts or the models it remembers.
+        w0, w1 = np.zeros(3), np.ones(3)
+        plan = make_plan(w0, client_models={0: w1})
+        w0[:], w1[:] = np.nan, np.nan
+        assert np.array_equal(plan.global_model, np.zeros(3))
+        with pytest.raises(ValueError, match="read-only"):
+            plan.global_model[:] = np.nan
+        with pytest.raises(ValueError, match="read-only"):
+            plan.client_models[0][:] = np.nan
+        with pytest.raises(TypeError):
+            plan.client_models[1] = np.ones(3)
+        assert np.array_equal(plan.client_models[0], np.ones(3)) and list(plan.client_models) == [0]
+
+    def test_a_round_remembers_read_only_models(self):
+        server, clients, model, ledger, fed = build_federation(mech_kind=MechanismKind.GAUSSIAN)
+        server = run_round(server, clients, model, ledger, 12, fed).server
+        assert not server.global_model.flags.writeable
+        assert sorted(server.client_models) == [0, 1, 2, 3]
+        assert not any(w.flags.writeable for w in server.client_models.values())
+
     def test_accepts_the_plan_edges(self):
         plan = make_plan(np.zeros(3), clip_c=1e-9, sample_rate_q=1.0, local_epochs_I=1, learning_rate=1e-9)
         assert (plan.clip_c, plan.sample_rate_q, plan.local_epochs_I, plan.learning_rate) == (1e-9, 1.0, 1, 1e-9)
