@@ -74,75 +74,46 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError("expected true or false")
 
 
-def _parse_epsilon(raw: str) -> float:
-    if raw.strip().lower() in ("inf", "infinity"):
-        return math.inf
-    val = float(raw)
-    if not val > 0:
-        raise ValueError("must be positive")
-    return val
+def _positive(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v) and v > 0
 
 
-def _parse_eps_list(raw: str) -> tuple[float, ...]:
-    vals = tuple(float(v) for v in raw.split(",") if v.strip())
-    if not vals:
-        raise ValueError("expected a comma-separated list of positive reals")
-    if any(not (math.isfinite(v) and v > 0) for v in vals):
-        raise ValueError("all entries must be positive finite reals")
-    return vals
+def _one_of(names: tuple[str, ...]) -> tuple:
+    return (lambda raw: raw.strip().lower(), lambda v: v in names, f"expected one of: {', '.join(names)}")
 
 
-def _positive_float(raw: str) -> float:
-    val = float(raw)
-    if not (math.isfinite(val) and val > 0):
-        raise ValueError("must be positive")
-    return val
+_POSITIVE = (float, _positive, "must be positive")
+_UNIT = (float, lambda v: _positive(v) and v <= 1.0, "must lie in (0, 1]")
+_COUNT = (int, lambda v: type(v) is int and v >= 1, "must be a positive integer")
 
-
-def _unit_float(raw: str) -> float:
-    val = float(raw)
-    if not (0.0 < val <= 1.0):
-        raise ValueError("must lie in (0, 1]")
-    return val
-
-
-def _open_float(raw: str) -> float:
-    val = float(raw)
-    if not (0.0 < val < 1.0):
-        raise ValueError("must lie in (0, 1)")
-    return val
-
-
-def _positive_int(raw: str) -> int:
-    val = int(raw)
-    if val < 1:
-        raise ValueError("must be a positive integer")
-    return val
-
-
-def _check_seed(val: int) -> int:
-    if not 0 <= val < 2**64:
-        raise ValueError("must lie in [0, 2**64), as streams key on its low 64 bits")
-    return val
-
-
-_PARSERS = {
-    "mechanism": lambda raw: MechanismKind.parse(raw).value,
-    "epsilon": _parse_epsilon,
-    "delta": _open_float,
-    "rounds": _positive_int,
-    "clients": _positive_int,
-    "selection_fraction": _unit_float,
-    "sample_rate": _unit_float,
-    "clip": _positive_float,
-    "local_epochs": _positive_int,
-    "learning_rate": _positive_float,
-    "aggregator": lambda raw: Aggregator(raw.strip().lower()).value,
-    "shuffle": _parse_bool,
-    "heterogeneous_epsilons": _parse_eps_list,
-    "dataset": lambda raw: raw.strip(),
-    "seed": lambda raw: _check_seed(int(raw)),
-    "output": lambda raw: raw.strip(),
+# One rule per config key: (text -> value, check on the value, reason).  The
+# parser runs both on every file, flag and env value; ExperimentConfig runs the
+# check on every config, however it was built.
+_RULES = {
+    "mechanism": _one_of(tuple(k.value for k in MechanismKind)),
+    "epsilon": (float, lambda v: v == math.inf or _positive(v), "must be positive"),
+    "delta": (float, lambda v: _positive(v) and v < 1.0, "must lie in (0, 1)"),
+    "rounds": _COUNT,
+    "clients": _COUNT,
+    "selection_fraction": _UNIT,
+    "sample_rate": _UNIT,
+    "clip": _POSITIVE,
+    "local_epochs": _COUNT,
+    "learning_rate": _POSITIVE,
+    "aggregator": _one_of(tuple(a.value for a in Aggregator)),
+    "shuffle": (_parse_bool, lambda v: isinstance(v, bool), "expected true or false"),
+    "heterogeneous_epsilons": (
+        lambda raw: tuple(float(v) for v in raw.split(",") if v.strip()),
+        lambda v: v is None or (type(v) is tuple and v != () and all(map(_positive, v))),
+        "must be a non-empty list of positive finite reals",
+    ),
+    "dataset": (str.strip, lambda v: isinstance(v, str), "must be 'synthetic' or a CSV path"),
+    "seed": (
+        int,
+        lambda v: type(v) is int and 0 <= v < 2**64,
+        "must lie in [0, 2**64), as streams key on its low 64 bits",
+    ),
+    "output": (str.strip, lambda v: v is None or isinstance(v, str), "must be a CSV path"),
 }
 
 
@@ -168,10 +139,9 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         # Checked here, so a config built directly fails before any
         # calibration; frozen, so no later assignment skips the checks.
-        try:
-            _check_seed(self.seed)
-        except ValueError as exc:
-            raise ConfigError(f"invalid value for 'seed': {self.seed} ({exc})") from None
+        for key, (_, ok, reason) in _RULES.items():
+            if not ok(value := getattr(self, key)):
+                raise ConfigError(f"invalid value for '{key}': {value!r} ({reason})")
         if self.heterogeneous_epsilons is not None:
             if len(self.heterogeneous_epsilons) != self.clients:
                 raise ConfigError(
@@ -196,12 +166,16 @@ def parse_config(text: str, flag_overrides: dict[str, str] | None = None) -> Exp
     values: dict[str, object] = {}
 
     def assign(key: str, raw: str, where: str) -> None:
-        if key not in _PARSERS:
+        if key not in _RULES:
             raise ConfigError(f"unknown key '{key}' in {where}")
+        convert, ok, reason = _RULES[key]
         try:
-            values[key] = _PARSERS[key](raw)
+            value = convert(raw)
+            if not ok(value):
+                raise ValueError(reason)
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"invalid value for '{key}' in {where}: {raw!r} ({exc})") from None
+        values[key] = value
 
     seen: set[str] = set()
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -286,7 +260,7 @@ def run_experiment(cfg: ExperimentConfig, csv_stream=None) -> ExperimentResult:
     Propagates :class:`InfeasibleBudgetError`; an exhausted budget mid-run
     stops the loop with exit code 1 (the documented halt signal).
     """
-    kind = MechanismKind.parse(cfg.mechanism)
+    kind = MechanismKind(cfg.mechanism)
     fed = _build_federation(cfg)
     # Every row counts: a label only validation or eval rows carry needs a class.
     classes = SYNTH_CLASSES if cfg.dataset == "synthetic" else int(fed.data.labels.max()) + 1
@@ -375,7 +349,7 @@ def sweep(configs, ids=None, csv_stream=None) -> SweepResult:
 
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("config", nargs="?", help="config file of 'key = value' lines")
-    for key in _PARSERS:
+    for key in _RULES:
         parser.add_argument(f"--{key.replace('_', '-')}", dest=key, default=None, metavar="V")
 
 
@@ -384,7 +358,7 @@ def _collect_config(args: argparse.Namespace) -> ExperimentConfig:
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             text = fh.read()
-    overrides = {key: getattr(args, key) for key in _PARSERS if getattr(args, key, None) is not None}
+    overrides = {key: getattr(args, key) for key in _RULES if getattr(args, key, None) is not None}
     return parse_config(text, overrides)
 
 
@@ -400,16 +374,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [None]
+    seeds = [s.strip() for s in args.seeds.split(",")] if args.seeds else [None]
     configs, ids = [], []
     for path in args.configs:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
         stem = os.path.splitext(os.path.basename(path))[0]
         for seed in seeds:
-            overrides = {} if seed is None else {"seed": str(seed)}
-            configs.append(parse_config(text, overrides))
-            ids.append(stem if seed is None else f"{stem}-s{seed}")
+            configs.append(parse_config(text, {"seed": seed}))
+            ids.append(stem if seed is None else f"{stem}-s{configs[-1].seed}")
     if len(set(ids)) != len(ids):
         ids = [f"{i:03d}-{name}" for i, name in enumerate(ids)]
     if args.output:

@@ -404,13 +404,13 @@ class ServerState:
         object.__setattr__(self, "client_models", MappingProxyType(dict(zip(self.client_models, models[1:]))))
         if not (0.0 < self.selection_fraction <= 1.0):
             raise ValueError(f"selection fraction must lie in (0, 1], got {self.selection_fraction}")
-        if not self.clip_c > 0:
+        if not (math.isfinite(self.clip_c) and self.clip_c > 0):
             raise ValueError(f"clip bound must be positive, got {self.clip_c}")
         if not (0.0 < self.sample_rate_q <= 1.0):
             raise ValueError(f"sample rate must lie in (0, 1], got {self.sample_rate_q}")
         if self.local_epochs_I < 1:
             raise ValueError(f"local epochs must be >= 1, got {self.local_epochs_I}")
-        if not self.learning_rate > 0:
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(f"learning rate must be positive, got {self.learning_rate}")
 
 

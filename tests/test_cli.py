@@ -2,6 +2,7 @@ import dataclasses
 import io
 import json
 import math
+import pathlib
 import subprocess
 import sys
 
@@ -145,6 +146,68 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="^line 2 is not a 'key = value' assignment: 'rounds 3'$"):
             parse_config("epsilon = 4\nrounds 3\n")
 
+    # Good and bad texts for every key; heterogeneous ones are read with clients = 2.
+    ROUTE_TEXTS = {
+        "mechanism": ["gaussian", " Laplace ", "cauchy", ""],
+        "epsilon": ["8", "inf", "Infinity", "0", "-1", "nan", "-inf", "x"],
+        "delta": ["1e-5", "0", "1", "nan"],
+        "rounds": ["3", "0", "-2", "1.5"],
+        "clients": ["2", "0", "two"],
+        "selection_fraction": ["1", "0.5", "0", "1.5", "nan"],
+        "sample_rate": ["0.05", "0", "1.5", "inf"],
+        "clip": ["0.5", "0", "inf", "nan", "-1"],
+        "local_epochs": ["1", "0", "1.5"],
+        "learning_rate": ["1e-3", "0", "inf", "nan", "-0.1"],
+        "aggregator": ["fedavg", "ModeConnect", "median"],
+        "shuffle": ["true", "False", "maybe", "1"],
+        "heterogeneous_epsilons": ["2, 4.5", ",", "2,-1", "2,inf", "2,nan", "2,x"],
+        "dataset": ["synthetic", "data.csv"],
+        "seed": ["0", "007", "-1", "18446744073709551616", "1.5"],
+        "output": ["out.csv", ""],
+    }
+
+    def test_parsed_and_built_configs_keep_the_same_rule(self, monkeypatch):
+        # A text parses exactly when the value it converts to builds a config,
+        # and both routes refuse it for the same reason.
+        monkeypatch.delenv("UDPFL_SEED", raising=False)
+        assert list(self.ROUTE_TEXTS) == list(cli._RULES)
+        for key, texts in self.ROUTE_TEXTS.items():
+            base = {"clients": 2} if key == "heterogeneous_epsilons" else {}
+            for raw in texts:
+                text = "".join(f"{k} = {v}\n" for k, v in base.items()) + f"{key} = {raw}\n"
+                parse_prefix = f"invalid value for '{key}' in config line {len(base) + 1}: {raw.strip()!r} ("
+                try:
+                    value = cli._RULES[key][0](raw)
+                except ValueError as exc:
+                    with pytest.raises(ConfigError) as refused:
+                        parse_config(text)
+                    assert str(refused.value) == parse_prefix + f"{exc})"
+                    continue
+                try:
+                    built = ExperimentConfig(**base, **{key: value})
+                except ConfigError as exc:
+                    prefix = f"invalid value for '{key}': {value!r} ("
+                    assert str(exc).startswith(prefix), (key, raw)
+                    with pytest.raises(ConfigError) as refused:
+                        parse_config(text)
+                    assert str(refused.value) == parse_prefix + str(exc).removeprefix(prefix), (key, raw)
+                else:
+                    assert parse_config(text) == built, (key, raw)
+
+    def test_readme_key_list_matches_the_config(self, monkeypatch):
+        # Same keys in the same order as the rules and the dataclass, and each
+        # listed default parses to the dataclass default (empty means None).
+        monkeypatch.delenv("UDPFL_SEED", raising=False)
+        readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        block = readme.split("Keys and defaults:\n\n```\n", 1)[1].split("```", 1)[0]
+        listed = [[part.strip() for part in line.split("#", 1)[0].split("=", 1)] for line in block.splitlines()]
+        fields = [f.name for f in dataclasses.fields(ExperimentConfig)]
+        assert [key for key, _ in listed] == list(cli._RULES) == fields
+        defaults = ExperimentConfig()
+        for key, raw in listed:
+            want = getattr(defaults, key)
+            assert (None if raw == "" else getattr(parse_config(f"{key} = {raw}\n"), key)) == want, key
+
     def test_config_is_frozen(self):
         # Assignment would skip the checks that ran when the config was built.
         cfg = parse_config("clients = 2\nheterogeneous_epsilons = 1,2\n")
@@ -181,6 +244,51 @@ class TestRunExperiment:
             run_experiment(small_cfg(seed=seed), csv_stream=buf)
         assert buf.getvalue() == "" and calibrated == []
         assert small_cfg(seed=2**64 - 1).seed == 2**64 - 1
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("mechanism", "cauchy"),
+            ("mechanism", "Laplace"),
+            ("epsilon", 0.0),
+            ("epsilon", math.nan),
+            ("epsilon", "8"),
+            ("delta", 0.0),
+            ("delta", 1.0),
+            ("rounds", 0),
+            ("rounds", 2.0),
+            ("clients", -2),
+            ("selection_fraction", 0.0),
+            ("selection_fraction", 1.5),
+            ("sample_rate", math.inf),
+            ("clip", math.inf),
+            ("clip", 0),
+            ("local_epochs", 1.5),
+            ("learning_rate", math.inf),
+            ("learning_rate", -0.1),
+            ("learning_rate", True),
+            ("aggregator", "median"),
+            ("aggregator", "FedAvg"),
+            ("shuffle", "yes"),
+            ("shuffle", 1),
+            ("heterogeneous_epsilons", ()),
+            ("heterogeneous_epsilons", (2.0, math.inf)),
+            ("heterogeneous_epsilons", [2.0, 4.0]),
+            ("dataset", None),
+            ("seed", 1.0),
+            ("output", 5),
+        ],
+    )
+    def test_directly_built_config_keeps_every_rule(self, monkeypatch, key, value):
+        # Each value the parser would refuse (or never produce) fails as the
+        # config is built: before calibration and before the CSV header.
+        calibrated = []
+        monkeypatch.setattr(cli, "calibrate_noise", lambda *args: calibrated.append(args))
+        buf = io.StringIO()
+        clients = {"clients": 2} if key == "heterogeneous_epsilons" else {}
+        with pytest.raises(ConfigError, match=f"^invalid value for '{key}': "):
+            run_experiment(small_cfg(**clients, **{key: value}), csv_stream=buf)
+        assert buf.getvalue() == "" and calibrated == []
 
     def test_csv_schema_and_determinism(self):
         outs = []
@@ -419,6 +527,20 @@ class TestSweep:
         assert header == SWEEP_HEADER
         assert [row[0] for row in rows] == [f"{i:03d}-{name}" for i, name in enumerate(names)]
         assert [row[5] for row in rows] == [mech for mech in ("gaussian", "laplace") for _ in names[::2]]
+
+
+    def test_seeds_go_through_the_seed_rule(self, tmp_path, capsys):
+        # Each --seeds entry is the seed key's text: a bad one names the key,
+        # and a good one's id carries the parsed seed.
+        path = tmp_path / "a.cfg"
+        path.write_text("rounds = 1\nmechanism = gaussian\n", encoding="utf-8")
+        assert cli.main(["sweep", str(path), "--seeds", "1,x"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid value for 'seed' in command-line flag: 'x' (")
+        assert cli.main(["sweep", str(path), "--seeds", " 007, 1"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["a-s7", "a-s1"]
+        assert [row.split(",")[-1] for row in rows] == ["7", "1"]
 
 
 def run_cli(*argv, env=None):

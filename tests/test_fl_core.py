@@ -618,6 +618,7 @@ class TestServerState:
             ("clip_c", 0.0, "clip bound must be positive, got 0.0"),
             ("clip_c", -1.0, "clip bound must be positive, got -1.0"),
             ("clip_c", math.nan, "clip bound must be positive, got nan"),
+            ("clip_c", math.inf, "clip bound must be positive, got inf"),
             ("sample_rate_q", 0.0, "sample rate must lie in \\(0, 1\\], got 0.0"),
             ("sample_rate_q", 1.5, "sample rate must lie in \\(0, 1\\], got 1.5"),
             ("sample_rate_q", -0.25, "sample rate must lie in \\(0, 1\\], got -0.25"),
@@ -626,6 +627,7 @@ class TestServerState:
             ("learning_rate", 0.0, "learning rate must be positive, got 0.0"),
             ("learning_rate", -0.1, "learning rate must be positive, got -0.1"),
             ("learning_rate", math.nan, "learning rate must be positive, got nan"),
+            ("learning_rate", math.inf, "learning rate must be positive, got inf"),
         ],
     )
     def test_rejects_an_invalid_plan(self, field, value, message):
