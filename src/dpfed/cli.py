@@ -25,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .accountant import (
-    CalibrationResult,
     InfeasibleBudgetError,
     PrivacyBudget,
     calibrate_noise,
@@ -103,7 +102,7 @@ _RULES = {
     "aggregator": _one_of(tuple(a.value for a in Aggregator)),
     "shuffle": (_parse_bool, lambda v: isinstance(v, bool), "expected true or false"),
     "heterogeneous_epsilons": (
-        lambda raw: tuple(float(v) for v in raw.split(",") if v.strip()),
+        lambda raw: tuple(float(v) for v in raw.split(",") if v.strip()) if raw.strip() else None,
         lambda v: v is None or (type(v) is tuple and v != () and all(map(_positive, v))),
         "must be a non-empty list of positive finite reals",
     ),
@@ -113,8 +112,17 @@ _RULES = {
         lambda v: type(v) is int and 0 <= v < 2**64,
         "must lie in [0, 2**64), as streams key on its low 64 bits",
     ),
-    "output": (str.strip, lambda v: v is None or isinstance(v, str), "must be a CSV path"),
+    "output": (lambda raw: raw.strip() or None, lambda v: v is None or isinstance(v, str), "must be a CSV path"),
 }
+
+
+def _apply_rule(rule: tuple, raw: str):
+    """Convert ``raw`` by a rule triple and check it; a bad value raises ValueError or TypeError."""
+    convert, ok, reason = rule
+    value = convert(raw)
+    if not ok(value):
+        raise ValueError(reason)
+    return value
 
 
 @dataclass(frozen=True)
@@ -168,14 +176,10 @@ def parse_config(text: str, flag_overrides: dict[str, str] | None = None) -> Exp
     def assign(key: str, raw: str, where: str) -> None:
         if key not in _RULES:
             raise ConfigError(f"unknown key '{key}' in {where}")
-        convert, ok, reason = _RULES[key]
         try:
-            value = convert(raw)
-            if not ok(value):
-                raise ValueError(reason)
+            values[key] = _apply_rule(_RULES[key], raw)
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"invalid value for '{key}' in {where}: {raw!r} ({exc})") from None
-        values[key] = value
 
     seen: set[str] = set()
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -211,17 +215,6 @@ def format_metrics_row(m: RoundMetrics, run_cells: str) -> str:
     ``mechanism,noise_scale,seed`` cells that hold for the whole run."""
     values = (m.cumulative_epsilon, m.train_loss, m.eval_accuracy)
     return ",".join([str(m.round_index), *map(_format_value, values), run_cells])
-
-
-_CALIBRATION_CACHE: dict[tuple, CalibrationResult] = {}
-
-
-def _calibrate_cached(kind: MechanismKind, sensitivity: float, budget: PrivacyBudget) -> CalibrationResult:
-    key = (kind, sensitivity, budget.epsilon, budget.delta, budget.horizon_T)
-    hit = _CALIBRATION_CACHE.get(key)
-    if hit is None:
-        hit = _CALIBRATION_CACHE[key] = calibrate_noise(kind, sensitivity, budget)
-    return hit
 
 
 def _build_federation(cfg: ExperimentConfig) -> Federation:
@@ -268,11 +261,10 @@ def run_experiment(cfg: ExperimentConfig, csv_stream=None) -> ExperimentResult:
 
     # A noise-disabled run has epsilon = inf and no heterogeneous epsilons.
     eps_list = cfg.heterogeneous_epsilons or (cfg.epsilon,) * cfg.clients
-    clients = []
-    for eps_k in eps_list:
-        budget = PrivacyBudget(eps_k, cfg.delta, cfg.horizon)
-        mech = None if cfg.noise_disabled else _calibrate_cached(kind, cfg.clip, budget).mechanism
-        clients.append(ClientConfig(budget=budget, mechanism=mech))
+    budgets = [PrivacyBudget(eps_k, cfg.delta, cfg.horizon) for eps_k in eps_list]
+    # One calibration per distinct budget of this run, kept for this run only.
+    mechs = {b: None if cfg.noise_disabled else calibrate_noise(kind, cfg.clip, b).mechanism for b in set(budgets)}
+    clients = [ClientConfig(budget=b, mechanism=mechs[b]) for b in budgets]
     ledger = client_ledger(clients, default_alpha_grid())
     scale = max((c.mechanism.scale for c in clients if c.mechanism), default=math.inf)
     run_cells = f"{cfg.mechanism},{_format_value(scale)},{cfg.seed}"
@@ -394,10 +386,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
-    budget = PrivacyBudget(float(args.epsilon), float(args.delta), int(args.rounds))
-    for name in args.mechanism.split(","):
-        kind = MechanismKind.parse(name)
-        result = calibrate_noise(kind, float(args.sensitivity), budget, tolerance=float(args.tolerance))
+    budget = PrivacyBudget(args.epsilon, args.delta, args.rounds)
+    for name in args.mechanism:
+        kind = MechanismKind(name)
+        result = calibrate_noise(kind, args.sensitivity, budget, tolerance=args.tolerance)
         print(
             json.dumps(
                 {
@@ -418,12 +410,12 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
-    kind = MechanismKind.parse(args.mechanism)
-    nu = float(args.nu) if args.nu is not None else None
+    kind = MechanismKind(args.mechanism)
+    nu = args.nu
     if kind is MechanismKind.STAIRCASE and nu is None:
-        nu = optimal_nu(float(args.scale))[0]
-    params = MechanismParams(kind, float(args.sensitivity), float(args.scale), nu=nu)
-    query = BoundQuery(params, int(args.loss_length), int(args.rounds))
+        nu = optimal_nu(args.scale)[0]
+    params = MechanismParams(kind, args.sensitivity, args.scale, nu=nu)
+    query = BoundQuery(params, args.loss_length, args.rounds)
     print(
         json.dumps(
             {
@@ -441,6 +433,18 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _flag_type(rule: tuple):
+    """Argparse ``type`` reading a flag by a config rule, so a bad value exits 2 naming the flag."""
+
+    def read(raw: str):
+        try:
+            return _apply_rule(rule, raw)
+        except (ValueError, TypeError) as exc:
+            raise argparse.ArgumentTypeError(f"invalid value {raw!r} ({exc})") from None
+
+    return read
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="dpfed", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -455,22 +459,24 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--output", default=None, help="aggregated CSV path (default: stdout)")
     sweep_p.set_defaults(func=_cmd_sweep)
 
+    mechanism = _flag_type(_RULES["mechanism"])
     cal_p = sub.add_parser("calibrate", help="minimal noise scale for a budget")
-    cal_p.add_argument("--mechanism", required=True, help="mechanism name(s), comma-separated")
-    cal_p.add_argument("--epsilon", required=True)
-    cal_p.add_argument("--delta", default="1e-5")
-    cal_p.add_argument("--rounds", required=True, help="number of composed applications")
-    cal_p.add_argument("--sensitivity", default="1.0")
-    cal_p.add_argument("--tolerance", default="1e-4")
+    cal_p.add_argument("--mechanism", required=True, type=lambda raw: [mechanism(name) for name in raw.split(",")],
+                       help="mechanism name(s), comma-separated")
+    cal_p.add_argument("--epsilon", required=True, type=_flag_type(_RULES["epsilon"]))
+    cal_p.add_argument("--delta", default="1e-5", type=_flag_type(_RULES["delta"]))
+    cal_p.add_argument("--rounds", required=True, type=_flag_type(_COUNT), help="number of composed applications")
+    cal_p.add_argument("--sensitivity", default="1.0", type=_flag_type(_POSITIVE))
+    cal_p.add_argument("--tolerance", default="1e-4", type=_flag_type(_POSITIVE))
     cal_p.set_defaults(func=_cmd_calibrate)
 
     bounds_p = sub.add_parser("bounds", help="expected l1 perturbation of a mechanism")
-    bounds_p.add_argument("--mechanism", required=True)
-    bounds_p.add_argument("--scale", required=True)
-    bounds_p.add_argument("--nu", default=None)
-    bounds_p.add_argument("--sensitivity", default="1.0")
-    bounds_p.add_argument("-m", "--loss-length", dest="loss_length", default="1")
-    bounds_p.add_argument("-T", "--rounds", dest="rounds", default="1")
+    bounds_p.add_argument("--mechanism", required=True, type=mechanism)
+    bounds_p.add_argument("--scale", required=True, type=_flag_type(_POSITIVE))
+    bounds_p.add_argument("--nu", default=None, type=float)
+    bounds_p.add_argument("--sensitivity", default="1.0", type=_flag_type(_POSITIVE))
+    bounds_p.add_argument("-m", "--loss-length", dest="loss_length", default="1", type=_flag_type(_COUNT))
+    bounds_p.add_argument("-T", "--rounds", dest="rounds", default="1", type=_flag_type(_COUNT))
     bounds_p.add_argument("--mode", choices=["numeric", "as_published"], default="numeric")
     bounds_p.set_defaults(func=_cmd_bounds)
     return parser

@@ -47,14 +47,6 @@ class MechanismKind(enum.Enum):
     LAPLACE = "laplace"
     STAIRCASE = "staircase"
 
-    @classmethod
-    def parse(cls, name: str) -> "MechanismKind":
-        try:
-            return cls(name.strip().lower())
-        except ValueError:
-            valid = ", ".join(k.value for k in cls)
-            raise ValueError(f"unknown mechanism {name!r} (expected one of: {valid})")
-
 
 @dataclass(frozen=True)
 class MechanismParams:

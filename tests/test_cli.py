@@ -160,7 +160,7 @@ class TestParseConfig:
         "learning_rate": ["1e-3", "0", "inf", "nan", "-0.1"],
         "aggregator": ["fedavg", "ModeConnect", "median"],
         "shuffle": ["true", "False", "maybe", "1"],
-        "heterogeneous_epsilons": ["2, 4.5", ",", "2,-1", "2,inf", "2,nan", "2,x"],
+        "heterogeneous_epsilons": ["2, 4.5", "", ",", "2,-1", "2,inf", "2,nan", "2,x"],
         "dataset": ["synthetic", "data.csv"],
         "seed": ["0", "007", "-1", "18446744073709551616", "1.5"],
         "output": ["out.csv", ""],
@@ -194,19 +194,22 @@ class TestParseConfig:
                 else:
                     assert parse_config(text) == built, (key, raw)
 
+    @pytest.mark.parametrize("key", ["heterogeneous_epsilons", "output"])
+    def test_empty_value_means_none(self, key):
+        # From the file and from a flag, an empty value gives the None default.
+        for text, flags in ((f"{key} =\n", None), ("", {key: " "})):
+            assert getattr(parse_config(text, flags), key) is None
+
     def test_readme_key_list_matches_the_config(self, monkeypatch):
-        # Same keys in the same order as the rules and the dataclass, and each
-        # listed default parses to the dataclass default (empty means None).
+        # Same keys in the same order as the rules and the dataclass, and the
+        # block, saved as a config file, gives the default config.
         monkeypatch.delenv("UDPFL_SEED", raising=False)
         readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
         block = readme.split("Keys and defaults:\n\n```\n", 1)[1].split("```", 1)[0]
-        listed = [[part.strip() for part in line.split("#", 1)[0].split("=", 1)] for line in block.splitlines()]
+        listed = [line.split("=", 1)[0].strip() for line in block.splitlines()]
         fields = [f.name for f in dataclasses.fields(ExperimentConfig)]
-        assert [key for key, _ in listed] == list(cli._RULES) == fields
-        defaults = ExperimentConfig()
-        for key, raw in listed:
-            want = getattr(defaults, key)
-            assert (None if raw == "" else getattr(parse_config(f"{key} = {raw}\n"), key)) == want, key
+        assert listed == list(cli._RULES) == fields
+        assert parse_config(block) == ExperimentConfig()
 
     def test_config_is_frozen(self):
         # Assignment would skip the checks that ran when the config was built.
@@ -373,10 +376,27 @@ class TestRunExperiment:
                 MechanismParams(MechanismKind.GAUSSIAN, sensitivity, 0.5), 0.0, 2.0, 0
             )
 
-        monkeypatch.setattr(cli_mod, "_calibrate_cached", fake_calibrate)
+        monkeypatch.setattr(cli_mod, "calibrate_noise", fake_calibrate)
         result = run_experiment(small_cfg(rounds=50))
         assert result.exit_code == 1
         assert result.summary["rounds_run"] < 50
+
+    @pytest.mark.parametrize("epsilons, distinct", [(None, 1), ((7, 7, 8, 8, 8, 9, 9, 9, 9, 9), 3)])
+    def test_calibrates_once_per_distinct_budget_of_each_run(self, monkeypatch, epsilons, distinct):
+        # No calibration outlives its run: the same config run again calibrates again.
+        budgets = []
+        real_calibrate = cli.calibrate_noise
+
+        def counting(kind, sensitivity, budget, **kw):
+            budgets.append(budget)
+            return real_calibrate(kind, sensitivity, budget, **kw)
+
+        monkeypatch.setattr(cli, "calibrate_noise", counting)
+        cfg = small_cfg(clients=10, rounds=1, heterogeneous_epsilons=epsilons)
+        for runs in (1, 2):
+            run_experiment(cfg)
+            assert len(budgets) == runs * distinct
+        assert len(set(budgets)) == distinct
 
     def test_csv_dataset(self, tmp_path):
         cfg = small_cfg(dataset=write_csv_dataset(tmp_path, 80), clients=4, rounds=3, sample_rate=1.0)
@@ -629,6 +649,24 @@ class TestCommandLine:
         stair = json.loads(lines[1])
         assert gauss["achieved_epsilon"] <= 8.0
         assert stair["nu"] is not None
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["calibrate", "--mechanism", "gaussian", "--epsilon", "x", "--rounds", "5"], "--epsilon"),
+            (["calibrate", "--mechanism", "gaussian", "--epsilon", "8", "--rounds", "1.5"], "--rounds"),
+            (["calibrate", "--mechanism", "gaussian", "--epsilon", "8", "--rounds", "5", "--tolerance", "-1"], "--tolerance"),
+            (["calibrate", "--mechanism", "gaussian,cauchy", "--epsilon", "8", "--rounds", "5"], "--mechanism"),
+            (["bounds", "--mechanism", "gaussian", "--scale", "2", "-T", "1.5"], "-T/--rounds"),
+            (["bounds", "--mechanism", "gaussian", "--scale", "0"], "--scale"),
+        ],
+    )
+    def test_calibrate_and_bounds_flags_go_through_the_rules(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exited:
+            cli.main(argv)
+        out, err = capsys.readouterr()
+        assert exited.value.code == 2 and out == ""
+        assert f"error: argument {flag}: invalid value" in err
 
     def test_bounds_json(self):
         proc = run_cli(

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dpfed.cli import _RULES, _apply_rule
 from dpfed.mechanisms import (
     MechanismKind,
     MechanismParams,
@@ -84,9 +85,10 @@ class TestParams:
         assert p.nu is None
 
     def test_kind_parse(self):
-        assert MechanismKind.parse(" Staircase ") is MechanismKind.STAIRCASE
+        # Names are read by the config's mechanism rule, the one rule for every route.
+        assert MechanismKind(_apply_rule(_RULES["mechanism"], " Staircase ")) is MechanismKind.STAIRCASE
         with pytest.raises(ValueError):
-            MechanismKind.parse("exponential")
+            _apply_rule(_RULES["mechanism"], "exponential")
 
 
 class TestDensity:
