@@ -13,8 +13,9 @@ sensitivity Delta of the protected quantity and a single scale knob:
   ``y = (1 - exp(-lam)) / (2*Delta*(nu + exp(-lam)*(1 - nu)))``.
 
 All Renyi divergences are computed for the worst-case shift Delta, i.e.
-``D_alpha(P || P(. - Delta))``.  The staircase divergence is computed exactly
-by band summation in log space; no closed-form shortcut is trusted.
+``D_alpha(P || P(. - Delta))``, at one order or over a whole array of orders
+in one numpy expression.  The staircase divergence is computed exactly by
+band summation in log space; no closed-form shortcut is trusted.
 
 ``*_as_published`` variants reproduce literal textbook/table expressions that
 are known to disagree with the normalized density (a fixed ``1 - e^-1``
@@ -31,13 +32,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-
-def _logsumexp(terms) -> float:
-    m = max(terms)
-    if math.isinf(m):
-        return m
-    return m + math.log(sum(math.exp(t - m) for t in terms))
 
 
 class MechanismKind(enum.Enum):
@@ -191,7 +185,8 @@ def sample_noise_block(params, stream: NoiseStream, shape) -> np.ndarray:
     """Draws of ``shape`` ``(..., k, d)`` with row j from ``params[j]``.  The
     rows of one kind are drawn together, each kind in turn in the order it
     first appears in ``params``, so a block of one kind is one draw of each
-    call its sampler makes."""
+    call its sampler makes.  A kind whose rows are contiguous, as in every
+    one-kind block, is written through a slice rather than a row list."""
     if shape[-2] != len(params):
         raise ValueError(f"a noise block needs one parameter set per row: got {len(params)} for shape {shape}")
     rows_of: dict[MechanismKind, list[int]] = {}
@@ -200,7 +195,8 @@ def sample_noise_block(params, stream: NoiseStream, shape) -> np.ndarray:
     block = np.empty(shape)
     for rows in rows_of.values():
         sets = [params[j] for j in rows]
-        block[..., rows, :] = _sample_one_kind(sets, stream.rng, (*shape[:-2], len(rows), shape[-1]))
+        at = slice(rows[0], rows[-1] + 1) if rows[-1] - rows[0] == len(rows) - 1 else rows
+        block[..., at, :] = _sample_one_kind(sets, stream.rng, (*shape[:-2], len(rows), shape[-1]))
     return block
 
 
@@ -233,48 +229,48 @@ def _sample_one_kind(params, rng: np.random.Generator, shape) -> np.ndarray:
     return np.copysign(u, coin - 0.5, out=u)
 
 
-def rdp(params: MechanismParams, alpha: float) -> float:
-    """Renyi divergence of order ``alpha`` between the noise density and its
-    copy shifted by the sensitivity.
+def rdp(params: MechanismParams, alpha):
+    """Renyi divergence between the noise density and its copy shifted by
+    the sensitivity, at one order ``alpha`` (a ``float`` back) or at each of
+    an array of orders (an array of the same shape back).
 
-    Gaussian: ``alpha * Delta^2 / (2 sigma^2)``.  Laplace: the exact
-    closed form.  Staircase: exact piecewise band summation -- the left tail
-    contributes ``e^{(alpha-1) lam} / 2``, the right tail ``e^{-alpha lam} / 2``
-    and the segment ``[0, Delta]`` is a finite sum over constant pieces of
-    ``P^alpha Q^{1-alpha}``, all assembled in log space.
+    Each kind is one array expression over the orders.  Gaussian:
+    ``alpha * Delta^2 / (2 sigma^2)``.  Laplace: the exact closed form.
+    Staircase: exact piecewise band summation -- the left tail contributes
+    ``e^{(alpha-1) lam} / 2``, the right tail ``e^{-alpha lam} / 2`` and the
+    segment ``[0, Delta]`` a finite sum over constant pieces of
+    ``P^alpha Q^{1-alpha}``, as one log-sum-exp over a ``(pieces, orders)`` array.
     """
-    if not (math.isfinite(alpha) and alpha > 1.0):
+    a = np.asarray(alpha, dtype=float)
+    if not np.all(np.isfinite(a) & (a > 1.0)):
         raise ValueError(f"alpha must be a finite real > 1, got {alpha}")
     delta = params.sensitivity
     if params.kind is MechanismKind.GAUSSIAN:
-        return alpha * delta**2 / (2.0 * params.scale**2)
-    if params.kind is MechanismKind.LAPLACE:
+        out = a * delta**2 / (2.0 * params.scale**2)
+    elif params.kind is MechanismKind.LAPLACE:
         t = delta / params.scale
-        log_terms = [
-            math.log(alpha / (2.0 * alpha - 1.0)) + t * (alpha - 1.0),
-            math.log((alpha - 1.0) / (2.0 * alpha - 1.0)) - t * alpha,
-        ]
-        return _logsumexp(log_terms) / (alpha - 1.0)
-    return _staircase_rdp_exact(delta, params.scale, params.nu, alpha)
-
-
-def _staircase_rdp_exact(delta: float, lam: float, nu: float, alpha: float) -> float:
-    log_y = _staircase_log_y(delta, lam, nu)
-    log_terms = [math.log(0.5) + (alpha - 1.0) * lam, math.log(0.5) - alpha * lam]
-
-    def log_p(x: float) -> float:  # density of P on (0, delta)
-        return log_y if x < nu * delta else log_y - lam
-
-    def log_q(x: float) -> float:  # density of P(. - delta), via symmetry
-        return log_y if delta - x < nu * delta else log_y - lam
-
-    cuts = [0.0, min(nu, 1.0 - nu) * delta, max(nu, 1.0 - nu) * delta, delta]
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        if hi <= lo:
-            continue
-        mid = 0.5 * (lo + hi)
-        log_terms.append(math.log(hi - lo) + alpha * log_p(mid) + (1.0 - alpha) * log_q(mid))
-    return _logsumexp(log_terms) / (alpha - 1.0)
+        out = np.logaddexp(
+            np.log(a / (2.0 * a - 1.0)) + t * (a - 1.0), np.log((a - 1.0) / (2.0 * a - 1.0)) - t * a
+        ) / (a - 1.0)
+    else:
+        lam, nu = params.scale, params.nu
+        log_y = _staircase_log_y(delta, lam, nu)
+        # A row (log w, log p, log q) adds w p^alpha q^(1-alpha): the two
+        # tails, then each piece of [0, Delta] of positive width.
+        rows = [(math.log(0.5), 0.0, -lam), (math.log(0.5), -lam, 0.0)]
+        cuts = [0.0, min(nu, 1.0 - nu) * delta, max(nu, 1.0 - nu) * delta, delta]
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            if hi > lo:
+                mid = 0.5 * (lo + hi)
+                log_p = log_y if mid < nu * delta else log_y - lam  # P on (0, Delta)
+                log_q = log_y if delta - mid < nu * delta else log_y - lam  # P(. - Delta), by symmetry
+                rows.append((math.log(hi - lo), log_p, log_q))
+        log_w, log_p, log_q = (np.reshape(col, (-1,) + (1,) * a.ndim) for col in zip(*rows))
+        terms = log_w + a * log_p + (1.0 - a) * log_q
+        top = terms.max(axis=0)
+        with np.errstate(invalid="ignore"):
+            out = np.where(np.isinf(top), top, top + np.log(np.exp(terms - top).sum(axis=0))) / (a - 1.0)
+    return out if a.ndim else float(out)
 
 
 def rdp_as_published(params: MechanismParams, alpha: float) -> float:

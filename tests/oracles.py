@@ -133,6 +133,48 @@ def staircase_sample_parent(params, rng, size):
     return sign * mag
 
 
+def rdp_parent(params, alpha):
+    """Renyi divergence at one order, frozen as the package computed it
+    before ``rdp`` took an array of orders: a scalar closed form, or a
+    Python log-sum-exp over the Laplace terms and the Staircase tails and
+    band pieces."""
+    from dpfed.mechanisms import MechanismKind, _staircase_log_y
+
+    def logsumexp(terms):
+        m = max(terms)
+        if math.isinf(m):
+            return m
+        return m + math.log(sum(math.exp(t - m) for t in terms))
+
+    delta = params.sensitivity
+    if params.kind is MechanismKind.GAUSSIAN:
+        return alpha * delta**2 / (2.0 * params.scale**2)
+    if params.kind is MechanismKind.LAPLACE:
+        t = delta / params.scale
+        log_terms = [
+            math.log(alpha / (2.0 * alpha - 1.0)) + t * (alpha - 1.0),
+            math.log((alpha - 1.0) / (2.0 * alpha - 1.0)) - t * alpha,
+        ]
+        return logsumexp(log_terms) / (alpha - 1.0)
+    lam, nu = params.scale, params.nu
+    log_y = _staircase_log_y(delta, lam, nu)
+    log_terms = [math.log(0.5) + (alpha - 1.0) * lam, math.log(0.5) - alpha * lam]
+
+    def log_p(x):  # density of P on (0, delta)
+        return log_y if x < nu * delta else log_y - lam
+
+    def log_q(x):  # density of P(. - delta), via symmetry
+        return log_y if delta - x < nu * delta else log_y - lam
+
+    cuts = [0.0, min(nu, 1.0 - nu) * delta, max(nu, 1.0 - nu) * delta, delta]
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        if hi <= lo:
+            continue
+        mid = 0.5 * (lo + hi)
+        log_terms.append(math.log(hi - lo) + alpha * log_p(mid) + (1.0 - alpha) * log_q(mid))
+    return logsumexp(log_terms) / (alpha - 1.0)
+
+
 def row_epsilon(gamma, budget, grid):
     """One composed curve's epsilon at the budget's delta, order by order."""
     return min(g + math.log(1.0 / budget.delta) / (a - 1.0) for g, a in zip(gamma, grid))

@@ -19,7 +19,7 @@ from dpfed.accountant import (
     validate_alpha_grid,
 )
 from dpfed.mechanisms import MechanismKind, MechanismParams, pure_dp_epsilon, rdp
-from oracles import cumulative_epsilon, sequential_spend
+from oracles import cumulative_epsilon, rdp_parent, sequential_spend
 
 INT_GRID = np.arange(2.0, 65.0)
 DELTA = 1e-5
@@ -394,6 +394,33 @@ class TestCalibration:
                     params = MechanismParams(kind, 1.0, knob)
                 eps.append(composed_epsilon(params, 25, DELTA, budgetless_grid)[0])
             assert all(b < a for a, b in zip(eps, eps[1:])), kind
+
+
+    def test_bisection_matches_the_per_order_parent(self, monkeypatch):
+        # A flipped bisection step would move a calibrated scale, and with it
+        # the CSV bytes, so each scale must be the one the per-order curves
+        # of the parent pick, bit for bit.
+        def calibrate_all():
+            return [
+                calibrate_noise(kind, 1.0, PrivacyBudget(eps, DELTA, horizon))
+                for kind in MechanismKind
+                for eps in (0.5, 2.0, 8.0, 32.0)
+                for horizon in (1, 15, 300)
+            ]
+
+        got = calibrate_all()
+        orders = []
+
+        def per_order(params, alpha):
+            orders.append(len(alpha))
+            return np.array([rdp_parent(params, a) for a in alpha])
+
+        monkeypatch.setattr("dpfed.accountant.rdp", per_order)
+        want = calibrate_all()
+        assert orders and set(orders) == {default_alpha_grid().size}
+        for g, w in zip(got, want, strict=True):
+            assert (g.mechanism.scale, g.mechanism.nu, g.iterations) == (w.mechanism.scale, w.mechanism.nu, w.iterations)
+            assert g.achieved_epsilon == pytest.approx(w.achieved_epsilon, rel=1e-13)
 
 
 class TestShuffleBounds:

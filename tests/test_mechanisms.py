@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dpfed.accountant import default_alpha_grid
 from dpfed.cli import _RULES, _apply_rule
 from dpfed.mechanisms import (
     MechanismKind,
@@ -24,6 +25,7 @@ from oracles import (
     gaussian_logpdf,
     integrated_density_cdf,
     laplace_logpdf,
+    rdp_parent,
     renyi_divergence_quad,
     staircase_band_edges_and_cdf,
     staircase_knots,
@@ -341,6 +343,32 @@ class TestRdp:
     def test_vanishes_at_huge_scale(self):
         assert rdp(gauss(1e4), 2.0) < 1e-6
         assert rdp(lap(1e4), 2.0) < 1e-6
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        kind=st.sampled_from(list(MechanismKind)),
+        delta=st.floats(0.01, 100.0),
+        knob=st.floats(1e-4, 1e4),
+        nu=st.floats(1e-3, 1.0 - 1e-3),
+    )
+    def test_grid_matches_the_per_order_parent(self, kind, delta, knob, nu):
+        # Sigma and b scale with Delta; lam is the knob itself.  The atol
+        # covers curves near 0, where the log-sum-exp cancels terms of order
+        # 1 in both forms and numpy's exp and libm's differ in the last bit.
+        scale = knob if kind is MechanismKind.STAIRCASE else knob * delta
+        params = MechanismParams(kind, delta, scale, nu=nu)
+        grid = default_alpha_grid()
+        curve = rdp(params, grid)
+        assert isinstance(curve, np.ndarray) and curve.shape == grid.shape
+        want = [rdp_parent(params, a) for a in grid]
+        np.testing.assert_allclose(curve, want, rtol=1e-13, atol=1e-15)
+        if kind is MechanismKind.GAUSSIAN:
+            assert curve.tolist() == want  # the same closed form, bit for bit
+        one = rdp(params, float(grid[7]))
+        assert type(one) is float and one == pytest.approx(want[7], rel=1e-13, abs=1e-15)
+        for bad in (1.0, 0.5, math.nan, math.inf):
+            with pytest.raises(ValueError, match="alpha"):
+                rdp(params, np.append(grid, bad))
 
     def test_as_published_staircase_is_the_raw_moment(self):
         # literal expression, nu >= 1/2 branch
