@@ -220,8 +220,8 @@ def calibrate_noise(
     Bisects the privacy knob in log space inside ``KNOB_BOUNDS`` until the
     bracket is within the relative ``tolerance``; the returned scale sits on
     the feasible side, and perturbing it one tolerance step toward less noise
-    violates the budget.  The grid is validated once; each knob's curve is one
-    ``rdp`` call over it.  Raises :class:`InfeasibleBudgetError` when even the
+    violates the budget.  Each knob's curve is one :func:`rdp_curve`, a single
+    ``rdp`` call over the grid.  Raises :class:`InfeasibleBudgetError` when even the
     maximum-noise knob cannot meet the budget (never clamps silently); an infinite epsilon is a ``ValueError``.
     """
     if not math.isfinite(budget.epsilon):
@@ -236,7 +236,7 @@ def calibrate_noise(
     def composed_epsilon(knob: float) -> float:
         nonlocal evals
         evals += 1
-        curve = rdp(_params_from_knob(kind, sensitivity, knob), arr)
+        curve = rdp_curve(_params_from_knob(kind, sensitivity, knob), arr)
         return float(np.min(budget.horizon_T * curve + log_conv))
 
     lo, hi = KNOB_BOUNDS
@@ -256,7 +256,7 @@ def calibrate_noise(
         else:
             lo = mid
     params = _params_from_knob(kind, sensitivity, hi)
-    candidates = budget.horizon_T * rdp(params, arr) + log_conv
+    candidates = budget.horizon_T * rdp_curve(params, arr) + log_conv
     idx = int(np.argmin(candidates))
     return CalibrationResult(
         mechanism=params,

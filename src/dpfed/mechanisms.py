@@ -185,8 +185,7 @@ def sample_noise_block(params, stream: NoiseStream, shape) -> np.ndarray:
     """Draws of ``shape`` ``(..., k, d)`` with row j from ``params[j]``.  The
     rows of one kind are drawn together, each kind in turn in the order it
     first appears in ``params``, so a block of one kind is one draw of each
-    call its sampler makes.  A kind whose rows are contiguous, as in every
-    one-kind block, is written through a slice rather than a row list."""
+    call its sampler makes."""
     if shape[-2] != len(params):
         raise ValueError(f"a noise block needs one parameter set per row: got {len(params)} for shape {shape}")
     rows_of: dict[MechanismKind, list[int]] = {}
@@ -195,8 +194,7 @@ def sample_noise_block(params, stream: NoiseStream, shape) -> np.ndarray:
     block = np.empty(shape)
     for rows in rows_of.values():
         sets = [params[j] for j in rows]
-        at = slice(rows[0], rows[-1] + 1) if rows[-1] - rows[0] == len(rows) - 1 else rows
-        block[..., at, :] = _sample_one_kind(sets, stream.rng, (*shape[:-2], len(rows), shape[-1]))
+        block[..., rows, :] = _sample_one_kind(sets, stream.rng, (*shape[:-2], len(rows), shape[-1]))
     return block
 
 
@@ -242,8 +240,9 @@ def rdp(params: MechanismParams, alpha):
     ``P^alpha Q^{1-alpha}``, as one log-sum-exp over a ``(pieces, orders)`` array.
     """
     a = np.asarray(alpha, dtype=float)
-    if not np.all(np.isfinite(a) & (a > 1.0)):
-        raise ValueError(f"alpha must be a finite real > 1, got {alpha}")
+    bad = ~(np.isfinite(a) & (a > 1.0))
+    if bad.any():
+        raise ValueError(f"alpha must be a finite real > 1, got {a[bad].flat[0]}")
     delta = params.sensitivity
     if params.kind is MechanismKind.GAUSSIAN:
         out = a * delta**2 / (2.0 * params.scale**2)

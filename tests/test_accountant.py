@@ -411,11 +411,11 @@ class TestCalibration:
         got = calibrate_all()
         orders = []
 
-        def per_order(params, alpha):
-            orders.append(len(alpha))
-            return np.array([rdp_parent(params, a) for a in alpha])
+        def per_order(params, grid):
+            orders.append(len(grid))
+            return np.array([rdp_parent(params, a) for a in grid])
 
-        monkeypatch.setattr("dpfed.accountant.rdp", per_order)
+        monkeypatch.setattr("dpfed.accountant.rdp_curve", per_order)
         want = calibrate_all()
         assert orders and set(orders) == {default_alpha_grid().size}
         for g, w in zip(got, want, strict=True):
