@@ -1,18 +1,20 @@
 """Renyi-divergence privacy accountant and noise calibration.
 
-The accountant composes per-application Renyi divergences additively on a
-fixed grid of orders alpha, converts the composed curve to an (epsilon,
-delta)-DP guarantee via
+The accountant composes per-application Renyi divergences additively on
+one grid of orders alpha, ``default_alpha_grid()``, converts the composed
+curve to an (epsilon, delta)-DP guarantee via
 
     epsilon(delta) = min_alpha { gamma_alpha + log(1/delta) / (alpha - 1) },
 
 and calibrates the minimal noise scale whose T-fold composition stays inside
-a target budget.  Calibration bisects a monotone privacy knob: sigma for
-Gaussian, b for Laplace and 1/lam for Staircase (with nu pinned to the
-amplitude-optimal 1 / (1 + e^{lam/2}) for each candidate lam).  Composed
-epsilon is strictly decreasing in the knob, so bisection brackets the minimal
-feasible noise; on return, one relative tolerance step toward less noise
-violates the budget.
+a target budget.  Calibration and the ledger share the grid and the one
+conversion term, :meth:`PrivacyBudget.conversion`, so a ledger row charged
+its calibrated horizon reports the calibrated epsilon.  Calibration bisects a
+monotone privacy knob: sigma for Gaussian, b for Laplace and 1/lam for
+Staircase (with nu pinned to the amplitude-optimal 1 / (1 + e^{lam/2}) for
+each candidate lam).  Composed epsilon is strictly decreasing in the knob, so
+bisection brackets the minimal feasible noise; on return, one relative
+tolerance step toward less noise violates the budget.
 
 Shuffle-model amplification bounds (integer alpha >= 2, per-application pure
 DP level gamma, N clients) are provided as a sandwich:
@@ -73,35 +75,35 @@ class PrivacyBudget:
         if not (isinstance(self.horizon_T, int) and self.horizon_T > 0):
             raise ValueError(f"horizon_T must be a positive integer, got {self.horizon_T}")
 
+    def conversion(self, grid: np.ndarray) -> np.ndarray:
+        """The RDP-to-DP term ``log(1/delta) / (alpha - 1)`` on every order of
+        ``grid``; a composed curve plus this term, minimized over the grid, is
+        its epsilon at ``delta``."""
+        return math.log(1.0 / self.delta) / (grid - 1.0)
+
 
 @dataclass
 class SpendDecision:
-    """Outcome of a tentative spend: Continue with headroom, or Halt naming
-    the first charged ``row`` that its budget cannot cover."""
+    """Outcome of a tentative spend: Continue, or Halt naming the first
+    charged ``row`` that its budget cannot cover."""
 
     halted: bool
-    remaining_epsilon: float = math.nan
     row: int | None = None
 
     def __bool__(self) -> bool:  # truthy when training may continue
         return not self.halted
 
 
-def _finite_non_negative(name: str, values) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    if not np.all(np.isfinite(arr)) or np.any(arr < 0):
-        raise ValueError(f"{name} entries must be finite and non-negative")
-    return arr
-
-
 @dataclass
 class RdpLedger:
     """Composed Renyi divergence of every client, one row each, per grid order.
 
-    Row k composes ``curves[k]``, its client's per-application curve,
-    computed once when the ledger is set up, and is charged against
-    ``budgets[k]``.  ``gamma`` is the ``(rows, orders)`` matrix of composed
-    divergences and ``rounds_composed`` counts each row's committed spends.
+    Row k composes ``curves[k]``, its client's per-application curve on
+    ``alpha_grid``, computed once when the ledger is set up, and is charged
+    against ``budgets[k]``, converting at its delta by
+    :meth:`PrivacyBudget.conversion`.  ``gamma`` is the ``(rows, orders)``
+    matrix of composed divergences, zero when the ledger is built, and
+    ``rounds_composed`` counts each row's committed spends.
 
     Single-writer: gamma entries never decrease.  ``spend`` commits a round's
     charges to every row or to none, and replaces ``gamma`` with a new matrix
@@ -111,14 +113,16 @@ class RdpLedger:
     alpha_grid: np.ndarray
     curves: np.ndarray
     budgets: tuple[PrivacyBudget, ...]
-    gamma: np.ndarray = field(default=None)  # type: ignore[assignment]
+    gamma: np.ndarray = field(init=False)
     rounds_composed: np.ndarray = field(init=False)
     _epsilon: np.ndarray = field(init=False, repr=False, compare=False)
     _log_conv: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.alpha_grid = validate_alpha_grid(self.alpha_grid)
-        self.curves = _finite_non_negative("curve", self.curves)
+        self.curves = np.asarray(self.curves, dtype=float)
+        if not np.all(np.isfinite(self.curves)) or np.any(self.curves < 0):
+            raise ValueError("curve entries must be finite and non-negative")
         if self.curves.ndim != 2 or len(self.curves) < 1 or self.curves.shape[1] != self.alpha_grid.size:
             raise ValueError(
                 f"curves {self.curves.shape} must be one row per client over the ledger grid {self.alpha_grid.shape}"
@@ -127,15 +131,10 @@ class RdpLedger:
         self.budgets = tuple(self.budgets)
         if len(self.budgets) != rows:
             raise ValueError(f"need one budget per row: {rows} rows, {len(self.budgets)} budgets")
-        if self.gamma is None:
-            self.gamma = np.zeros_like(self.curves)
-        else:
-            self.gamma = _finite_non_negative("gamma", self.gamma)
-        if self.gamma.shape != self.curves.shape:
-            raise ValueError(f"gamma {self.gamma.shape} must match the curves {self.curves.shape}")
+        self.gamma = np.zeros_like(self.curves)
         self.rounds_composed = np.zeros(rows, dtype=int)
         self._epsilon = np.array([b.epsilon for b in self.budgets])
-        self._log_conv = np.array([math.log(1.0 / b.delta) / (self.alpha_grid - 1.0) for b in self.budgets])
+        self._log_conv = np.array([b.conversion(self.alpha_grid) for b in self.budgets])
 
     def to_dp(self) -> tuple[np.ndarray, np.ndarray]:
         """Convert every row at its budget's delta: the ``(rows,)`` epsilons
@@ -150,8 +149,7 @@ class RdpLedger:
         """Tentatively compose ``draws[k]`` applications of row k's curve, for
         every row at once.  Halt, leaving every row unchanged, if a charged
         row (``draws[k] > 0``) would exceed its budget epsilon, naming the
-        first such row; else commit every row and report the least headroom
-        over the rows."""
+        first such row; else commit every row."""
         draws = np.asarray(draws)
         if draws.shape != self._epsilon.shape or not np.issubdtype(draws.dtype, np.integer) or np.any(draws < 0):
             raise ValueError(f"draws must be {self._epsilon.size} non-negative integers, one per row")
@@ -163,7 +161,7 @@ class RdpLedger:
             return SpendDecision(halted=True, row=int(over[0]))
         self.gamma = trial
         self.rounds_composed = self.rounds_composed + charged
-        return SpendDecision(halted=False, remaining_epsilon=float((self._epsilon - eps_after).min()))
+        return SpendDecision(halted=False)
 
 
 def rdp_curve(params: MechanismParams, grid) -> np.ndarray:
@@ -211,57 +209,58 @@ def calibrate_noise(
     kind: MechanismKind,
     sensitivity: float,
     budget: PrivacyBudget,
-    grid=None,
     tolerance: float = 1e-4,
 ) -> CalibrationResult:
     """Minimal-noise scale whose ``budget.horizon_T``-fold composition meets
-    the budget.
+    the budget on ``default_alpha_grid()``, the ledger's grid.
 
     Bisects the privacy knob in log space inside ``KNOB_BOUNDS`` until the
     bracket is within the relative ``tolerance``; the returned scale sits on
     the feasible side, and perturbing it one tolerance step toward less noise
-    violates the budget.  Each knob's curve is one :func:`rdp_curve`, a single
-    ``rdp`` call over the grid.  Raises :class:`InfeasibleBudgetError` when even the
-    maximum-noise knob cannot meet the budget (never clamps silently); an infinite epsilon is a ``ValueError``.
+    violates the budget.  Each knob is evaluated once: its curve is one
+    :func:`rdp_curve` call, composed and converted as the ledger does, and
+    the last feasible knob's candidates give ``achieved_epsilon`` and
+    ``minimizing_alpha``.  Raises :class:`InfeasibleBudgetError` when even the
+    maximum-noise knob cannot meet the budget (never clamps silently); an
+    infinite epsilon is a ``ValueError``.
     """
     if not math.isfinite(budget.epsilon):
         raise ValueError(f"calibration needs a finite budget epsilon, got {budget.epsilon}")
-    arr = validate_alpha_grid(default_alpha_grid() if grid is None else grid)
     if not tolerance > 0:
         raise ValueError(f"tolerance must be positive, got {tolerance}")
-
-    log_conv = math.log(1.0 / budget.delta) / (arr - 1.0)
+    grid = default_alpha_grid()
+    log_conv = budget.conversion(grid)
     evals = 0
 
-    def composed_epsilon(knob: float) -> float:
+    def candidates(knob: float) -> np.ndarray:
         nonlocal evals
         evals += 1
-        curve = rdp_curve(_params_from_knob(kind, sensitivity, knob), arr)
-        return float(np.min(budget.horizon_T * curve + log_conv))
+        return budget.horizon_T * rdp_curve(_params_from_knob(kind, sensitivity, knob), grid) + log_conv
 
     lo, hi = KNOB_BOUNDS
-    if composed_epsilon(hi) > budget.epsilon:
+    feasible = candidates(hi)
+    if feasible.min() > budget.epsilon:
         raise InfeasibleBudgetError(
             f"budget (epsilon={budget.epsilon}, delta={budget.delta}, T={budget.horizon_T}) "
             f"is infeasible for {kind.value} within knob bounds {KNOB_BOUNDS}"
         )
-    if composed_epsilon(lo) <= budget.epsilon:
+    trial = candidates(lo)
+    if trial.min() <= budget.epsilon:
         # Budget so loose that the minimum-noise bound already satisfies it;
         # minimality is then limited by the search floor.
-        hi = lo
+        hi, feasible = lo, trial
     while hi / lo > 1.0 + tolerance:
         mid = math.sqrt(lo * hi)
-        if composed_epsilon(mid) <= budget.epsilon:
-            hi = mid
+        trial = candidates(mid)
+        if trial.min() <= budget.epsilon:
+            hi, feasible = mid, trial
         else:
             lo = mid
-    params = _params_from_knob(kind, sensitivity, hi)
-    candidates = budget.horizon_T * rdp_curve(params, arr) + log_conv
-    idx = int(np.argmin(candidates))
+    idx = int(np.argmin(feasible))
     return CalibrationResult(
-        mechanism=params,
-        achieved_epsilon=float(candidates[idx]),
-        minimizing_alpha=float(arr[idx]),
+        mechanism=_params_from_knob(kind, sensitivity, hi),
+        achieved_epsilon=float(feasible[idx]),
+        minimizing_alpha=float(grid[idx]),
         iterations=evals,
     )
 

@@ -24,12 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .accountant import (
-    InfeasibleBudgetError,
-    PrivacyBudget,
-    calibrate_noise,
-    default_alpha_grid,
-)
+from .accountant import InfeasibleBudgetError, PrivacyBudget, calibrate_noise
 from .fl_core import (
     Aggregator,
     BudgetExhaustedError,
@@ -265,7 +260,7 @@ def run_experiment(cfg: ExperimentConfig, csv_stream=None) -> ExperimentResult:
     # One calibration per distinct budget of this run, kept for this run only.
     mechs = {b: None if cfg.noise_disabled else calibrate_noise(kind, cfg.clip, b).mechanism for b in set(budgets)}
     clients = [ClientConfig(budget=b, mechanism=mechs[b]) for b in budgets]
-    ledger = client_ledger(clients, default_alpha_grid())
+    ledger = client_ledger(clients)
     scale = max((c.mechanism.scale for c in clients if c.mechanism), default=math.inf)
     run_cells = f"{cfg.mechanism},{_format_value(scale)},{cfg.seed}"
 

@@ -88,7 +88,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .accountant import PrivacyBudget, RdpLedger, cached_rdp_curve
+from .accountant import PrivacyBudget, RdpLedger, cached_rdp_curve, default_alpha_grid
 from .mechanisms import MechanismParams, NoiseStream, sample_noise_block
 from .mode_connectivity import CurveTrainConfig, mode_connect_aggregate
 
@@ -681,11 +681,13 @@ def run_round(
     return RoundResult(server=new_server, metrics=metrics)
 
 
-def client_ledger(clients, grid) -> RdpLedger:
+def client_ledger(clients) -> RdpLedger:
     """One ledger row per client, row j for ``clients[j]``: its budget and its
-    per-application curve on ``grid``, zero for a noise-disabled client
+    per-application curve on ``default_alpha_grid()``, the grid
+    ``calibrate_noise`` calibrates on, zero for a noise-disabled client
     (which draws no noise and is never charged)."""
-    curves = [np.zeros(np.shape(grid)) if c.mechanism is None else cached_rdp_curve(c.mechanism, grid) for c in clients]
+    grid = default_alpha_grid()
+    curves = [np.zeros(grid.shape) if c.mechanism is None else cached_rdp_curve(c.mechanism, grid) for c in clients]
     return RdpLedger(grid, curves, [c.budget for c in clients])
 
 

@@ -8,7 +8,10 @@ visible; at the default q = 0.05 the pinned task geometry is noise-dominated
 for every mechanism and no ordering is stable.
 """
 
+import hashlib
+import io
 import math
+import pathlib
 import time
 
 import numpy as np
@@ -295,23 +298,52 @@ def _trend_config(mechanism, epsilon, seed):
 
 @pytest.fixture(scope="session")
 def experiment_grid():
+    """The 102 grid runs: their metrics, keyed as the criteria read them; each
+    run's CSV text, keyed by ``(mechanism, epsilon, seed)``; and the wall time."""
     start = time.time()
-    runs = {}
+    runs, csvs = {}, {}
+
+    def run(key, mech, eps, seed):
+        stream = io.StringIO()
+        runs[key] = run_experiment(_trend_config(mech, eps, seed), csv_stream=stream).metrics
+        csvs[(mech, eps, seed)] = stream.getvalue()
+
     for seed in SEEDS:
-        runs[("disabled", "gaussian", seed)] = run_experiment(
-            _trend_config("gaussian", math.inf, seed)
-        ).metrics
+        run(("disabled", "gaussian", seed), "gaussian", math.inf, seed)
     for mech in ("laplace", "staircase"):
-        runs[("disabled", mech, 0)] = run_experiment(_trend_config(mech, math.inf, 0)).metrics
+        run(("disabled", mech, 0), mech, math.inf, 0)
     for mech in MECHS:
         for eps in EPS_GRID:
             for seed in SEEDS:
-                runs[(mech, eps, seed)] = run_experiment(_trend_config(mech, eps, seed)).metrics
-    return runs, time.time() - start
+                run((mech, eps, seed), mech, eps, seed)
+    return runs, csvs, time.time() - start
+
+
+GRID_MANIFEST = pathlib.Path(__file__).parent / "golden" / "grid.sha256"
+
+
+def test_grid_csv_bytes_match_the_manifest(experiment_grid, tmp_path):
+    # One line per grid CSV: mechanism, epsilon, seed and the sha256 of its
+    # bytes.  A change that moves a CSV on purpose commits the manifest this
+    # test writes, so the moved runs show as a reviewed diff.
+    _, csvs, _ = experiment_grid
+    got = {
+        f"{mech} {eps:g} {seed}": hashlib.sha256(text.encode()).hexdigest()
+        for (mech, eps, seed), text in csvs.items()
+    }
+    fresh = tmp_path / "grid.sha256"
+    fresh.write_text("".join(f"{run} {sha}\n" for run, sha in got.items()), encoding="utf-8")
+    print(f"this run's manifest: {fresh}")
+    want = dict(line.rsplit(" ", 1) for line in GRID_MANIFEST.read_text(encoding="utf-8").splitlines())
+    moved = sorted(run for run in got.keys() | want.keys() if got.get(run) != want.get(run))
+    assert not moved, (
+        f"{len(moved)} grid CSVs differ from {GRID_MANIFEST.name}: {moved}; "
+        f"this run's manifest is {fresh}"
+    )
 
 
 def test_criterion_8_trend_reproduction(experiment_grid):
-    runs, elapsed = experiment_grid
+    runs, _, elapsed = experiment_grid
     wins = sum(
         runs[("staircase", 8.0, s)][-1].eval_accuracy >= runs[("laplace", 8.0, s)][-1].eval_accuracy
         for s in SEEDS
@@ -327,7 +359,7 @@ def test_criterion_8_trend_reproduction(experiment_grid):
 
 
 def test_criterion_9_convergence_trend(experiment_grid):
-    runs, elapsed = experiment_grid
+    runs, _, elapsed = experiment_grid
 
     def crossing(metrics, threshold):
         for m in metrics:
@@ -354,7 +386,7 @@ def test_criterion_9_convergence_trend(experiment_grid):
 
 
 def test_criterion_10_privacy_ceiling(experiment_grid):
-    runs, _ = experiment_grid
+    runs, _, _ = experiment_grid
     over = 0
     rows = 0
     for key, metrics in runs.items():

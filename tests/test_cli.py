@@ -9,10 +9,11 @@ import sys
 import numpy as np
 import pytest
 
-from dpfed import cli
+from dpfed import cli, fl_core
 from dpfed.cli import (
     CSV_HEADER,
     SWEEP_HEADER,
+    SYNTH_CLASSES,
     ConfigError,
     ExperimentConfig,
     _build_federation,
@@ -436,7 +437,70 @@ def row_span(view, data) -> range:
     return range(start, start + view.n)
 
 
+def randomize_rows(shard, seed):
+    """Overwrite the row-range view ``shard``'s features and labels in place
+    with random values, and rebuild its terms built from them."""
+    rng = np.random.default_rng(seed)
+    shard.features[:] = rng.normal(0.0, 5.0, shard.features.shape)
+    shard.labels[:] = rng.integers(0, SYNTH_CLASSES, shard.n)
+    shard.ghost_term[:] = (shard.features * shard.features).sum(axis=1) + 1.0
+    shard.label_index = fl_core._label_index(shard.labels)
+
+
+def run_with_roles(cfg, monkeypatch, tamper=None):
+    """Run ``cfg``, applying ``tamper(fed)`` to its federation once built;
+    returns the CSV text and the final global model's bytes."""
+    real_build, real_round = cli._build_federation, cli.run_round
+    models = []
+
+    def build(c):
+        fed = real_build(c)
+        if tamper is not None:
+            tamper(fed)
+        return fed
+
+    def recording(*args):
+        result = real_round(*args)
+        models.append(result.server.global_model.tobytes())
+        return result
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_build_federation", build)
+        patch.setattr(cli, "run_round", recording)
+        stream = io.StringIO()
+        assert run_experiment(cfg, csv_stream=stream).exit_code == 0
+    return stream.getvalue(), models[-1]
+
+
 class TestDataRoles:
+    @pytest.mark.parametrize("aggregator", ["fedavg", "modeconnect"])
+    @pytest.mark.parametrize("shuffle", [False, True])
+    def test_random_eval_rows_move_only_eval_accuracy(self, aggregator, shuffle, monkeypatch):
+        # Metamorphic: no training step reads fed.eval, so random eval rows
+        # leave every other CSV cell and the final model as they were.
+        cfg = small_cfg(rounds=4, aggregator=aggregator, shuffle=shuffle, sample_rate=0.5)
+        csv, model = run_with_roles(cfg, monkeypatch)
+        csv_random, model_random = run_with_roles(cfg, monkeypatch, lambda fed: randomize_rows(fed.eval, 1))
+        assert model_random == model
+        col = CSV_HEADER.split(",").index("eval_accuracy")
+        rows = [line.split(",") for line in csv.splitlines()]
+        rows_random = [line.split(",") for line in csv_random.splitlines()]
+        assert [r[:col] + r[col + 1 :] for r in rows_random] == [r[:col] + r[col + 1 :] for r in rows]
+        # The random rows did reach the one column that scores them.
+        assert [r[col] for r in rows_random[1:]] != [r[col] for r in rows[1:]]
+
+    @pytest.mark.parametrize("aggregator", ["fedavg", "modeconnect"])
+    def test_random_validation_rows_reach_only_mode_connect(self, aggregator, monkeypatch):
+        # FedAvg never reads fed.validation, so its run keeps every byte;
+        # mode-connect trains its curves there, so its model moves.
+        cfg = small_cfg(rounds=4, aggregator=aggregator, sample_rate=0.5)
+        run = run_with_roles(cfg, monkeypatch)
+        run_random = run_with_roles(cfg, monkeypatch, lambda fed: randomize_rows(fed.validation, 2))
+        if aggregator == "fedavg":
+            assert run_random == run
+        else:
+            assert run_random[1] != run[1]
+
     @pytest.mark.parametrize("aggregator", ["fedavg", "modeconnect"])
     @pytest.mark.parametrize("dataset", ["synthetic", "csv"])
     def test_no_eval_row_reaches_training(self, aggregator, dataset, tmp_path, monkeypatch):

@@ -951,7 +951,6 @@ def build_federation(
 ):
     fed = make_synthetic_federation(n_clients, 60, 5, 3, seed=seed)
     model = LogisticRegressionModel(3, 5)
-    grid = default_alpha_grid()
     clients = []
     for cid in range(n_clients):
         eps_k = eps_list[cid] if eps_list else epsilon
@@ -960,11 +959,28 @@ def build_federation(
         if mech_kind is not None:
             mech = calibrate_noise(mech_kind, 1.0, budget).mechanism
         clients.append(ClientConfig(budget=budget, mechanism=mech))
-    ledger = client_ledger(clients, grid)
+    ledger = client_ledger(clients)
     server = make_plan(
         model.init_params(), aggregator=aggregator, sample_rate_q=0.5, local_epochs_I=2, learning_rate=0.05
     )
     return server, clients, model, ledger, fed
+
+
+class TestClientLedger:
+    @pytest.mark.parametrize("kind", list(MechanismKind))
+    @pytest.mark.parametrize("epsilon", [0.5, 2.0, 8.0, 32.0, 128.0])
+    @pytest.mark.parametrize("horizon", [1, 15, 300])
+    def test_calibration_is_the_ledger_at_the_horizon(self, kind, epsilon, horizon):
+        # Zero plus T times the curve is exact, so the two agree bit for bit
+        # only if calibration and the ledger share one grid and one conversion.
+        # Laplace and Staircase minimize at order 64 for T = 1, and every kind
+        # at order 1.5 for epsilon 128, T = 300: both ends of the grid count.
+        budget = PrivacyBudget(epsilon, 1e-5, horizon)
+        result = calibrate_noise(kind, 1.0, budget)
+        ledger = client_ledger([ClientConfig(budget, result.mechanism)])
+        assert ledger.spend([horizon])
+        (eps,), (alpha,) = ledger.to_dp()
+        assert (eps, alpha) == (result.achieved_epsilon, result.minimizing_alpha)
 
 
 class TestRunRound:
@@ -1016,7 +1032,7 @@ class TestRunRound:
         )
         kinds = [MechanismKind.GAUSSIAN, MechanismKind.LAPLACE, MechanismKind.STAIRCASE, MechanismKind.GAUSSIAN]
         clients = [ClientConfig(c.budget, calibrate_noise(k, 1.0, c.budget).mechanism) for c, k in zip(clients, kinds)]
-        ledger = client_ledger(clients, default_alpha_grid())
+        ledger = client_ledger(clients)
         result = run_round(server, clients, model, ledger, 6, fed)
         sizes = [client_view(fed, j).n for j in range(4)]
         slices = client_slices(*round_draws(6, server, clients, sum(sizes), model.dim), clients, sizes)
@@ -1096,7 +1112,7 @@ class TestRunRound:
                 np.random.default_rng(51).normal(scale=0.3, size=model.dim),
                 aggregator=aggregator, sample_rate_q=0.7, local_epochs_I=2, shuffle=True,
             )
-            ledger = client_ledger(clients, default_alpha_grid())
+            ledger = client_ledger(clients)
             result = run_round(server, clients, model, ledger, seed, fed)
             models = result.server.client_models
             slices = client_slices(*round_draws(seed, server, clients, sum(sizes), model.dim), clients, sizes)
