@@ -90,9 +90,6 @@ class SpendDecision:
     halted: bool
     row: int | None = None
 
-    def __bool__(self) -> bool:  # truthy when training may continue
-        return not self.halted
-
 
 @dataclass
 class RdpLedger:
@@ -191,7 +188,7 @@ class CalibrationResult:
 
 def optimal_staircase_nu(lam: float) -> float:
     """Amplitude-minimizing band fraction nu = 1 / (1 + e^{lam/2})."""
-    if not lam > 0:
+    if not (math.isfinite(lam) and lam > 0):
         raise ValueError(f"lam must be positive, got {lam}")
     z = math.exp(-lam / 2.0)
     # clamp into the open interval (0, 1) when e^{-lam/2} underflows

@@ -40,7 +40,7 @@ from .fl_core import (
     run_round,
 )
 from .mechanisms import MechanismKind, MechanismParams, NoiseStream
-from .utility_bounds import BoundQuery, l1_bound, optimal_nu
+from .utility_bounds import BOUND_MODES, l1_bound, optimal_nu
 
 CSV_HEADER = "round,cumulative_epsilon,train_loss,eval_accuracy,mechanism,noise_scale,seed"
 SWEEP_HEADER = "experiment_id," + CSV_HEADER
@@ -199,10 +199,8 @@ def parse_config(text: str, flag_overrides: dict[str, str] | None = None) -> Exp
     return ExperimentConfig(**values)
 
 
-def _format_value(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.6g}"
-    return str(value)
+def _format_value(value: float) -> str:
+    return f"{value:.6g}"
 
 
 def format_metrics_row(m: RoundMetrics, run_cells: str) -> str:
@@ -303,35 +301,22 @@ def run_experiment(cfg: ExperimentConfig, csv_stream=None) -> ExperimentResult:
     return ExperimentResult(exit_code=exit_code, metrics=metrics, summary=summary)
 
 
-@dataclass
-class SweepResult:
-    exit_code: int
-    rows: list[tuple[str, RoundMetrics]]
-
-
-def sweep(configs, ids=None, csv_stream=None) -> SweepResult:
+def sweep(configs, ids, csv_stream) -> int:
     """Run several experiments and concatenate their CSV rows under an
-    ``experiment_id`` column (buffered per experiment, emitted atomically)."""
-    configs = list(configs)
-    if ids is None:
-        ids = [f"{i:03d}" for i in range(len(configs))]
-    ids = [str(i) for i in ids]
+    ``experiment_id`` column (buffered per experiment, emitted atomically).
+    Returns the largest exit code of the runs."""
+    configs, ids = list(configs), [str(i) for i in ids]
     if len(ids) != len(configs):
         raise ValueError("need exactly one experiment id per config")
     if len(set(ids)) != len(ids):
         raise ValueError("experiment ids must be unique")
-    if csv_stream is not None:
-        csv_stream.write(SWEEP_HEADER + "\n")
-    rows: list[tuple[str, RoundMetrics]] = []
+    csv_stream.write(SWEEP_HEADER + "\n")
     exit_code = EXIT_OK
     for exp_id, cfg in zip(ids, configs):
         buffered = io.StringIO()
-        result = run_experiment(cfg, csv_stream=buffered)
-        exit_code = max(exit_code, result.exit_code)
-        rows.extend((exp_id, m) for m in result.metrics)
-        if csv_stream is not None:
-            csv_stream.write("".join(f"{exp_id},{line}\n" for line in buffered.getvalue().splitlines()[1:]))
-    return SweepResult(exit_code=exit_code, rows=rows)
+        exit_code = max(exit_code, run_experiment(cfg, csv_stream=buffered).exit_code)
+        csv_stream.write("".join(f"{exp_id},{line}\n" for line in buffered.getvalue().splitlines()[1:]))
+    return exit_code
 
 
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
@@ -374,10 +359,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         ids = [f"{i:03d}-{name}" for i, name in enumerate(ids)]
     if args.output:
         with open(args.output, "w", encoding="utf-8", newline="") as fh:
-            result = sweep(configs, ids=ids, csv_stream=fh)
-    else:
-        result = sweep(configs, ids=ids, csv_stream=sys.stdout)
-    return result.exit_code
+            return sweep(configs, ids, fh)
+    return sweep(configs, ids, sys.stdout)
 
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
@@ -410,7 +393,6 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     if kind is MechanismKind.STAIRCASE and nu is None:
         nu = optimal_nu(args.scale)[0]
     params = MechanismParams(kind, args.sensitivity, args.scale, nu=nu)
-    query = BoundQuery(params, args.loss_length, args.rounds)
     print(
         json.dumps(
             {
@@ -418,10 +400,10 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
                 "sensitivity": params.sensitivity,
                 "scale": params.scale,
                 "nu": params.nu,
-                "loss_length_m": query.loss_length_m,
-                "rounds_T": query.rounds_T,
+                "loss_length_m": args.loss_length,
+                "rounds_T": args.rounds,
                 "mode": args.mode,
-                "l1_bound": l1_bound(query, mode=args.mode),
+                "l1_bound": l1_bound(params, args.loss_length, args.rounds, args.mode),
             }
         )
     )
@@ -472,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     bounds_p.add_argument("--sensitivity", default="1.0", type=_flag_type(_POSITIVE))
     bounds_p.add_argument("-m", "--loss-length", dest="loss_length", default="1", type=_flag_type(_COUNT))
     bounds_p.add_argument("-T", "--rounds", dest="rounds", default="1", type=_flag_type(_COUNT))
-    bounds_p.add_argument("--mode", choices=["numeric", "as_published"], default="numeric")
+    bounds_p.add_argument("--mode", choices=BOUND_MODES, default="numeric")
     bounds_p.set_defaults(func=_cmd_bounds)
     return parser
 

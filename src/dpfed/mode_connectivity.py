@@ -13,8 +13,8 @@ theta (endpoints never move): sample p ~ U(0, 1), step along
 ``2(1-p)`` for the polygonal chain and ``2p(1-p)`` for the Bezier curve.
 
 Also provided: the closed-form optimal bend for L-smooth losses, the Bezier
-form of the averaged model update, pairwise merge aggregation, and the
-worst-case extra-rounds diagnostic ``Delta^2 e^eps / (e^eps - 1)^2``.
+form of the averaged model update, pairwise merging along polygonal chains,
+and the worst-case extra-rounds diagnostic ``Delta^2 e^eps / (e^eps - 1)^2``.
 """
 
 from __future__ import annotations
@@ -162,41 +162,30 @@ def bezier_fedavg_update(v: np.ndarray, theta: np.ndarray, w: np.ndarray, r: flo
     return curve_point(CurveSpec(CurveKind.QUADRATIC_BEZIER, v, w, theta), r)
 
 
-def mode_connect_aggregate(
-    models,
-    cfg: CurveTrainConfig | None,
-    stream: NoiseStream | None = None,
-    kind: CurveKind = CurveKind.POLYGONAL_CHAIN,
-) -> np.ndarray:
+def mode_connect_aggregate(models, cfg: CurveTrainConfig, stream: NoiseStream) -> np.ndarray:
     """Merge the rows of a ``(k, d)`` model stack (or k equal-length
-    vectors) pairwise along trained curves until one survives.
+    vectors) pairwise along trained polygonal chains until one survives.
 
     Callers supply models ordered as they should be paired (ascending client
     id unless an upstream shuffle reordered them); adjacent models pair up and
     an odd leftover carries to the next level.  All curves of one level train
     together as one ``(pairs, d)`` stack, each pair on its own stream derived
-    from ``stream``, which training needs.  With ``cfg`` absent or zero steps
-    the merge reduces to iterated pairwise midpoints and needs no stream.
+    from ``stream``.  A zero-step ``cfg`` leaves every bend at its pair's
+    midpoint, so the merge reduces to iterated pairwise midpoints.
     """
     level = np.asarray(models, dtype=float)
     if level.ndim != 2 or len(level) == 0:
         raise ValueError(f"models must be a non-empty (k, d) stack, got shape {level.shape}")
-    train = cfg is not None and cfg.steps > 0
-    if train and stream is None:
-        raise ValueError("training curves needs a stream to derive the pair streams from")
     merge_round = 0
     while len(level) > 1:
         paired = len(level) - len(level) % 2
-        spec = CurveSpec(kind, level[0:paired:2], level[1:paired:2])
-        bends = spec.bend_theta
-        if train:
-            # Keyed by (level, pair): a stream per pair whatever the level's size.
-            rngs = [
-                NoiseStream(stream.master_seed, stream.round_index, pair, f"{stream.purpose}:level{merge_round}").rng
-                for pair in range(paired // 2)
-            ]
-            bends = _train_bends(spec, cfg, rngs)
-        level = np.concatenate([bends, level[paired:]])
+        spec = CurveSpec(CurveKind.POLYGONAL_CHAIN, level[0:paired:2], level[1:paired:2])
+        # Keyed by (level, pair): a stream per pair whatever the level's size.
+        rngs = [
+            NoiseStream(stream.master_seed, stream.round_index, pair, f"{stream.purpose}:level{merge_round}").rng
+            for pair in range(paired // 2)
+        ]
+        level = np.concatenate([_train_bends(spec, cfg, rngs), level[paired:]])
         merge_round += 1
     return level[0]
 

@@ -47,7 +47,7 @@ from dpfed.mode_connectivity import (
     theta_star,
     train_curve,
 )
-from dpfed.utility_bounds import BoundQuery, l1_bound, optimal_nu
+from dpfed.utility_bounds import l1_bound, optimal_nu
 from oracles import (
     QuadraticBowl,
     curve_loss_monte_carlo,
@@ -231,7 +231,7 @@ def test_criterion_6_utility_bound_oracles():
     nu_s, per_delta = optimal_nu(lam)
     stair = MechanismParams(MechanismKind.STAIRCASE, 1.0, lam, nu=nu_s)
     lemma_ok = (
-        abs(l1_bound(BoundQuery(stair, 5, 7), "numeric") - 5 * 7 * per_delta) < 1e-9
+        abs(l1_bound(stair, 5, 7, "numeric") - 5 * 7 * per_delta) < 1e-9
     )
     announce(6, ok and lemma_ok, "closed forms vs Monte Carlo: " + ", ".join(details))
 

@@ -61,6 +61,18 @@ class TestGrid:
             validate_alpha_grid([3.0, 2.0])
 
 
+class TestBudget:
+    @pytest.mark.parametrize("epsilon", [0.0, -1.0, math.nan])
+    def test_epsilon_must_be_positive(self, epsilon):
+        with pytest.raises(ValueError, match=f"^budget epsilon must be positive, got {epsilon}$"):
+            PrivacyBudget(epsilon, DELTA, 1)
+
+    @pytest.mark.parametrize("horizon", [0, -3, 1.5])
+    def test_horizon_must_be_a_positive_integer(self, horizon):
+        with pytest.raises(ValueError, match=f"^horizon_T must be a positive integer, got {horizon}$"):
+            PrivacyBudget(1.0, DELTA, horizon)
+
+
 class TestCompose:
     def test_identity(self):
         ledger = one_row(np.array([2.0, 4.0]), [0.0, 0.0], gamma=[1.0, 2.0])
@@ -233,7 +245,6 @@ class TestSpend:
         ledger = one_row(INT_GRID, budget=PrivacyBudget(1.0, DELTA, 10))
         decision = ledger.spend([1])
         assert not decision.halted
-        assert decision  # truthy: training may continue
         assert 1.0 - ledger.to_dp()[0][0] == pytest.approx(1.0 - math.log(1e5) / 63.0, rel=1e-12)
 
     def test_halt_leaves_ledger_unchanged(self):
@@ -244,7 +255,6 @@ class TestSpend:
         before = ledger.gamma.copy()
         decision = ledger.spend([1])
         assert decision.halted
-        assert not decision
         assert decision.row == 0
         assert np.array_equal(ledger.gamma, before)
         assert ledger.rounds_composed.tolist() == [1]
@@ -254,14 +264,14 @@ class TestSpend:
         curve = rdp_curve(params, INT_GRID)
         tight, loose = PrivacyBudget(6.0, DELTA, 1), PrivacyBudget(100.0, DELTA, 1)
         ledger = RdpLedger(INT_GRID, [curve] * 4, [loose, tight, loose, tight])
-        assert ledger.spend([1, 1, 1, 1])
+        assert not ledger.spend([1, 1, 1, 1]).halted
         gamma = ledger.gamma
         decision = ledger.spend([1, 1, 1, 1])
         assert decision.halted and decision.row == 1
         assert ledger.gamma is gamma
         assert ledger.rounds_composed.tolist() == [1, 1, 1, 1]
         # Only charged rows count a round.
-        assert ledger.spend([2, 0, 1, 0])
+        assert not ledger.spend([2, 0, 1, 0]).halted
         assert ledger.rounds_composed.tolist() == [2, 1, 2, 1]
         assert np.array_equal(ledger.gamma[1], gamma[1])
 
@@ -315,6 +325,11 @@ class TestCalibration:
         assert result.mechanism.scale == pytest.approx(1.0, abs=1e-4)
         assert result.minimizing_alpha == 6.0
         assert result.achieved_epsilon <= 5.3026
+
+    @pytest.mark.parametrize("tolerance", [math.nan, 0.0, -1e-4])
+    def test_tolerance_must_be_positive(self, tolerance):
+        with pytest.raises(ValueError, match=f"^tolerance must be positive, got {tolerance}$"):
+            calibrate_noise(MechanismKind.GAUSSIAN, 1.0, PrivacyBudget(1.0, DELTA, 1), tolerance=tolerance)
 
     def test_doubling_horizon_increases_noise(self):
         s1 = calibrate_noise(MechanismKind.GAUSSIAN, 1.0, PrivacyBudget(2.0, DELTA, 50)).mechanism.scale
@@ -416,6 +431,14 @@ class TestCalibration:
             assert g.achieved_epsilon == pytest.approx(w.achieved_epsilon, rel=1e-13)
 
 
+class TestStaircaseNu:
+    @pytest.mark.parametrize("lam", [0.0, -1.0, math.inf, math.nan])
+    def test_lam_must_be_positive_and_finite(self, lam):
+        # An infinite lam would give the clamp's 1e-300, not a band fraction.
+        with pytest.raises(ValueError, match=f"^lam must be positive, got {lam}$"):
+            optimal_staircase_nu(lam)
+
+
 class TestShuffleBounds:
     def test_zero_gamma(self):
         for alpha in (2, 3, 8):
@@ -453,6 +476,18 @@ class TestShuffleBounds:
             shuffle_amplify_upper(1.0, 2.5, 10)
         with pytest.raises(ValueError):
             shuffle_amplify_lower(1.0, 1, 10)
+
+    @pytest.mark.parametrize("bound", [shuffle_amplify_upper, shuffle_amplify_lower])
+    def test_negative_gamma_and_no_clients_rejected(self, bound):
+        with pytest.raises(ValueError, match="^gamma must be non-negative, got -0.5$"):
+            bound(-0.5, 2, 10)
+        with pytest.raises(ValueError, match="^n_clients must be positive, got 0$"):
+            bound(1.0, 2, 0)
+
+    @pytest.mark.parametrize("bound", [shuffle_amplify_upper, shuffle_amplify_lower])
+    def test_vacuous_beyond_gamma_350(self, bound):
+        assert bound(350.5, 2, 10) == math.inf
+        assert math.isfinite(bound(350.0, 2, 10**6))
 
     def test_pure_dp_feeds_the_bounds(self):
         params = MechanismParams(MechanismKind.LAPLACE, 1.0, 2.0)

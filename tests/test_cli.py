@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import io
 import json
@@ -212,6 +213,32 @@ class TestParseConfig:
         assert listed == list(cli._RULES) == fields
         assert parse_config(block) == ExperimentConfig()
 
+    def test_readme_public_names_match_the_modules(self):
+        # Each row of the "What's inside" table lists exactly the public names
+        # its module defines at top level, and every module has a row.
+        root = pathlib.Path(__file__).parent.parent
+        readme = (root / "README.md").read_text(encoding="utf-8")
+        table = readme.split("## What's inside\n", 1)[1].split("\n## ", 1)[0]
+        listed = {}
+        for row in table.splitlines():
+            if row.startswith("| `dpfed."):
+                cells = row.split("|")
+                listed[cells[1].strip(" `")] = sorted(name.strip(" `") for name in cells[2].split(","))
+        defined = {}
+        for path in sorted((root / "src" / "dpfed").glob("*.py")):
+            if path.stem == "__init__":
+                continue
+            names = []
+            for node in ast.parse(path.read_text(encoding="utf-8")).body:
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    names.append(node.name)
+                elif isinstance(node, ast.Assign):
+                    names.extend(target.id for target in node.targets if isinstance(target, ast.Name))
+                elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                    names.append(node.target.id)
+            defined[f"dpfed.{path.stem}"] = sorted(name for name in names if not name.startswith("_"))
+        assert listed == defined
+
     def test_config_is_frozen(self):
         # Assignment would skip the checks that ran when the config was built.
         cfg = parse_config("clients = 2\nheterogeneous_epsilons = 1,2\n")
@@ -405,6 +432,16 @@ class TestRunExperiment:
         assert result.exit_code == 0
         assert len(result.metrics) == 3
 
+    def test_csv_dataset_needs_a_row_per_client(self, tmp_path):
+        # 5 rows: 1 eval and 1 validation row leave 3 for 4 clients; 6 rows leave 4.
+        path = write_csv_dataset(tmp_path, 5)
+        buf = io.StringIO()
+        with pytest.raises(ConfigError) as refused:
+            run_experiment(small_cfg(dataset=path, clients=4, rounds=1), csv_stream=buf)
+        assert str(refused.value) == f"invalid value for 'dataset': {path!r} has too few rows for 4 clients"
+        assert buf.getvalue() == ""
+        assert run_experiment(small_cfg(dataset=write_csv_dataset(tmp_path, 6), clients=4, rounds=1)).exit_code == 0
+
     def test_pooled_train_loss_is_the_size_weighted_shard_mean(self, tmp_path, monkeypatch):
         from dpfed import cli as cli_mod
 
@@ -566,7 +603,7 @@ class TestSweep:
         buf_single = io.StringIO()
         run_experiment(cfg, csv_stream=buf_single)
         buf_sweep = io.StringIO()
-        sweep([cfg], ids=["exp0"], csv_stream=buf_sweep)
+        assert sweep([cfg], ["exp0"], buf_sweep) == cli.EXIT_OK
         single = buf_single.getvalue().splitlines()
         swept = buf_sweep.getvalue().splitlines()
         assert swept[0] == SWEEP_HEADER
@@ -574,7 +611,7 @@ class TestSweep:
 
     def test_empty_sweep_header_only(self):
         buf = io.StringIO()
-        sweep([], csv_stream=buf)
+        sweep([], [], buf)
         assert buf.getvalue() == SWEEP_HEADER + "\n"
 
     def test_grid_counting(self):
@@ -584,12 +621,19 @@ class TestSweep:
                 for seed in range(5):
                     configs.append(small_cfg(mechanism=mech, epsilon=eps, seed=seed, rounds=1))
                     ids.append(f"{mech}-e{int(eps)}-s{seed}")
-        result = sweep(configs, ids=ids)
-        assert len({i for i, _ in result.rows}) == 60
+        buf = io.StringIO()
+        assert sweep(configs, ids, buf) == cli.EXIT_OK
+        assert [line.split(",")[0] for line in buf.getvalue().splitlines()[1:]] == ids
 
-    def test_duplicate_ids_rejected(self):
-        with pytest.raises(ValueError):
-            sweep([small_cfg(), small_cfg()], ids=["a", "a"])
+    @pytest.mark.parametrize(
+        "ids, message",
+        [(["a", "a"], "experiment ids must be unique"), (["a"], "need exactly one experiment id per config")],
+    )
+    def test_bad_ids_rejected_before_any_output(self, ids, message):
+        buf = io.StringIO()
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            sweep([small_cfg(), small_cfg()], ids, buf)
+        assert buf.getvalue() == ""
 
     @pytest.mark.parametrize("seeds", [[], ["--seeds", "0,1"]])
     def test_same_stem_configs_are_numbered_and_written_to_output(self, tmp_path, capsys, seeds):

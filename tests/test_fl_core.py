@@ -98,6 +98,25 @@ class TestShard:
             DatasetShard(np.array([[np.inf, 0.0]]), np.array([0]))
 
     @pytest.mark.parametrize(
+        "labels, message",
+        [
+            (np.array([0]), "labels must be a vector matching the feature rows"),
+            (np.array([[0], [1]]), "labels must be a vector matching the feature rows"),
+            (np.array([0, -1]), "labels must be non-negative"),
+        ],
+    )
+    def test_label_guards(self, labels, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            DatasetShard(np.zeros((2, 3)), labels)
+
+    def test_csv_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "shard.csv"
+        path.write_text("x0,label\n1.0,0\n\n2.0,1\n\n", encoding="utf-8")
+        shard = load_csv_shard(path)
+        assert shard.features[:, 0].tolist() == [1.0, 2.0]
+        assert shard.labels.tolist() == [0, 1]
+
+    @pytest.mark.parametrize(
         "rows, bad_line", [("1.0,2.0,0\n", 2), ("1.0,0\n0.5\n", 3), ("1.0,0\n2.0,3.0,1\n", 3)]
     )
     def test_csv_row_must_match_the_header(self, tmp_path, rows, bad_line):
@@ -162,6 +181,11 @@ class TestShard:
         floats = np.array(sizes, dtype=float)
         assert fed.weights.tobytes() == (floats / floats.sum()).tobytes()
 
+    @pytest.mark.parametrize("n_clients, samples", [(0, 7), (3, 0)])
+    def test_synthetic_needs_a_client_and_a_sample(self, n_clients, samples):
+        with pytest.raises(ValueError, match="^need at least one client and one sample per client$"):
+            make_synthetic_federation(n_clients, samples, 2, 3, seed=5)
+
     def test_synthetic_validation_rows_leave_the_data_stream_alone(self):
         # Client and eval rows are the "synthetic-data" draws exactly as if
         # there were no validation split, which draws from its own stream.
@@ -197,6 +221,11 @@ class TestShard:
 
 
 class TestLossModel:
+    @pytest.mark.parametrize("classes, features", [(1, 3), (2, 0)])
+    def test_needs_two_classes_and_a_feature(self, classes, features):
+        with pytest.raises(ValueError, match="^need at least 2 classes and 1 feature$"):
+            LogisticRegressionModel(classes, features)
+
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(17)
         for _ in range(20):
@@ -615,6 +644,8 @@ class TestServerState:
     @pytest.mark.parametrize(
         "field, value, message",
         [
+            ("selection_fraction", 0.0, "selection fraction must lie in \\(0, 1\\], got 0.0"),
+            ("selection_fraction", 1.5, "selection fraction must lie in \\(0, 1\\], got 1.5"),
             ("clip_c", 0.0, "clip bound must be positive, got 0.0"),
             ("clip_c", -1.0, "clip bound must be positive, got -1.0"),
             ("clip_c", math.nan, "clip bound must be positive, got nan"),
@@ -903,6 +934,13 @@ class TestFedAvg:
         with pytest.raises(ValueError):
             fedavg_aggregate([np.zeros(2)], [0.0])
 
+    def test_weight_guards(self):
+        # One weight for two models would broadcast; a negative one would renormalize.
+        with pytest.raises(ValueError, match="^weights must match the number of models$"):
+            fedavg_aggregate([np.zeros(2), np.ones(2)], [1.0])
+        with pytest.raises(ValueError, match="^weights must be non-negative$"):
+            fedavg_aggregate([np.zeros(2), np.ones(2)], [1.0, -0.5])
+
 
 class TestShuffle:
     def test_single_unchanged(self):
@@ -978,7 +1016,7 @@ class TestClientLedger:
         budget = PrivacyBudget(epsilon, 1e-5, horizon)
         result = calibrate_noise(kind, 1.0, budget)
         ledger = client_ledger([ClientConfig(budget, result.mechanism)])
-        assert ledger.spend([horizon])
+        assert not ledger.spend([horizon]).halted
         (eps,), (alpha,) = ledger.to_dp()
         assert (eps, alpha) == (result.achieved_epsilon, result.minimizing_alpha)
 
@@ -1166,7 +1204,9 @@ class TestRunRound:
         want = mode_connect_aggregate(stack, curves, NoiseStream(5, 0, 0, "curve-train"))
         assert want.shape == server.global_model.shape
         assert np.array_equal(result.server.global_model, want)
-        assert not np.allclose(mode_connect_aggregate(stack, None), want, rtol=1e-9)
+        midpoints = CurveTrainConfig(0, CURVE_TRAIN_LR, model, fed.validation)
+        plain = mode_connect_aggregate(stack, midpoints, NoiseStream(5, 0, 0, "curve-train"))
+        assert not np.allclose(plain, want, rtol=1e-9)
 
     def test_heterogeneous_epsilons_round(self):
         server, clients, model, ledger, fed = build_federation(

@@ -82,6 +82,11 @@ class TestParams:
         with pytest.raises(ValueError):
             MechanismParams(MechanismKind.STAIRCASE, 1.0, 1.0, nu=1.0)
 
+    @pytest.mark.parametrize("round_index, client_index", [(-1, 0), (0, -1)])
+    def test_stream_indices_must_be_non_negative(self, round_index, client_index):
+        with pytest.raises(ValueError, match="^round and client indices must be non-negative$"):
+            NoiseStream(1, round_index, client_index, "t")
+
     def test_nu_ignored_for_non_staircase(self):
         p = MechanismParams(MechanismKind.GAUSSIAN, 1.0, 1.0, nu=0.3)
         assert p.nu is None
@@ -145,6 +150,11 @@ class TestDensity:
         assert published / corrected == pytest.approx((1 - math.exp(-1)) / (1 - math.exp(-2)), rel=1e-12)
         # identical for the other mechanisms
         assert density_as_published(gauss(1.0), 0.3) == density(gauss(1.0), 0.3)
+
+    @pytest.mark.parametrize("x", [math.inf, math.nan, np.array([0.0, -math.inf])])
+    def test_as_published_rejects_non_finite_input(self, x):
+        with pytest.raises(ValueError, match="^density input must be finite$"):
+            density_as_published(stair(1.0, 0.5), x)
 
 
 class TestSampling:
@@ -382,6 +392,16 @@ class TestRdp:
             + bracket * (1 - math.exp(-1)) / (2 * (nu + math.exp(-lam) * (1 - nu)))
         )
         assert rdp_as_published(p, alpha) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.5, math.inf, math.nan])
+    def test_as_published_needs_a_finite_order_above_one(self, alpha):
+        # Gaussian: its published form would compute a value at any order.
+        with pytest.raises(ValueError, match=f"^alpha must be a finite real > 1, got {alpha}$"):
+            rdp_as_published(gauss(1.0), alpha)
+
+    @pytest.mark.parametrize("alpha", [1.5, 2.0, 7.0])
+    def test_as_published_laplace_is_rdp(self, alpha):
+        assert rdp_as_published(lap(1.3), alpha) == rdp(lap(1.3), alpha)
 
     def test_as_published_gaussian_drops_the_square(self):
         p = gauss(2.0, delta=3.0)

@@ -86,12 +86,31 @@ class TestCurvePoint:
         with pytest.raises(ValueError):
             curve_point(spec, 1.01)
 
+    def test_shape_guards(self):
+        two, three = np.zeros(2), np.zeros(3)
+        with pytest.raises(ValueError, match="^curve endpoints must share one dimension$"):
+            CurveSpec(CurveKind.POLYGONAL_CHAIN, two, three)
+        with pytest.raises(ValueError, match="^bend must share the endpoints' dimension$"):
+            CurveSpec(CurveKind.POLYGONAL_CHAIN, two, two, three)
+
     def test_default_bend_is_midpoint(self):
         spec = make_spec()
         assert np.array_equal(spec.bend_theta, np.zeros(2))
 
 
 class TestTrainCurve:
+    @pytest.mark.parametrize(
+        "steps, rate, message",
+        [
+            (-1, 0.1, "steps must be non-negative, got -1"),
+            (1, -0.1, "learning_rate must be non-negative, got -0.1"),
+            (1, math.nan, "learning_rate must be non-negative, got nan"),
+        ],
+    )
+    def test_config_guards(self, steps, rate, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            CurveTrainConfig(steps=steps, learning_rate=rate, model=QuadraticBowl(np.zeros(2)))
+
     def test_quadratic_bowl_descent(self):
         bowl = QuadraticBowl(np.zeros(2))
         spec = CurveSpec(
@@ -196,13 +215,12 @@ class TestLevelBuffers:
         assert np.array_equal(got, spec.bend_theta)
 
     @pytest.mark.parametrize("n_models", [2, 4, 10])
-    @pytest.mark.parametrize("kind", list(CurveKind))
-    def test_mode_connect_aggregate_bit_equal_to_parent(self, kind, n_models):
+    def test_mode_connect_aggregate_bit_equal_to_parent(self, n_models):
         # Ten models merge in levels of 5, 2, 1 and 1 curves.
         cfg, models = logistic_setup(n_models, seed=30 + n_models)
         stream = NoiseStream(9, 4, 0, "curve-train")
-        got = mode_connect_aggregate(models, cfg, stream=stream, kind=kind)
-        assert np.array_equal(got, mode_connect_parent(models, cfg, stream, kind))
+        got = mode_connect_aggregate(models, cfg, stream)
+        assert np.array_equal(got, mode_connect_parent(models, cfg, stream, CurveKind.POLYGONAL_CHAIN))
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(
@@ -268,6 +286,8 @@ class TestThetaStar:
     def test_domain(self):
         with pytest.raises(ValueError):
             theta_star(0.0, np.zeros(2), np.zeros(2))
+        with pytest.raises(ValueError, match="^w_bar and v_bar must share one dimension$"):
+            theta_star(1.0, np.zeros(2), np.zeros(3))
 
 
 class TestBezierUpdate:
@@ -289,27 +309,42 @@ class TestBezierUpdate:
             bezier_fedavg_update(z, z, z, 1.5)
 
 
+def midpoints():
+    """A zero-step curve config: every bend stays at its pair's midpoint."""
+    return CurveTrainConfig(steps=0, learning_rate=0.0, model=QuadraticBowl(np.zeros(1)))
+
+
+MERGE_STREAM = NoiseStream(4, purpose="agg")
+
+
 class TestModeConnectAggregate:
     def test_single_model(self):
         m = np.array([1.0, 2.0])
-        assert np.array_equal(mode_connect_aggregate([m], None), m)
+        assert np.array_equal(mode_connect_aggregate([m], midpoints(), MERGE_STREAM), m)
 
     def test_zero_steps_dyadic_midpoints(self):
         models = [np.array([float(i)]) for i in range(4)]
-        out = mode_connect_aggregate(models, None)
+        out = mode_connect_aggregate(models, midpoints(), MERGE_STREAM)
         # ((0+1)/2 + (2+3)/2) / 2 = 1.5
-        assert out[0] == pytest.approx(1.5, rel=1e-15)
+        assert out[0] == 1.5
 
     def test_odd_leftover_carries(self):
         models = [np.array([0.0]), np.array([1.0]), np.array([4.0])]
-        out = mode_connect_aggregate(models, None)
+        out = mode_connect_aggregate(models, midpoints(), MERGE_STREAM)
         # level 1: [0.5, 4.0]; level 2: 2.25
-        assert out[0] == pytest.approx(2.25, rel=1e-15)
+        assert out[0] == 2.25
+
+    def test_zero_steps_are_the_pairwise_midpoints_bit_for_bit(self):
+        rng = np.random.default_rng(12)
+        models = rng.normal(size=(5, 3))
+        pairs = 0.5 * (models[0:4:2] + models[1:4:2])
+        want = 0.5 * (0.5 * (pairs[0] + pairs[1]) + models[4])
+        assert np.array_equal(mode_connect_aggregate(models, midpoints(), MERGE_STREAM), want)
 
     def test_identical_models_fixed_point(self):
         w = np.array([0.7, -0.3])
         cfg = CurveTrainConfig(steps=40, learning_rate=0.1, model=QuadraticBowl(w))
-        out = mode_connect_aggregate([w, w], cfg, stream=NoiseStream(5, purpose="agg"))
+        out = mode_connect_aggregate([w, w], cfg, NoiseStream(5, purpose="agg"))
         assert np.array_equal(out, w)
 
     def test_training_moves_toward_off_center_minimum(self):
@@ -317,18 +352,17 @@ class TestModeConnectAggregate:
         bowl = QuadraticBowl(np.array([0.0, 2.0]))
         models = [np.array([1.0, 0.0]), np.array([-1.0, 0.0]), np.array([0.0, 1.0]), np.array([0.0, -1.0])]
         cfg = CurveTrainConfig(steps=300, learning_rate=0.05, model=bowl)
-        trained = mode_connect_aggregate(models, cfg, stream=NoiseStream(6, purpose="agg"))
-        plain = mode_connect_aggregate(models, None)
+        trained = mode_connect_aggregate(models, cfg, NoiseStream(6, purpose="agg"))
+        plain = mode_connect_aggregate(models, midpoints(), MERGE_STREAM)
         assert bowl.loss(trained) < bowl.loss(plain)
 
     @pytest.mark.parametrize("n_models", [5, 7])
-    @pytest.mark.parametrize("kind", list(CurveKind))
-    def test_stacked_levels_match_pairwise_reference(self, kind, n_models):
+    def test_stacked_levels_match_pairwise_reference(self, n_models):
         cfg, models = logistic_setup(n_models, seed=n_models)
         stream = NoiseStream(8, 3, 0, "curve-train")
-        got = mode_connect_aggregate(models, cfg, stream=stream, kind=kind)
-        want = mode_connect_reference(models, cfg, stream, kind)
-        assert not np.allclose(got, mode_connect_aggregate(models, None, kind=kind))
+        got = mode_connect_aggregate(models, cfg, stream)
+        want = mode_connect_reference(models, cfg, stream, CurveKind.POLYGONAL_CHAIN)
+        assert not np.allclose(got, mode_connect_aggregate(models, midpoints(), stream))
         assert np.max(np.abs(got - want)) <= 1e-12
 
     def test_pair_streams_never_collide(self, monkeypatch):
@@ -345,32 +379,21 @@ class TestModeConnectAggregate:
         monkeypatch.setattr(mode_connectivity, "NoiseStream", RecordingStream)
         models = [np.array([float(i), 0.0]) for i in range(1026)]
         cfg = CurveTrainConfig(steps=1, learning_rate=0.01, model=QuadraticBowl(np.zeros(2)))
-        mode_connect_aggregate(models, cfg, stream=NoiseStream(3, 1, 0, "curve-train"))
+        mode_connect_aggregate(models, cfg, NoiseStream(3, 1, 0, "curve-train"))
         assert len(keys) == len(models) - 1
         assert len(set(keys)) == len(keys)
-
-    def test_training_without_a_stream_is_rejected(self):
-        # No fallback stream: a default seed would repeat the pair streams of
-        # a seed-0 run's round 0.
-        models = [np.array([1.0, 0.0]), np.array([-1.0, 0.0])]
-        cfg = CurveTrainConfig(steps=3, learning_rate=0.1, model=QuadraticBowl(np.zeros(2)))
-        with pytest.raises(ValueError, match="needs a stream"):
-            mode_connect_aggregate(models, cfg)
-        # Merges that train nothing need no stream.
-        for untrained in (None, CurveTrainConfig(steps=0, learning_rate=0.1, model=QuadraticBowl(np.zeros(2)))):
-            assert np.array_equal(mode_connect_aggregate(models, untrained), np.zeros(2))
 
     def test_empty_rejected(self):
         for empty in ([], np.zeros((0, 3))):
             with pytest.raises(ValueError, match="non-empty \\(k, d\\) stack"):
-                mode_connect_aggregate(empty, None)
+                mode_connect_aggregate(empty, midpoints(), MERGE_STREAM)
 
     def test_ragged_or_flat_rejected(self):
         with pytest.raises(ValueError):
-            mode_connect_aggregate([np.zeros(2), np.zeros(3)], None)
+            mode_connect_aggregate([np.zeros(2), np.zeros(3)], midpoints(), MERGE_STREAM)
         for flat_or_deep in (np.zeros(3), np.zeros((2, 2, 2))):
             with pytest.raises(ValueError, match="non-empty \\(k, d\\) stack"):
-                mode_connect_aggregate(flat_or_deep, None)
+                mode_connect_aggregate(flat_or_deep, midpoints(), MERGE_STREAM)
 
 
 class TestExtraRounds:

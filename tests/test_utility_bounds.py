@@ -10,7 +10,7 @@ from dpfed.mechanisms import (
     expected_abs_noise,
     sample_noise_array,
 )
-from dpfed.utility_bounds import BoundQuery, l1_bound, optimal_nu
+from dpfed.utility_bounds import l1_bound, optimal_nu
 
 
 def mc_abs_mean(params, n=1_000_000, seed=77):
@@ -19,34 +19,34 @@ def mc_abs_mean(params, n=1_000_000, seed=77):
 
 class TestGaussianBound:
     def test_small_sigma_limit(self):
-        q = BoundQuery(MechanismParams(MechanismKind.GAUSSIAN, 1.0, 1e-12), 3, 5)
-        assert l1_bound(q) < 1e-10
+        q = (MechanismParams(MechanismKind.GAUSSIAN, 1.0, 1e-12), 3, 5)
+        assert l1_bound(*q) < 1e-10
 
     def test_unit_spot(self):
-        q = BoundQuery(MechanismParams(MechanismKind.GAUSSIAN, 1.0, 1.0), 1, 1)
+        q = (MechanismParams(MechanismKind.GAUSSIAN, 1.0, 1.0), 1, 1)
         want = math.sqrt(2.0 / math.pi)
-        assert l1_bound(q) == pytest.approx(want, rel=1e-12)
-        assert l1_bound(q) == pytest.approx(
+        assert l1_bound(*q) == pytest.approx(want, rel=1e-12)
+        assert l1_bound(*q) == pytest.approx(
             mc_abs_mean(MechanismParams(MechanismKind.GAUSSIAN, 1.0, 1.0)), rel=0.01
         )
 
     def test_linear_in_m_and_T(self):
         p = MechanismParams(MechanismKind.GAUSSIAN, 1.0, 2.0)
-        base = l1_bound(BoundQuery(p, 1, 1))
-        assert l1_bound(BoundQuery(p, 7, 1)) == pytest.approx(7 * base, rel=1e-12)
-        assert l1_bound(BoundQuery(p, 1, 13)) == pytest.approx(13 * base, rel=1e-12)
+        base = l1_bound(p, 1, 1)
+        assert l1_bound(p, 7, 1) == pytest.approx(7 * base, rel=1e-12)
+        assert l1_bound(p, 1, 13) == pytest.approx(13 * base, rel=1e-12)
 
 
 class TestLaplaceBound:
     def test_values(self):
         p = MechanismParams(MechanismKind.LAPLACE, 1.0, 0.5)
-        assert l1_bound(BoundQuery(p, 2, 3)) == 3.0
+        assert l1_bound(p, 2, 3) == 3.0
         tiny = MechanismParams(MechanismKind.LAPLACE, 1.0, 1e-12)
-        assert l1_bound(BoundQuery(tiny, 5, 5)) < 1e-9
+        assert l1_bound(tiny, 5, 5) < 1e-9
 
     def test_matches_sampling(self):
         p = MechanismParams(MechanismKind.LAPLACE, 1.0, 1.7)
-        got = l1_bound(BoundQuery(p, 4, 9))
+        got = l1_bound(p, 4, 9)
         assert got == pytest.approx(4 * 9 * mc_abs_mean(p), rel=0.01)
 
 
@@ -55,7 +55,7 @@ class TestStaircaseBound:
         lam = 2.0
         nu, per_delta = optimal_nu(lam)
         p = MechanismParams(MechanismKind.STAIRCASE, 1.0, lam, nu=nu)
-        got = l1_bound(BoundQuery(p, 3, 7), mode="numeric")
+        got = l1_bound(p, 3, 7, mode="numeric")
         assert got == pytest.approx(3 * 7 * per_delta, abs=1e-9)
 
     def test_numeric_spot_and_sampling(self):
@@ -63,15 +63,15 @@ class TestStaircaseBound:
         nu = 1.0 / (1.0 + math.e)
         p = MechanismParams(MechanismKind.STAIRCASE, 1.0, lam, nu=nu)
         want = math.e / (math.e**2 - 1.0)
-        q = BoundQuery(p, 1, 1)
-        assert l1_bound(q) == pytest.approx(want, rel=1e-9)
-        assert l1_bound(q) == pytest.approx(mc_abs_mean(p), rel=0.01)
+        q = (p, 1, 1)
+        assert l1_bound(*q) == pytest.approx(want, rel=1e-9)
+        assert l1_bound(*q) == pytest.approx(mc_abs_mean(p), rel=0.01)
 
     def test_as_published_reported_not_asserted_equal(self):
         p = MechanismParams(MechanismKind.STAIRCASE, 1.0, 1.3, nu=0.4)
-        q = BoundQuery(p, 2, 5)
-        published = l1_bound(q, mode="as_published")
-        numeric = l1_bound(q, mode="numeric")
+        q = (p, 2, 5)
+        published = l1_bound(*q, mode="as_published")
+        numeric = l1_bound(*q, mode="numeric")
         # both computable and positive; the discrepancy is reported, never forced to zero
         assert published > 0 and numeric > 0
         lam, nu, d = 1.3, 0.4, 1.0
@@ -83,15 +83,15 @@ class TestStaircaseBound:
         for kind in MechanismKind:
             p = MechanismParams(kind, 1.0, 1.0, nu=0.5 if kind is MechanismKind.STAIRCASE else None)
             with pytest.raises(ValueError, match="mode must be one of"):
-                l1_bound(BoundQuery(p, 1, 1), mode="wrong")
+                l1_bound(p, 1, 1, mode="wrong")
 
     def test_linearity(self):
         p = MechanismParams(MechanismKind.STAIRCASE, 1.0, 0.8, nu=0.3)
-        base = l1_bound(BoundQuery(p, 1, 1))
+        base = l1_bound(p, 1, 1)
         rng = np.random.default_rng(4)
         for _ in range(5):
             m, t = int(rng.integers(1, 50)), int(rng.integers(1, 50))
-            assert l1_bound(BoundQuery(p, m, t)) == pytest.approx(m * t * base, rel=1e-12)
+            assert l1_bound(p, m, t) == pytest.approx(m * t * base, rel=1e-12)
 
 
 class TestOneBound:
@@ -104,12 +104,25 @@ class TestOneBound:
         ],
     )
     def test_numeric_is_m_T_times_the_expected_amplitude(self, params):
-        assert l1_bound(BoundQuery(params, 4, 9)) == 4 * 9 * expected_abs_noise(params)
+        assert l1_bound(params, 4, 9) == 4 * 9 * expected_abs_noise(params)
+
+    @pytest.mark.parametrize(
+        "m, t, message",
+        [
+            (0, 1, "loss_length_m must be a positive integer, got 0"),
+            (2.0, 1, "loss_length_m must be a positive integer, got 2.0"),
+            (1, -3, "rounds_T must be a positive integer, got -3"),
+            (1, 1.5, "rounds_T must be a positive integer, got 1.5"),
+        ],
+    )
+    def test_m_and_T_must_be_positive_integers(self, m, t, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            l1_bound(MechanismParams(MechanismKind.LAPLACE, 1.0, 1.0), m, t)
 
     @pytest.mark.parametrize("kind", [MechanismKind.GAUSSIAN, MechanismKind.LAPLACE])
     def test_other_kinds_have_one_form(self, kind):
-        q = BoundQuery(MechanismParams(kind, 1.0, 0.7), 3, 5)
-        assert l1_bound(q, mode="as_published") == l1_bound(q, mode="numeric")
+        q = (MechanismParams(kind, 1.0, 0.7), 3, 5)
+        assert l1_bound(*q, mode="as_published") == l1_bound(*q, mode="numeric")
 
 
 class TestOptimalNu:
@@ -122,11 +135,11 @@ class TestOptimalNu:
         assert nu == pytest.approx(0.2689414213699951, rel=1e-12)
         assert amp == pytest.approx(math.e / (math.e**2 - 1.0), rel=1e-12)
 
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            optimal_nu(0.0)
-        with pytest.raises(ValueError):
-            optimal_nu(-1.0)
+    @pytest.mark.parametrize("lam", [0.0, -1.0, math.inf, math.nan])
+    def test_domain(self, lam):
+        # The Staircase nu rule's own guard refuses these.
+        with pytest.raises(ValueError, match=f"^lam must be positive, got {lam}$"):
+            optimal_nu(lam)
 
     @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0, 4.0])
     def test_argmin_against_nu_grid(self, lam):
