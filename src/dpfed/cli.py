@@ -79,6 +79,7 @@ def _one_of(names: tuple[str, ...]) -> tuple:
 _POSITIVE = (float, _positive, "must be positive")
 _UNIT = (float, lambda v: _positive(v) and v <= 1.0, "must lie in (0, 1]")
 _COUNT = (int, lambda v: type(v) is int and v >= 1, "must be a positive integer")
+_STAIRCASE_NU = (float, lambda v: 0.0 < v < 1.0, "must lie in (0, 1)")
 
 # One rule per config key: (text -> value, check on the value, reason).  The
 # parser runs both on every file, flag and env value; ExperimentConfig runs the
@@ -357,10 +358,20 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             ids.append(stem if seed is None else f"{stem}-s{configs[-1].seed}")
     if len(set(ids)) != len(ids):
         ids = [f"{i:03d}-{name}" for i, name in enumerate(ids)]
-    if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="") as fh:
-            return sweep(configs, ids, fh)
-    return sweep(configs, ids, sys.stdout)
+    if not args.output:
+        return sweep(configs, ids, sys.stdout)
+    # The rows go to a file beside the output, which replaces it only when
+    # every run has finished (exit 0 or 1): a failing config leaves no CSV
+    # that looks complete.
+    partial = args.output + ".partial"
+    try:
+        with open(partial, "w", encoding="utf-8", newline="") as fh:
+            exit_code = sweep(configs, ids, fh)
+        os.replace(partial, args.output)
+    finally:
+        if os.path.exists(partial):
+            os.remove(partial)
+    return exit_code
 
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
@@ -390,6 +401,8 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
 def _cmd_bounds(args: argparse.Namespace) -> int:
     kind = MechanismKind(args.mechanism)
     nu = args.nu
+    if kind is not MechanismKind.STAIRCASE and nu is not None:
+        raise ValueError(f"--nu applies to the staircase mechanism only, not {kind.value}")
     if kind is MechanismKind.STAIRCASE and nu is None:
         nu = optimal_nu(args.scale)[0]
     params = MechanismParams(kind, args.sensitivity, args.scale, nu=nu)
@@ -450,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     bounds_p = sub.add_parser("bounds", help="expected l1 perturbation of a mechanism")
     bounds_p.add_argument("--mechanism", required=True, type=mechanism)
     bounds_p.add_argument("--scale", required=True, type=_flag_type(_POSITIVE))
-    bounds_p.add_argument("--nu", default=None, type=float)
+    bounds_p.add_argument("--nu", default=None, type=_flag_type(_STAIRCASE_NU), help="staircase only")
     bounds_p.add_argument("--sensitivity", default="1.0", type=_flag_type(_POSITIVE))
     bounds_p.add_argument("-m", "--loss-length", dest="loss_length", default="1", type=_flag_type(_COUNT))
     bounds_p.add_argument("-T", "--rounds", dest="rounds", default="1", type=_flag_type(_COUNT))

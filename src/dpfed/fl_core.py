@@ -30,12 +30,17 @@ is the outer product of the softmax residual ``p_i`` with ``(x_i, 1)``, so
 matmuls over the batch, and the ``(n, dim)`` per-example matrix is never
 built (Goodfellow, arXiv:1510.01799; Li et al., arXiv:2110.05679).  Each
 shard computes its data term ``||x_i||^2 + 1`` once, when it is built.  The
-softmax is laid out class-major, ``(k, classes, n)``, so its reductions run
-over whole example rows; one in-place residual helper serves the clipped sum,
-the stacked mean gradient and the per-example reference.  The stacked mean
-gradient is bound once to a shard and a stack size
-(:meth:`LogisticRegressionModel.stack_gradient`) and owns its buffers, so
-each step of mode-connect curve training allocates nothing.
+softmax is laid out class-major, ``(classes, columns)`` with a column per
+example (per model and example in a stack), so its reductions run over whole
+rows; one in-place residual helper, which subtracts dense one-hot labels,
+serves the clipped sum, the stacked mean gradient and the per-example
+reference.  The stacked mean gradient is bound once to a shard and a stack
+size (:meth:`LogisticRegressionModel.stack_gradient`), owns its buffers and
+reads and writes a class-major ``(classes, k, features + 1)`` layout of the
+k models (:meth:`LogisticRegressionModel.to_layout`), so each step of
+mode-connect curve training is one ``(classes, k * n)`` softmax between two
+matrix products and allocates nothing; a merge level moves its curves into
+that layout once and out once.
 
 A run has one plan, kept on the frozen :class:`ServerState`: selection,
 the local-training plan every client shares (clip bound, sampling rate,
@@ -111,8 +116,8 @@ class DatasetShard:
       logits; ``features`` is a view of its leading columns;
     * ``ghost_term``: each row's ghost-norm data term ``||x_i||^2 + 1``;
     * ``label_index``: each row's label as a flat position in a class-major
-      ``(classes, n)`` array, ``labels[i] * n + i``, where the softmax
-      residual subtracts its one-hot 1 and the loss picks its logit.
+      ``(classes, n)`` array, ``labels[i] * n + i``, where the loss picks
+      its logit.
     """
 
     features: np.ndarray
@@ -221,7 +226,7 @@ class LogisticRegressionModel:
         return np.zeros(self.dim)
 
     def _logits(self, w: np.ndarray, rows: np.ndarray, bounds=None) -> np.ndarray:
-        """``(1, classes, n)`` logits on the augmented ``rows`` of the
+        """``(classes, n)`` logits on the augmented ``rows`` of the
         ``(k, dim)`` stack ``w``, model j on rows ``bounds[j]:bounds[j + 1]``
         only; one ``(dim,)`` vector is the one-segment case ``(w[None], (0, n))``.
         Each segment keeps its own matmul: one over the whole batch differs in
@@ -231,27 +236,23 @@ class LogisticRegressionModel:
             w, bounds = w[None], (0, rows.shape[0])
         if w.shape[-1:] != (self.dim,) or w.ndim != 2:
             raise ValueError(f"expected a parameter vector of length {self.dim} or a stack of them, got {w.shape}")
-        logits = np.empty((1, self.classes, rows.shape[0]))
+        logits = np.empty((self.classes, rows.shape[0]))
         for w_j, a, b in zip(w.reshape(-1, self.classes, self.features + 1), bounds[:-1], bounds[1:]):
-            np.matmul(w_j, rows[a:b].T, out=logits[0, :, a:b])
+            np.matmul(w_j, rows[a:b].T, out=logits[:, a:b])
         return logits
 
-    def _residuals(self, w: np.ndarray, rows: np.ndarray, hot: np.ndarray, bounds=None) -> np.ndarray:
+    def _residuals(self, w: np.ndarray, rows: np.ndarray, labels: np.ndarray, bounds=None) -> np.ndarray:
         """``(classes, n)`` softmax residuals, probabilities minus the
-        one-hot labels, of one model on the augmented ``rows``.  With
+        one-hot ``labels``, of one model on the augmented ``rows``.  With
         segment ``bounds`` (see :meth:`_logits`), column i is the residual of
         row i under its own segment's model.
-
-        ``hot`` holds each row's label as a flat position in the
-        ``(classes, n)`` block, ``labels[i] * n + i``
-        (:attr:`DatasetShard.label_index`).
         """
-        return _softmax_residuals(self._logits(w, rows, bounds), hot)[0]
+        return _softmax_residuals(self._logits(w, rows, bounds), _one_hot(labels, self.classes))
 
     def loss(self, w: np.ndarray, shard: DatasetShard) -> float:
         # Exponentiates in place: the pooled train loss then holds one
         # (classes, n) array at a time.
-        logits = _max_shift(self._logits(w, shard.augmented))[0]
+        logits = _max_shift(self._logits(w, shard.augmented))
         picked = logits.reshape(-1)[shard.label_index]
         log_norm = np.log(np.exp(logits, out=logits).sum(axis=0))
         return float((log_norm - picked).mean())
@@ -259,7 +260,7 @@ class LogisticRegressionModel:
     def per_example_gradients(self, w: np.ndarray, shard: DatasetShard) -> np.ndarray:
         """(n, dim) matrix of per-example cross-entropy gradients (the
         reference the ghost-norm kernel is tested against)."""
-        resid = self._residuals(w, shard.augmented, shard.label_index)
+        resid = self._residuals(w, shard.augmented, shard.labels)
         return np.einsum("cn,nf->ncf", resid, shard.augmented).reshape(shard.n, self.dim)
 
     def clipped_gradient_sum(
@@ -286,7 +287,7 @@ class LogisticRegressionModel:
         """
         if len(bounds) != len(w) + 1 or bounds[0] != 0 or bounds[-1] != rows.shape[0]:
             raise ValueError(f"{len(w)} models need {len(w) + 1} segment bounds from 0 to {rows.shape[0]}")
-        resid = self._residuals(w, rows, _label_index(labels), bounds)
+        resid = self._residuals(w, rows, labels, bounds)
         norms = np.sqrt((resid * resid).sum(axis=0) * ghost_term)
         resid *= np.minimum(1.0, c / np.maximum(norms, 1e-300))
         sums = np.empty((len(w), self.classes, self.features + 1))
@@ -294,30 +295,43 @@ class LogisticRegressionModel:
             np.matmul(resid[:, a:b], rows[a:b], out=out)
         return sums.reshape(len(w), self.dim)
 
-    def stack_gradient(self, shard: DatasetShard, k: int):
-        """Bind the mean cross-entropy gradient of a ``(k, dim)`` stack on
-        ``shard``: returns ``grad(w, out)``, which writes the ``(k, dim)``
-        stack of gradients, one row per model, into the C-contiguous ``out``
-        and returns it.
+    def to_layout(self, stack: np.ndarray) -> np.ndarray:
+        """The class-major layout of a ``(k, dim)`` stack that
+        :meth:`stack_gradient` reads and writes: a ``(classes, k, features +
+        1)`` view whose row ``(c, j)`` is model j's class-c row ``(w_c, b_c)``.
+        Its C-contiguous copy is one ``(classes * k, features + 1)`` matrix."""
+        return stack.reshape(len(stack), self.classes, self.features + 1).swapaxes(0, 1)
 
-        The bound function owns its buffers, the ``(k * classes, n)`` logits
-        and the column max and sum, and the k models' one-hot positions are
+    def from_layout(self, layout: np.ndarray) -> np.ndarray:
+        """The new ``(k, dim)`` stack of a class-major ``layout`` (see
+        :meth:`to_layout`): the class blocks side by side."""
+        return np.concatenate(layout, axis=1)
+
+    def stack_gradient(self, shard: DatasetShard, k: int):
+        """Bind the mean cross-entropy gradient of k models on ``shard``:
+        returns ``grad(w, out)``, which reads the k models from the
+        C-contiguous class-major ``w`` (:meth:`to_layout`), writes their
+        gradients into ``out`` in the same layout and returns it.
+
+        The bound function owns its buffers, the ``(classes * k, n)`` logits
+        (a ``(classes, k * n)`` softmax with a column per model and example)
+        and the column max and sum, and the k models' one-hot labels are
         built once, so a loop of calls allocates nothing.  All k models share
-        two matmuls over the shard's augmented rows; the ``(n, dim)``
+        two products with the shard's augmented rows; the ``(n, dim)``
         per-example matrix is never built.  ``w`` is not checked
         (:meth:`gradient` checks it).
         """
         rows, n, width = shard.augmented, shard.n, self.features + 1
         rows_t = rows.T
-        logits = np.empty((k * self.classes, n))
-        probs = logits.reshape(k, self.classes, n)
-        col = np.empty((k, 1, n))
-        hot = (np.arange(0, logits.size, self.classes * n)[:, None] + shard.label_index).ravel()
+        logits = np.empty((self.classes * k, n))
+        probs = logits.reshape(self.classes, k * n)
+        col = np.empty((1, k * n))
+        hot = np.tile(_one_hot(shard.labels, self.classes), k)
 
         def grad(w: np.ndarray, out: np.ndarray) -> np.ndarray:
-            np.matmul(w.reshape(-1, width), rows_t, out=logits)
+            np.dot(w.reshape(-1, width), rows_t, out=logits)
             _softmax_residuals(probs, hot, col)
-            np.matmul(logits, rows, out=out.reshape(-1, width))
+            np.dot(logits, rows, out=out.reshape(-1, width))
             out /= n
             return out
 
@@ -326,36 +340,45 @@ class LogisticRegressionModel:
     def gradient(self, w: np.ndarray, shard: DatasetShard) -> np.ndarray:
         """Mean cross-entropy gradient of one ``(dim,)`` vector, or of each row
         of a ``(k, dim)`` stack (one row of the result per model): one call of
-        the gradient that :meth:`stack_gradient` binds."""
+        the gradient that :meth:`stack_gradient` binds, on the stack moved to
+        the class-major layout and back."""
         w = np.asarray(w, dtype=float)
         if w.shape[-1:] != (self.dim,) or w.ndim not in (1, 2):
             raise ValueError(f"expected a parameter vector of length {self.dim} or a stack of them, got {w.shape}")
         stack = w.reshape(-1, self.dim)
-        return self.stack_gradient(shard, len(stack))(stack, np.empty(stack.shape)).reshape(w.shape)
+        level = np.ascontiguousarray(self.to_layout(stack))
+        return self.from_layout(self.stack_gradient(shard, len(stack))(level, np.empty_like(level))).reshape(w.shape)
 
     def accuracy(self, w: np.ndarray, shard: DatasetShard) -> float:
-        pred = self._logits(w, shard.augmented)[0].argmax(axis=0)
+        pred = self._logits(w, shard.augmented).argmax(axis=0)
         return float((pred == shard.labels).mean())
 
 
+def _one_hot(labels: np.ndarray, classes: int) -> np.ndarray:
+    """The ``(classes, n)`` one-hot matrix of ``labels``: 1.0 at
+    ``(labels[i], i)``, 0.0 elsewhere."""
+    hot = np.zeros((classes, len(labels)))
+    hot.reshape(-1)[_label_index(labels)] = 1.0
+    return hot
+
+
 def _max_shift(logits: np.ndarray, col: np.ndarray | None = None) -> np.ndarray:
-    """Subtract from each (model, example) column of ``(k, classes, n)``
-    logits its max over the classes, in place; ``col`` is an optional
-    ``(k, 1, n)`` buffer for the maxima."""
-    logits -= np.maximum.reduce(logits, axis=1, keepdims=True, out=col)
+    """Subtract from each column of ``(classes, columns)`` logits its max
+    over the classes, in place; ``col`` is an optional ``(1, columns)``
+    buffer for the maxima."""
+    logits -= np.maximum.reduce(logits, axis=0, keepdims=True, out=col)
     return logits
 
 
 def _softmax_residuals(logits: np.ndarray, hot: np.ndarray, col: np.ndarray | None = None) -> np.ndarray:
-    """Turn contiguous ``(k, classes, n)`` logits into softmax residuals in
-    place: max-shift each (model, example) column, exponentiate, normalise,
-    and subtract 1 at the one-hot positions ``hot``, flat indices into the
-    whole block (row i's label ``labels[i] * n + i`` plus ``j * classes * n``
-    for model j).  ``col`` is an optional ``(k, 1, n)`` buffer for the
+    """Turn ``(classes, columns)`` logits into softmax residuals in place:
+    max-shift each column, exponentiate, normalise, and subtract the
+    ``(classes, columns)`` one-hot labels ``hot``.  A column is one example
+    under one model.  ``col`` is an optional ``(1, columns)`` buffer for the
     column max and sum."""
     np.exp(_max_shift(logits, col), out=logits)
-    logits /= np.add.reduce(logits, axis=1, keepdims=True, out=col)
-    logits.reshape(-1)[hot] -= 1.0
+    logits /= np.add.reduce(logits, axis=0, keepdims=True, out=col)
+    logits -= hot
     return logits
 
 

@@ -59,20 +59,25 @@ class CurveSpec:
 class CurveTrainConfig:
     """Stochastic curve-training settings with a loss oracle.
 
-    ``model`` needs ``stack_gradient(shard, k)`` (and ``loss(w, shard)`` for
-    evaluation); ``shard`` is passed through opaquely.  ``stack_gradient``
-    is called once per merge level and returns ``grad(w, out)``, which
-    writes the ``(k, d)`` stack of gradients of a ``(k, d)`` stack of
-    parameter vectors into ``out`` and returns it: every curve of a level
-    trains in one call per step, and each step writes into buffers that the
-    level allocates once.
+    ``model`` needs ``stack_gradient(shard, k)``, ``to_layout(stack)`` and
+    ``from_layout(layout)`` (and ``loss(w, shard)`` for evaluation);
+    ``shard`` is passed through opaquely.  ``to_layout`` views a ``(k, d)``
+    stack of parameter vectors in the ``(groups, k, m)`` layout, ``groups * m
+    = d``, that the gradient reads, and ``from_layout`` returns a new
+    ``(k, d)`` stack of such a layout.  ``stack_gradient`` is called once per
+    merge level and returns ``grad(w, out)``, which writes the gradients of
+    the k vectors of the C-contiguous layout ``w`` into ``out`` in the same
+    layout and returns it: every curve of a level trains in one call per
+    step, and each step writes into buffers that the level allocates once.
+    A model without a layout of its own takes ``stack[None]``, one group.
 
     For :class:`dpfed.fl_core.LogisticRegressionModel` a vector holds one
-    ``(w_c, b_c)`` row per class, so the stack is a
-    ``(k * classes, features + 1)`` matrix, and the shard (a
+    ``(w_c, b_c)`` row per class, and the layout is class-major,
+    ``(classes, k, features + 1)``; the shard (a
     :class:`dpfed.fl_core.DatasetShard`) keeps its rows with a trailing ones
-    column: a step's logits for all k curve points are one matmul, and so
-    are their gradients.
+    column.  A step's logits for all k curve points are one matrix product,
+    a ``(classes, k * n)`` softmax, and one more product gives their
+    gradients.
     """
 
     steps: int
@@ -123,23 +128,26 @@ def _train_bends(spec: CurveSpec, cfg: CurveTrainConfig, rngs) -> np.ndarray:
     its ``cfg.steps`` curve parameters from ``rngs[j]``.  Returns a new
     ``(k, d)`` array.
 
-    The level allocates its buffers once.  ``(w1, theta, w2)`` form one
-    ``(3, k, d)`` array whose row 1, theta, moves in place; each step's curve
-    points are one multiply by the step's ``(3, k, 1)`` coefficients and one
-    reduce over the three rows, ``(a w1 + b theta) + c w2``, and one call of
-    the gradient ``cfg.model.stack_gradient`` bound to the level's shard and k.
+    The level allocates its buffers once.  ``(w1, theta, w2)`` move once into
+    the model's layout (``cfg.model.to_layout``), as one ``(3, groups, k, m)``
+    array whose row 1, theta, moves in place; each step's curve points are one
+    multiply by the step's ``(3, 1, k, 1)`` coefficients and one reduce over
+    the three rows, ``(a w1 + b theta) + c w2``, and one call of the gradient
+    ``cfg.model.stack_gradient`` bound to the level's shard and k.  The
+    trained bends move back once (``cfg.model.from_layout``).
     """
-    ends = np.stack([spec.endpoint_w1, spec.bend_theta, spec.endpoint_w2])
+    model = cfg.model
+    ends = np.array([model.to_layout(w) for w in (spec.endpoint_w1, spec.bend_theta, spec.endpoint_w2)])
     theta = ends[1]
     p_hat = np.stack([rng.random(cfg.steps) for rng in rngs], axis=1)[:, :, None]
-    coef = np.stack(_coefficients(spec.kind, p_hat), axis=1)
+    coef = np.stack(_coefficients(spec.kind, p_hat), axis=1)[:, :, None]
     rate = cfg.learning_rate * coef[:, 1]
     terms, point, grad = np.empty_like(ends), np.empty_like(theta), np.empty_like(theta)
-    gradient = cfg.model.stack_gradient(cfg.shard, len(theta))
+    gradient = model.stack_gradient(cfg.shard, len(rngs))
     for step in range(cfg.steps):
         np.add.reduce(np.multiply(coef[step], ends, out=terms), axis=0, out=point)
         theta -= np.multiply(rate[step], gradient(point, grad), out=grad)
-    return theta.copy()
+    return model.from_layout(theta)
 
 
 def theta_star(smoothness_L: float, w_bar: np.ndarray, v_bar: np.ndarray) -> np.ndarray:

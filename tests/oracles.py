@@ -262,6 +262,13 @@ class QuadraticBowl:
     def gradient(self, w, shard=None):
         return 2.0 * (np.asarray(w, dtype=float) - self.center)
 
+    def to_layout(self, stack):
+        # The identity layout: the (k, d) stack as one group.
+        return stack[None]
+
+    def from_layout(self, layout):
+        return layout[0].copy()
+
     def stack_gradient(self, shard, k):
         return lambda w, out: np.multiply(2.0, np.subtract(w, self.center, out=out), out=out)
 

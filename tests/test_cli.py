@@ -657,6 +657,40 @@ class TestSweep:
         assert [row[5] for row in rows] == [mech for mech in ("gaussian", "laplace") for _ in names[::2]]
 
 
+    def test_output_is_written_only_when_every_run_finishes(self, tmp_path, capsys):
+        # The second config's budget is infeasible: the sweep exits 2 and
+        # leaves no CSV at --output, not even the first config's rows.
+        good, bad = tmp_path / "good.cfg", tmp_path / "bad.cfg"
+        good.write_text("rounds = 1\nmechanism = gaussian\n", encoding="utf-8")
+        bad.write_text("rounds = 1\nmechanism = gaussian\nepsilon = 1e-12\n", encoding="utf-8")
+        out = tmp_path / "sweep.csv"
+        assert cli.main(["sweep", str(good), str(bad), "--output", str(out)]) == 2
+        assert "error: " in capsys.readouterr().err
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["bad.cfg", "good.cfg"]
+        # An earlier complete CSV at --output stays as it was.
+        out.write_text("earlier\n", encoding="utf-8")
+        assert cli.main(["sweep", str(good), str(bad), "--output", str(out)]) == 2
+        assert out.read_text(encoding="utf-8") == "earlier\n"
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["bad.cfg", "good.cfg", "sweep.csv"]
+
+    def test_output_keeps_the_rows_of_a_budget_halt(self, tmp_path, capsys, monkeypatch):
+        # Exit 1 is a finished sweep: its rows, the halted run's included, are written.
+        real_calibrate = cli.calibrate_noise
+
+        def calibrate_for_a_larger_budget(kind, sensitivity, budget):
+            return real_calibrate(kind, sensitivity, dataclasses.replace(budget, epsilon=4 * budget.epsilon))
+
+        monkeypatch.setattr(cli, "calibrate_noise", calibrate_for_a_larger_budget)
+        path = tmp_path / "a.cfg"
+        path.write_text("rounds = 20\nmechanism = gaussian\nseed = 3\n", encoding="utf-8")
+        out = tmp_path / "sweep.csv"
+        assert cli.main(["sweep", str(path), "--output", str(out)]) == 1
+        assert cli.main(["sweep", str(path)]) == 1
+        printed = capsys.readouterr().out
+        assert out.read_text(encoding="utf-8") == printed
+        assert 1 < len(printed.splitlines()) < 21
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.cfg", "sweep.csv"]
+
     def test_seeds_go_through_the_seed_rule(self, tmp_path, capsys):
         # Each --seeds entry is the seed key's text: a bad one names the key,
         # and a good one's id carries the parsed seed.
@@ -767,6 +801,10 @@ class TestCommandLine:
             (["calibrate", "--mechanism", "gaussian,cauchy", "--epsilon", "8", "--rounds", "5"], "--mechanism"),
             (["bounds", "--mechanism", "gaussian", "--scale", "2", "-T", "1.5"], "-T/--rounds"),
             (["bounds", "--mechanism", "gaussian", "--scale", "0"], "--scale"),
+            (["bounds", "--mechanism", "staircase", "--scale", "2", "--nu", "1"], "--nu"),
+            (["bounds", "--mechanism", "staircase", "--scale", "2", "--nu", "0"], "--nu"),
+            (["bounds", "--mechanism", "staircase", "--scale", "2", "--nu", "nan"], "--nu"),
+            (["bounds", "--mechanism", "staircase", "--scale", "2", "--nu", "x"], "--nu"),
         ],
     )
     def test_calibrate_and_bounds_flags_go_through_the_rules(self, capsys, argv, flag):
@@ -775,6 +813,13 @@ class TestCommandLine:
         out, err = capsys.readouterr()
         assert exited.value.code == 2 and out == ""
         assert f"error: argument {flag}: invalid value" in err
+
+    @pytest.mark.parametrize("mechanism", ["gaussian", "laplace"])
+    def test_bounds_nu_is_for_the_staircase_only(self, capsys, mechanism):
+        assert cli.main(["bounds", "--mechanism", mechanism, "--scale", "2", "--nu", "0.5"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: --nu applies to the staircase mechanism only, not {mechanism}\n"
 
     def test_bounds_json(self):
         proc = run_cli(

@@ -270,14 +270,36 @@ class TestLossModel:
         model = LogisticRegressionModel(4, 6)
         shard = tiny_shard(k, n=50, f=6, classes=4)
         grad = model.stack_gradient(shard, k)
-        out = np.empty((k, model.dim))
+        out = np.empty((model.classes, k, model.features + 1))
         for _ in range(3):
-            # The bound buffers carry nothing from one call to the next.
+            # The bound buffers carry nothing from one call to the next; the
+            # bound gradient reads and writes the class-major layout.
             stack = rng.normal(scale=2.0, size=(k, model.dim))
-            assert grad(stack, out) is out
-            assert np.array_equal(out, model.gradient(stack, shard))
-            assert np.array_equal(out, stacked_gradient_parent(model, stack, shard))
+            assert grad(np.ascontiguousarray(model.to_layout(stack)), out) is out
+            assert np.array_equal(model.from_layout(out), model.gradient(stack, shard))
+            assert np.array_equal(model.from_layout(out), stacked_gradient_parent(model, stack, shard))
         assert np.array_equal(model.gradient(stack[0], shard), stacked_gradient_parent(model, stack[0], shard))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    def test_class_major_layout_round_trip_keeps_every_bit(self, k):
+        model = LogisticRegressionModel(4, 6)
+        stack = np.random.default_rng(k).normal(size=(k, model.dim))
+        stack[0, :6] = [-0.0, np.inf, -np.inf, np.nan, 5e-324, -1e308]
+        level = np.ascontiguousarray(model.to_layout(stack))
+        back = model.from_layout(level)
+        assert back.shape == stack.shape and back.tobytes() == stack.tobytes()
+        assert not np.shares_memory(back, level) and not np.shares_memory(back, stack)
+
+    def test_class_major_layout_puts_class_c_of_model_j_in_row_c_j(self):
+        model, k = LogisticRegressionModel(3, 2), 4
+        stack = np.arange(k * model.dim, dtype=float).reshape(k, model.dim)
+        level = model.to_layout(stack)
+        flat = np.ascontiguousarray(level).reshape(model.classes * k, model.features + 1)
+        assert level.shape == (model.classes, k, model.features + 1)
+        for j in range(k):
+            for c, class_row in enumerate(stack[j].reshape(model.classes, model.features + 1)):
+                assert np.array_equal(level[c, j], class_row)
+                assert np.array_equal(flat[c * k + j], class_row)
 
     def test_loss_and_accuracy_match_row_major_reference(self):
         rng = np.random.default_rng(29)
@@ -302,8 +324,8 @@ class TestLossModel:
             rows = augment(rng.normal(scale=3.0, size=(n, f)))
             w = rng.normal(size=model.dim)
             want = w.reshape(classes, f + 1) @ rows.T
-            assert np.array_equal(model._logits(w, rows), want[None])
-            assert np.array_equal(model._logits(w[None], rows, (0, n)), want[None])
+            assert np.array_equal(model._logits(w, rows), want)
+            assert np.array_equal(model._logits(w[None], rows, (0, n)), want)
         for shape in [(model.dim - 1,), (1, model.dim), ()]:
             with pytest.raises(ValueError, match=f"expected a parameter vector of length {model.dim}"):
                 model.loss(np.zeros(shape), DatasetShard(rows[:, :-1], np.zeros(n, dtype=int)))

@@ -186,7 +186,7 @@ class TestLevelBuffers:
     # (10, 20, 100) is the benchmark's shape, where a contiguous copy of the
     # transposed rows would change the logits' last bits.
     @pytest.mark.parametrize("shape", [(3, 5, 40), (10, 20, 100)])
-    @pytest.mark.parametrize("k", [1, 2, 5])
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
     @pytest.mark.parametrize("kind", list(CurveKind))
     def test_train_bends_bit_equal_to_parent(self, kind, k, shape):
         spec, cfg = stacked_spec(kind, k, seed=10 + k, shape=shape)
@@ -246,7 +246,7 @@ class TestLevelBuffers:
         buffers = []
         bind = cfg.model.stack_gradient
 
-        class RecordingModel:
+        class RecordingModel(LogisticRegressionModel):
             def stack_gradient(self, shard, k):
                 grad = bind(shard, k)
 
@@ -256,7 +256,8 @@ class TestLevelBuffers:
 
                 return recorded
 
-        cfg = CurveTrainConfig(cfg.steps, cfg.learning_rate, RecordingModel(), cfg.shard)
+        model = RecordingModel(cfg.model.classes, cfg.model.features)
+        cfg = CurveTrainConfig(cfg.steps, cfg.learning_rate, model, cfg.shard)
         got = mode_connectivity._train_bends(spec, cfg, pair_rngs(2, 1))
         assert got.flags.owndata and got.shape == spec.bend_theta.shape
         assert buffers and not any(np.shares_memory(got, buf) for buf in buffers)
