@@ -166,15 +166,13 @@ def rdp_curve(params: MechanismParams, grid) -> np.ndarray:
     return rdp(params, validate_alpha_grid(grid))
 
 
-_CURVE_CACHE: dict[tuple, np.ndarray] = {}
-
-
-def cached_rdp_curve(params: MechanismParams, grid) -> np.ndarray:
-    """Memoized :func:`rdp_curve` for hot composition loops."""
+def cached_rdp_curve(params: MechanismParams, grid, memo: dict) -> np.ndarray:
+    """:func:`rdp_curve`, looked up first in the caller's ``memo`` and added
+    to it on a miss, so the memo's owner computes each distinct curve once."""
     key = (params, np.asarray(grid, dtype=float).tobytes())
-    hit = _CURVE_CACHE.get(key)
+    hit = memo.get(key)
     if hit is None:
-        hit = _CURVE_CACHE[key] = rdp_curve(params, grid)
+        hit = memo[key] = rdp_curve(params, grid)
     return hit
 
 

@@ -335,13 +335,29 @@ def _collect_config(args: argparse.Namespace) -> ExperimentConfig:
     return parse_config(text, overrides)
 
 
+def _write_csv(path: str | None, write):
+    """Return ``write(stream)``, which writes a command's CSV to ``stream``:
+    stdout without a ``path``.  With one, the rows go to a file beside it,
+    which replaces ``path`` only when ``write`` returns, that is when every run
+    has finished (exit 0 or 1).  On any other outcome the file is removed and
+    ``path`` is left as it was, so a failing config leaves no CSV that looks
+    complete."""
+    if not path:
+        return write(sys.stdout)
+    partial = path + ".partial"
+    try:
+        with open(partial, "w", encoding="utf-8", newline="") as fh:
+            result = write(fh)
+        os.replace(partial, path)
+    finally:
+        if os.path.exists(partial):
+            os.remove(partial)
+    return result
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     cfg = _collect_config(args)
-    if cfg.output:
-        with open(cfg.output, "w", encoding="utf-8", newline="") as fh:
-            result = run_experiment(cfg, csv_stream=fh)
-    else:
-        result = run_experiment(cfg, csv_stream=sys.stdout)
+    result = _write_csv(cfg.output, lambda stream: run_experiment(cfg, csv_stream=stream))
     print(json.dumps(result.summary))
     return result.exit_code
 
@@ -358,20 +374,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             ids.append(stem if seed is None else f"{stem}-s{configs[-1].seed}")
     if len(set(ids)) != len(ids):
         ids = [f"{i:03d}-{name}" for i, name in enumerate(ids)]
-    if not args.output:
-        return sweep(configs, ids, sys.stdout)
-    # The rows go to a file beside the output, which replaces it only when
-    # every run has finished (exit 0 or 1): a failing config leaves no CSV
-    # that looks complete.
-    partial = args.output + ".partial"
-    try:
-        with open(partial, "w", encoding="utf-8", newline="") as fh:
-            exit_code = sweep(configs, ids, fh)
-        os.replace(partial, args.output)
-    finally:
-        if os.path.exists(partial):
-            os.remove(partial)
-    return exit_code
+    return _write_csv(args.output, lambda stream: sweep(configs, ids, stream))
 
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:

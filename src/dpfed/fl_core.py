@@ -11,10 +11,10 @@ A client is its position j in the run's client list: ``clients[j]`` holds
 its budget and mechanism, ``fed.bounds[j]`` and ``fed.weights[j]`` its rows
 and FedAvg weight, and ``server.client_models[j]`` its last trained model.
 A run keeps one :class:`RdpLedger` with a row per client, row j for client j
-(:func:`client_ledger`): each row's per-application curve is computed once,
-at set-up, and a round charges every selected client's draws in one
-all-or-nothing ``spend``, so a halt leaves every row as it was.  FedAvg is
-one reduce over the weighted ``(k, dim)`` client stack.
+(:func:`client_ledger`): its per-application curves are computed at set-up,
+once per distinct mechanism, and a round charges every selected client's
+draws in one all-or-nothing ``spend``, so a halt leaves every row as it was.
+FedAvg is one reduce over the weighted ``(k, dim)`` client stack.
 
 The model's parameters are laid out one row per class, ``(w_c, b_c)``: a
 vector is a ``(classes, features + 1)`` matrix and a stack of k vectors a
@@ -109,22 +109,19 @@ class BudgetExhaustedError(RuntimeError):
 class DatasetShard:
     """Feature matrix plus integer labels.
 
-    Three per-row terms are built once, with the shard:
+    Two per-row terms are built once, with the shard, and shared by its
+    row-range views:
 
     * ``augmented``: the rows with a trailing ones column, ``(x_i, 1)``, which
       one matmul with the model's per-class ``(w_c, b_c)`` rows turns into
       logits; ``features`` is a view of its leading columns;
-    * ``ghost_term``: each row's ghost-norm data term ``||x_i||^2 + 1``;
-    * ``label_index``: each row's label as a flat position in a class-major
-      ``(classes, n)`` array, ``labels[i] * n + i``, where the loss picks
-      its logit.
+    * ``ghost_term``: each row's ghost-norm data term ``||x_i||^2 + 1``.
     """
 
     features: np.ndarray
     labels: np.ndarray
     augmented: np.ndarray = field(init=False, repr=False, compare=False)
     ghost_term: np.ndarray = field(init=False, repr=False, compare=False)
-    label_index: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.features = np.asarray(self.features, dtype=float)
@@ -144,14 +141,13 @@ class DatasetShard:
         self.augmented = np.ones((self.n, self.features.shape[1] + 1))
         self.augmented[:, :-1] = self.features
         self.features = self.augmented[:, :-1]
-        self.label_index = _label_index(self.labels)
 
     @property
     def n(self) -> int:
         return self.features.shape[0]
 
     def row_range(self, start: int, stop: int) -> "DatasetShard":
-        """Rows ``start:stop`` as a view; only ``label_index`` is built anew."""
+        """Rows ``start:stop`` as a view that builds nothing anew."""
         if not 0 <= start < stop <= self.n:
             raise ValueError(f"row range {start}:{stop} is empty or outside the shard's {self.n} rows")
         view = object.__new__(DatasetShard)
@@ -159,14 +155,7 @@ class DatasetShard:
         view.features = view.augmented[:, :-1]
         view.labels = self.labels[start:stop]
         view.ghost_term = self.ghost_term[start:stop]
-        view.label_index = _label_index(view.labels)
         return view
-
-
-def _label_index(labels: np.ndarray) -> np.ndarray:
-    """Each row's label as a flat position in a class-major ``(classes, n)``
-    array: ``labels[i] * n + i``."""
-    return labels * len(labels) + np.arange(len(labels))
 
 
 def load_csv_shard(path) -> DatasetShard:
@@ -253,7 +242,7 @@ class LogisticRegressionModel:
         # Exponentiates in place: the pooled train loss then holds one
         # (classes, n) array at a time.
         logits = _max_shift(self._logits(w, shard.augmented))
-        picked = logits.reshape(-1)[shard.label_index]
+        picked = logits[shard.labels, np.arange(shard.n)]
         log_norm = np.log(np.exp(logits, out=logits).sum(axis=0))
         return float((log_norm - picked).mean())
 
@@ -358,7 +347,7 @@ def _one_hot(labels: np.ndarray, classes: int) -> np.ndarray:
     """The ``(classes, n)`` one-hot matrix of ``labels``: 1.0 at
     ``(labels[i], i)``, 0.0 elsewhere."""
     hot = np.zeros((classes, len(labels)))
-    hot.reshape(-1)[_label_index(labels)] = 1.0
+    hot[labels, np.arange(len(labels))] = 1.0
     return hot
 
 
@@ -708,9 +697,12 @@ def client_ledger(clients) -> RdpLedger:
     """One ledger row per client, row j for ``clients[j]``: its budget and its
     per-application curve on ``default_alpha_grid()``, the grid
     ``calibrate_noise`` calibrates on, zero for a noise-disabled client
-    (which draws no noise and is never charged)."""
-    grid = default_alpha_grid()
-    curves = [np.zeros(grid.shape) if c.mechanism is None else cached_rdp_curve(c.mechanism, grid) for c in clients]
+    (which draws no noise and is never charged).  Clients that share a
+    mechanism share one curve, computed once in a memo that only this call
+    holds."""
+    grid, memo = default_alpha_grid(), {}
+    curves = [np.zeros(grid.shape) if c.mechanism is None else cached_rdp_curve(c.mechanism, grid, memo)
+              for c in clients]
     return RdpLedger(grid, curves, [c.budget for c in clients])
 
 

@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from dpfed import cli, fl_core
+from dpfed import cli
 from dpfed.cli import (
     CSV_HEADER,
     SWEEP_HEADER,
@@ -385,6 +385,22 @@ class TestRunExperiment:
         b = run_experiment(small_cfg(seed=2))
         assert a.metrics != b.metrics
 
+    def test_runs_leave_no_module_state_behind(self):
+        # Budgets no other test calibrates, so a process-wide memo would grow.
+        def container_sizes():
+            return {
+                (name, attr): len(value)
+                for name, module in list(sys.modules.items())
+                if name == "dpfed" or name.startswith("dpfed.")
+                for attr, value in vars(module).items()
+                if not attr.startswith("__") and isinstance(value, (dict, list, set))
+            }
+
+        before = container_sizes()
+        run_experiment(small_cfg(rounds=2, epsilon=5.4321))
+        run_experiment(small_cfg(rounds=2, clients=3, heterogeneous_epsilons=(6.1, 6.2, 6.2), mechanism="laplace"))
+        assert container_sizes() == before
+
     def test_mechanisms_complete_within_budget(self):
         for mech in ("gaussian", "staircase"):
             buf = io.StringIO()
@@ -476,12 +492,11 @@ def row_span(view, data) -> range:
 
 def randomize_rows(shard, seed):
     """Overwrite the row-range view ``shard``'s features and labels in place
-    with random values, and rebuild its terms built from them."""
+    with random values, and rebuild its ghost term from them."""
     rng = np.random.default_rng(seed)
     shard.features[:] = rng.normal(0.0, 5.0, shard.features.shape)
     shard.labels[:] = rng.integers(0, SYNTH_CLASSES, shard.n)
     shard.ghost_term[:] = (shard.features * shard.features).sum(axis=1) + 1.0
-    shard.label_index = fl_core._label_index(shard.labels)
 
 
 def run_with_roles(cfg, monkeypatch, tamper=None):
@@ -749,6 +764,61 @@ class TestCommandLine:
         proc = run_cli("run", "--epsilon", "0.05", "--rounds", "2")
         assert proc.returncode == 2
         assert "infeasible" in proc.stderr.lower()
+
+    def test_run_output_survives_an_infeasible_budget(self, tmp_path, capsys):
+        out = tmp_path / "p.csv"
+        out.write_bytes(b"earlier\r\n1")
+        argv = ["run", "--rounds", "2", "--mechanism", "gaussian", "--epsilon", "1e-12", "--output", str(out)]
+        assert cli.main(argv) == 2
+        printed, err = capsys.readouterr()
+        assert printed == "" and "infeasible" in err
+        assert out.read_bytes() == b"earlier\r\n1"
+        assert [p.name for p in tmp_path.iterdir()] == ["p.csv"]
+
+    def test_run_output_keeps_the_rows_of_a_budget_halt(self, tmp_path, capsys, monkeypatch):
+        # Exit 1 is a finished run: its rows go to --output, and the summary
+        # to stdout, exactly as a run to stdout prints them.
+        real_calibrate = cli.calibrate_noise
+
+        def calibrate_for_a_larger_budget(kind, sensitivity, budget):
+            return real_calibrate(kind, sensitivity, dataclasses.replace(budget, epsilon=4 * budget.epsilon))
+
+        monkeypatch.setattr(cli, "calibrate_noise", calibrate_for_a_larger_budget)
+        argv = ["run", "--rounds", "20", "--mechanism", "gaussian", "--seed", "3"]
+        assert cli.main(argv) == 1
+        *rows, summary = capsys.readouterr().out.splitlines(keepends=True)
+        out = tmp_path / "p.csv"
+        out.write_text("earlier\n", encoding="utf-8")
+        assert cli.main([*argv, "--output", str(out)]) == 1
+        assert capsys.readouterr().out == summary
+        assert out.read_text(encoding="utf-8") == "".join(rows)
+        assert 2 < len(rows) < 22 and json.loads(summary)["rounds_run"] == len(rows) - 1
+        assert [p.name for p in tmp_path.iterdir()] == ["p.csv"]
+
+    def test_calibrate_three_kinds_pinned(self, capsys):
+        argv = ["calibrate", "--mechanism", "gaussian,laplace,staircase", "--epsilon", "8", "--rounds", "300"]
+        assert cli.main(argv) == 0
+        lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert [r["mechanism"] for r in lines] == ["gaussian", "laplace", "staircase"]
+        for r, scale in zip(lines, (12.00665404, 11.75825888, 0.08392605119)):
+            assert r["iterations"] == 20 and r["achieved_epsilon"] <= 8, r
+            assert f"{r['scale']:.10g}" == f"{scale:.10g}", r
+
+    @pytest.mark.parametrize("mode, bound", [(None, 638.1885962), ("as_published", 578.0471604)])
+    def test_staircase_bound_pinned(self, capsys, mode, bound):
+        argv = ["bounds", "--mechanism", "staircase", "--scale", "2.0", "-m", "10", "-T", "150"]
+        assert cli.main(argv + (["--mode", mode] if mode else [])) == 0
+        result = json.loads(capsys.readouterr().out)
+        assert result["mode"] == (mode or "numeric")
+        assert f"{result['l1_bound']:.10g}" == f"{bound:.10g}"
+
+    def test_run_bytes_do_not_depend_on_the_hash_seed(self):
+        argv = ["run", "--rounds", "2", "--mechanism", "staircase", "--selection-fraction", "0.5", "--shuffle", "true",
+                "--heterogeneous-epsilons", "7,8,9,10,11,12,13,14,15,16"]
+        first = run_cli(*argv, env={"PYTHONHASHSEED": "1"})
+        second = run_cli(*argv, env={"PYTHONHASHSEED": "2"})
+        assert first.returncode == second.returncode == 0, first.stderr + second.stderr
+        assert first.stdout == second.stdout
 
     def test_tiny_selection_fraction_runs_one_client(self):
         proc = run_cli("run", "--rounds", "2", "--mechanism", "gaussian", "--selection-fraction", "1e-12")

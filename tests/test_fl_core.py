@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dpfed import fl_core
+from dpfed import accountant, fl_core
 from dpfed.accountant import PrivacyBudget, calibrate_noise, default_alpha_grid, rdp_curve
 from dpfed.fl_core import (
     CURVE_TRAIN_LR,
@@ -162,7 +162,6 @@ class TestShard:
             assert np.shares_memory(getattr(pool, name), getattr(fed.data, name)), name
         assert np.array_equal(pool.features, np.concatenate([s.features for s in shards]))
         assert np.array_equal(pool.labels, np.concatenate([s.labels for s in shards]))
-        assert np.array_equal(pool.label_index, np.concatenate([s.labels for s in shards]) * pool.n + np.arange(pool.n))
 
     def test_deal_splits_rows_in_role_order(self):
         data = tiny_shard(4, n=12)
@@ -208,7 +207,7 @@ class TestShard:
         for name in ("augmented", "features", "labels", "ghost_term"):
             assert np.shares_memory(getattr(view, name), getattr(shard, name)), name
             assert np.array_equal(getattr(view, name), getattr(shard, name)[2:7]), name
-        assert np.array_equal(view.label_index, shard.labels[2:7] * 5 + np.arange(5))
+        assert sorted(vars(view)) == ["augmented", "features", "ghost_term", "labels"]
         for start, stop in ((3, 3), (-1, 4), (5, 11)):
             with pytest.raises(ValueError):
                 shard.row_range(start, stop)
@@ -1041,6 +1040,31 @@ class TestClientLedger:
         assert not ledger.spend([horizon]).halted
         (eps,), (alpha,) = ledger.to_dp()
         assert (eps, alpha) == (result.achieved_epsilon, result.minimizing_alpha)
+
+    @pytest.mark.parametrize(
+        "epsilons, distinct", [([8.0] * 10, 1), ([7.0, 7.0, 8.0, 8.0, 8.0, 9.0, 9.0, 9.0, 9.0, 9.0], 3)]
+    )
+    def test_one_curve_per_distinct_mechanism_per_ledger(self, monkeypatch, epsilons, distinct):
+        # Clients that share a mechanism share one curve within a ledger; a
+        # second ledger of the same clients computes its own, as nothing
+        # outlives the first.
+        budgets = [PrivacyBudget(eps, 1e-5, 40) for eps in epsilons]
+        mechs = {b: calibrate_noise(MechanismKind.GAUSSIAN, 1.0, b).mechanism for b in set(budgets)}
+        clients = [ClientConfig(b, mechs[b]) for b in budgets]
+        real_curve, calls = accountant.rdp_curve, []
+
+        def counted(params, grid):
+            calls.append(params)
+            return real_curve(params, grid)
+
+        monkeypatch.setattr(accountant, "rdp_curve", counted)
+        first = client_ledger(clients)
+        assert Counter(calls) == Counter(mechs.values()) and len(calls) == distinct
+        second = client_ledger(clients)
+        assert Counter(calls) == Counter({mech: 2 for mech in mechs.values()})
+        grid = default_alpha_grid()
+        want = np.array([real_curve(c.mechanism, grid) for c in clients])
+        assert first.curves.tobytes() == second.curves.tobytes() == want.tobytes()
 
 
 class TestRunRound:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dpfed import mode_connectivity
@@ -189,6 +189,10 @@ class TestLevelBuffers:
     @pytest.mark.parametrize("k", [1, 2, 3, 5])
     @pytest.mark.parametrize("kind", list(CurveKind))
     def test_train_bends_bit_equal_to_parent(self, kind, k, shape):
+        """Bit-equal at (classes, features, rows) = (3, 5, 40) and at the
+        synthetic runs' (10, 20, 100), the benchmark's, for k = 1, 2, 3 and 5
+        curves (a 10-client merge trains levels of 5, 2, 1 and 1); not at
+        every shape (see :meth:`test_property_close_to_parent_over_shapes`)."""
         spec, cfg = stacked_spec(kind, k, seed=10 + k, shape=shape)
         got = mode_connectivity._train_bends(spec, cfg, pair_rngs(k, 7))
         assert not np.allclose(got, spec.bend_theta)
@@ -232,6 +236,10 @@ class TestLevelBuffers:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_property_bit_equal_to_parent(self, k, classes, features, n, kind, seed):
+        """Bit-equal on this fixed derandomized draw of 40 shapes (k 1-6,
+        classes 2-6, features 1-8, rows 1-60, 20 steps) only: other shapes in
+        the same range, such as k = 6, 3 classes, 2 features, 60 rows, differ
+        in the last bits."""
         rng = np.random.default_rng(seed)
         model = LogisticRegressionModel(classes, features)
         shard = DatasetShard(rng.normal(size=(n, features)), rng.integers(0, classes, n))
@@ -240,6 +248,31 @@ class TestLevelBuffers:
         spec = CurveSpec(kind, w1, w2, theta)
         got = mode_connectivity._train_bends(spec, cfg, pair_rngs(k, seed))
         assert np.array_equal(got, train_bends_parent(spec, cfg, pair_rngs(k, seed)))
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(
+        k=st.integers(1, 6),
+        classes=st.integers(2, 12),
+        features=st.integers(1, 8),
+        n=st.sampled_from([1, 2, 3, 60, 150]),
+        kind=st.sampled_from(list(CurveKind)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(k=5, classes=10, features=1, n=60, kind=CurveKind.POLYGONAL_CHAIN, seed=1)
+    def test_property_close_to_parent_over_shapes(self, k, classes, features, n, kind, seed):
+        """Within rtol 1e-12 plus atol 1e-15 of the parent at any shape.  At
+        some shapes BLAS gives a product row's last bits by its position in the
+        matrix, and at one row numpy sums a ``(k, classes, 1)`` block over the
+        classes in another order than a ``(classes, k)`` one; the explicit
+        example is such a shape, which differs in the last bits."""
+        rng = np.random.default_rng(seed)
+        model = LogisticRegressionModel(classes, features)
+        shard = DatasetShard(rng.normal(size=(n, features)), rng.integers(0, classes, n))
+        cfg = CurveTrainConfig(steps=10, learning_rate=0.5, model=model, shard=shard)
+        w1, w2, theta = rng.normal(scale=2.0, size=(3, k, model.dim))
+        spec = CurveSpec(kind, w1, w2, theta)
+        got = mode_connectivity._train_bends(spec, cfg, pair_rngs(k, seed))
+        np.testing.assert_allclose(got, train_bends_parent(spec, cfg, pair_rngs(k, seed)), rtol=1e-12, atol=1e-15)
 
     def test_bends_do_not_alias_the_level_workspace(self):
         spec, cfg = stacked_spec(CurveKind.POLYGONAL_CHAIN, 2, seed=5)
