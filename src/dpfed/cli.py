@@ -29,6 +29,7 @@ from .fl_core import (
     Aggregator,
     BudgetExhaustedError,
     ClientConfig,
+    ClientTable,
     DatasetShard,
     Federation,
     LogisticRegressionModel,
@@ -261,6 +262,7 @@ def run_experiment(cfg: ExperimentConfig, csv_stream=None) -> ExperimentResult:
     clients = [ClientConfig(budget=b, mechanism=mechs[b]) for b in budgets]
     ledger = client_ledger(clients)
     scale = max((c.mechanism.scale for c in clients if c.mechanism), default=math.inf)
+    table = ClientTable.build(clients, cfg.clip)
     run_cells = f"{cfg.mechanism},{_format_value(scale)},{cfg.seed}"
 
     server = ServerState(
@@ -281,7 +283,7 @@ def run_experiment(cfg: ExperimentConfig, csv_stream=None) -> ExperimentResult:
     exit_code = EXIT_OK
     for _ in range(cfg.rounds):
         try:
-            result = run_round(server, clients, model, ledger, cfg.seed, fed)
+            result = run_round(server, table, model, ledger, cfg.seed, fed)
         except BudgetExhaustedError:
             exit_code = EXIT_BUDGET_HALT
             break

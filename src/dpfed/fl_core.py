@@ -32,9 +32,10 @@ built (Goodfellow, arXiv:1510.01799; Li et al., arXiv:2110.05679).  Each
 shard computes its data term ``||x_i||^2 + 1`` once, when it is built.  The
 softmax is laid out class-major, ``(classes, columns)`` with a column per
 example (per model and example in a stack), so its reductions run over whole
-rows; one in-place residual helper, which subtracts dense one-hot labels,
-serves the clipped sum, the stacked mean gradient and the per-example
-reference.  The stacked mean gradient is bound once to a shard and a stack
+rows; one in-place softmax helper serves the clipped sum, the stacked mean
+gradient and the per-example reference.  The residuals subtract 1 at each
+label entry, or, in the stacked mean gradient, the dense one-hot labels it
+builds once.  The stacked mean gradient is bound once to a shard and a stack
 size (:meth:`LogisticRegressionModel.stack_gradient`), owns its buffers and
 reads and writes a class-major ``(classes, k, features + 1)`` layout of the
 k models (:meth:`LogisticRegressionModel.to_layout`), so each step of
@@ -68,13 +69,24 @@ Every random decision flows through a :class:`NoiseStream` keyed by (master
 seed, round, client, purpose), so a configuration plus master seed fully
 determines the run.  :func:`run_round` builds a fixed set of streams,
 whatever the number of clients, each keyed by client 0:
-``"client-selection"``, ``"subsample"`` for the masks, ``"local-noise"`` for
+``"client-selection"`` (only when fewer than all clients are selected; with
+all of them the round takes every client in order, which is what the sorted
+permutation would give), ``"subsample"`` for the masks, ``"local-noise"`` for
 the noise (only when a selected client is noised), ``"shuffle"`` with
 shuffling and ``"curve-train"`` under mode-connect merging, which derives one
 stream per merged pair from it.  Only the local-noise stream depends on the
 mechanism, its scale or noise being on: data, selection, masks, shuffle and
 curve training do not, so runs that differ only there train on the same
 batches and are paired.
+
+A run's per-client facts are built once, at set-up, into its
+:class:`ClientTable`: the budget epsilons, which clients are noised and the
+noised clients' sampler constants (:class:`NoiseTable`), with each
+mechanism's sensitivity checked against the clip bound there.  A round only
+indexes the table: the anchor and the heterogeneity penalties are one
+vector expression over the epsilons, the noise block is drawn from the
+table's columns, and the next :class:`ServerState` shares every remembered
+model the round left alone.
 
 Clients with heterogeneous privacy budgets are pulled toward the model of the
 weakest-budget client: the local step becomes
@@ -84,17 +96,18 @@ eps_max``.
 
 from __future__ import annotations
 
+import copy
 import csv
 import enum
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from types import MappingProxyType
 
 import numpy as np
 
 from .accountant import PrivacyBudget, RdpLedger, cached_rdp_curve, default_alpha_grid
-from .mechanisms import MechanismParams, NoiseStream, sample_noise_block
+from .mechanisms import MechanismParams, NoiseStream, NoiseTable
 from .mode_connectivity import CurveTrainConfig, mode_connect_aggregate
 
 CURVE_TRAIN_STEPS = 100
@@ -234,9 +247,12 @@ class LogisticRegressionModel:
         """``(classes, n)`` softmax residuals, probabilities minus the
         one-hot ``labels``, of one model on the augmented ``rows``.  With
         segment ``bounds`` (see :meth:`_logits`), column i is the residual of
-        row i under its own segment's model.
+        row i under its own segment's model.  Only the label entries take
+        the subtraction, as a one-hot matrix's zeros change nothing.
         """
-        return _softmax_residuals(self._logits(w, rows, bounds), _one_hot(labels, self.classes))
+        resid = _softmax(self._logits(w, rows, bounds))
+        resid[labels, np.arange(len(labels))] -= 1.0
+        return resid
 
     def loss(self, w: np.ndarray, shard: DatasetShard) -> float:
         # Exponentiates in place: the pooled train loss then holds one
@@ -319,7 +335,7 @@ class LogisticRegressionModel:
 
         def grad(w: np.ndarray, out: np.ndarray) -> np.ndarray:
             np.dot(w.reshape(-1, width), rows_t, out=logits)
-            _softmax_residuals(probs, hot, col)
+            np.subtract(_softmax(probs, col), hot, out=probs)
             np.dot(logits, rows, out=out.reshape(-1, width))
             out /= n
             return out
@@ -359,15 +375,13 @@ def _max_shift(logits: np.ndarray, col: np.ndarray | None = None) -> np.ndarray:
     return logits
 
 
-def _softmax_residuals(logits: np.ndarray, hot: np.ndarray, col: np.ndarray | None = None) -> np.ndarray:
-    """Turn ``(classes, columns)`` logits into softmax residuals in place:
-    max-shift each column, exponentiate, normalise, and subtract the
-    ``(classes, columns)`` one-hot labels ``hot``.  A column is one example
-    under one model.  ``col`` is an optional ``(1, columns)`` buffer for the
-    column max and sum."""
+def _softmax(logits: np.ndarray, col: np.ndarray | None = None) -> np.ndarray:
+    """Turn ``(classes, columns)`` logits into softmax probabilities in
+    place: max-shift each column, exponentiate and normalise.  A column is
+    one example under one model.  ``col`` is an optional ``(1, columns)``
+    buffer for the column max and sum."""
     np.exp(_max_shift(logits, col), out=logits)
     logits /= np.add.reduce(logits, axis=0, keepdims=True, out=col)
-    logits -= hot
     return logits
 
 
@@ -382,6 +396,46 @@ class ClientConfig:
     mechanism: MechanismParams | None
 
 
+@dataclass(frozen=True, eq=False)
+class ClientTable:
+    """A run's clients as arrays, row j for client j, built once at set-up
+    (:meth:`build`) so that a round only indexes them: each budget's
+    ``epsilon``, which clients are ``noised``, and the noised clients'
+    mechanisms as sampler constants, ``noise``, in client order.  Every
+    noised client's sensitivity was checked, as the table was built, to
+    equal the clip bound ``clip_c``.
+    A round's selected clients are :meth:`take` of the run's table, or the
+    table itself when every client is selected."""
+
+    clip_c: float
+    epsilon: np.ndarray
+    noised: np.ndarray
+    noise: NoiseTable
+
+    @classmethod
+    def build(cls, clients, clip_c: float) -> "ClientTable":
+        """The table of a list of :class:`ClientConfig` under clip bound ``clip_c``."""
+        mechs = [cfg.mechanism for cfg in clients if cfg.mechanism is not None]
+        for mech in mechs:
+            if not math.isclose(mech.sensitivity, clip_c):
+                raise ValueError(f"mechanism sensitivity {mech.sensitivity} must equal the clip bound {clip_c}")
+        return cls(
+            clip_c,
+            np.array([cfg.budget.epsilon for cfg in clients], dtype=float),
+            np.array([cfg.mechanism is not None for cfg in clients], dtype=bool),
+            NoiseTable.of(mechs),
+        )
+
+    def __len__(self) -> int:
+        return len(self.epsilon)
+
+    def take(self, rows) -> "ClientTable":
+        """The table of the clients ``rows``, in that order."""
+        noised = self.noised[rows]
+        slot = np.cumsum(self.noised) - 1  # each noised client's row of ``noise``
+        return ClientTable(self.clip_c, self.epsilon[rows], noised, self.noise.take(slot[rows][noised]))
+
+
 class Aggregator(enum.Enum):
     FEDAVG = "fedavg"
     MODE_CONNECT = "modeconnect"
@@ -393,10 +447,16 @@ class ServerState:
     its position, and the run's whole plan: selection, the one local-training
     plan of every client (clip bound, sampling rate, epochs and step),
     shuffling and aggregation.  Frozen, so the checks below hold for every
-    value a round reads; a round returns a new state (``dataclasses.replace``).
-    The models are rows of one read-only copy, taken as the state is built,
-    and the client models a read-only mapping: neither the caller's arrays
-    nor a write through the state can change them."""
+    value a round reads.  Every model is read-only and the client models a
+    read-only mapping, so neither the caller's arrays nor a write through
+    the state can change them: a state built directly holds rows of one
+    copy of the models it is given.  A round returns the next state by
+    :meth:`successor`, which keeps the checked plan, holds the round's
+    models uncopied, as rows of its ``(k, dim)`` stack, and shares each
+    remembered model the round left alone.  A remembered row keeps its whole
+    stack alive, so under partial selection up to one stack per client may
+    be held.  The run's per-client facts are not part of the state: they
+    live in its :class:`ClientTable`, which every round is handed."""
 
     global_model: np.ndarray
     round_t: int
@@ -425,6 +485,22 @@ class ServerState:
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(f"learning rate must be positive, got {self.learning_rate}")
 
+    def successor(self, global_model: np.ndarray, chosen, stack: np.ndarray) -> "ServerState":
+        """The next round's state under this plan: ``global_model``, and row
+        i of the ``(k, dim)`` ``stack`` remembered as client ``chosen[i]``'s
+        model.  Both arrays are made read-only, not copied; the other
+        remembered models are shared, and the plan is not checked again."""
+        global_model.flags.writeable = False
+        stack.flags.writeable = False
+        # A copy of this state, which skips __post_init__: it would copy
+        # every model again and re-check a plan that is unchanged.
+        state = copy.copy(self)
+        object.__setattr__(state, "global_model", global_model)
+        object.__setattr__(state, "round_t", self.round_t + 1)
+        models = self.client_models | dict(zip(chosen.tolist(), stack))
+        object.__setattr__(state, "client_models", MappingProxyType(models))
+        return state
+
 
 @dataclass(frozen=True)
 class RoundMetrics:
@@ -447,21 +523,21 @@ class RoundResult:
 
 
 def round_draws(
-    master_seed: int, server: ServerState, selected: list[ClientConfig], rows_n: int, dim: int
+    master_seed: int, server: ServerState, selected: ClientTable, rows_n: int, dim: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """The randomness of a round's local training, each round-wide stream
     drawn once: the ``"subsample"`` stream's ``(epochs, rows_n)`` uniforms,
     the masks of the ``selected`` clients' ``rows_n`` rows, and the
     ``"local-noise"`` stream's ``(epochs, k_noised, dim)`` block of the noised
-    clients' draws (:func:`sample_noise_block`), in ``selected`` order.  With
+    clients' draws (:meth:`NoiseTable.sample`), in ``selected`` order.  With
     no noised client the block is empty and no noise stream is built."""
     epochs, round_t = server.local_epochs_I, server.round_t
+    noise = selected.noise
     uniforms = NoiseStream(master_seed, round_t, 0, "subsample").rng.random((epochs, rows_n))
-    mechs = [cfg.mechanism for cfg in selected if cfg.mechanism is not None]
-    if not mechs:
+    if not len(noise):
         return uniforms, np.empty((epochs, 0, dim))
     stream = NoiseStream(master_seed, round_t, 0, "local-noise")
-    return uniforms, sample_noise_block(mechs, stream, (epochs, len(mechs), dim))
+    return uniforms, noise.sample(stream.rng, (epochs, len(noise), dim))
 
 
 def local_update(
@@ -478,15 +554,17 @@ def local_update(
     of :func:`local_updates`.  ``uniforms`` is its ``(epochs, shard.n)`` slice of the round's
     masks and ``noise`` its ``(epochs, 1, dim)`` slice of the noise block, ``(epochs, 0, dim)``
     for a noise-disabled client, as :func:`round_draws` draws them for a round of this client
-    alone; ``w_max`` is the broadcast model and ``eps_max`` inf unless given."""
+    alone, from its one-row :class:`ClientTable`; ``w_max`` is the broadcast model and
+    ``eps_max`` inf unless given."""
     w_max = server.global_model if w_max is None else w_max
-    stack, draws = local_updates(server, [cfg], shard, [(0, shard.n)], model, uniforms, noise, w_max, eps_max)
+    table = ClientTable.build([cfg], server.clip_c)
+    stack, draws = local_updates(server, table, shard, [(0, shard.n)], model, uniforms, noise, w_max, eps_max)
     return ClientUpdate(params=stack[0], noise_draws=int(draws[0]))
 
 
 def local_updates(
     server: ServerState,
-    cfgs: list[ClientConfig],
+    clients: ClientTable,
     rows: DatasetShard,
     spans,
     model,
@@ -498,48 +576,47 @@ def local_updates(
     """Run each client's privatized local epochs from the broadcast
     ``server.global_model`` under the server's plan, every epoch of all
     clients as one segmented batch.  Returns the ``(k, dim)`` stack of client
-    models and the ``(k,)`` counts of their noise draws, in ``cfgs`` order.
+    models and the ``(k,)`` counts of their noise draws, in ``clients`` order.
 
-    Client j of ``cfgs`` owns rows ``spans[j][0]:spans[j][1]`` of ``rows``
-    (ascending, disjoint).  The round's randomness comes drawn: ``uniforms``
-    is the ``(epochs, m)`` array of masks, one column per span row in span
-    order, and ``noise`` the ``(epochs, k_noised, dim)`` block of the noised
-    clients' draws, in ``cfgs`` order and the published ``[W | b]`` packing,
-    gathered here once into the row layout.  In each epoch a client's
-    subsample is its rows whose uniform lies below the rate q; the sampled
-    rows form one batch, one segment per client.  The ghost-norm kernel
-    ``model.clipped_gradient_sum`` sums each segment's per-example gradients
-    clipped at c.  Each noised client then adds its epoch's noise row
-    (sensitivity c), the sums are divided by the batch sizes and one
-    :func:`heterogeneous_update` step moves the stack, pulling toward
-    ``w_max`` each client whose budget is below ``eps_max``.  A client whose
-    subsample is empty skips the epoch: its noise row is discarded and not
-    counted.
+    Client j of the :class:`ClientTable` ``clients``, which must have been
+    built for the server's clip bound, owns rows ``spans[j][0]:spans[j][1]``
+    of ``rows`` (ascending, disjoint).  The round's randomness comes drawn:
+    ``uniforms`` is the ``(epochs, m)`` array of masks, one column per span
+    row in span order, and ``noise`` the ``(epochs, k_noised, dim)`` block of
+    the noised clients' draws, in ``clients`` order and the published
+    ``[W | b]`` packing, gathered here once into the row layout.  In each
+    epoch a client's subsample is its rows whose uniform lies below the rate
+    q; the sampled rows form one batch, one segment per client.  The
+    ghost-norm kernel ``model.clipped_gradient_sum`` sums each segment's
+    per-example gradients clipped at c.  Each noised client then adds its
+    epoch's noise row (sensitivity c), the sums are divided by the batch
+    sizes and one :func:`heterogeneous_update` step moves the stack, pulling
+    toward ``w_max`` each client whose budget is below ``eps_max``.  A
+    client whose subsample is empty skips the epoch: its noise row is
+    discarded and not counted.
 
     Client j's update depends only on its own slices of the two arrays, so
     it is the one :func:`local_update` makes from them alone, to the bit
     except after a one-row subsample (see ``clipped_gradient_sum``).
     """
-    for cfg in cfgs:
-        if cfg.mechanism is not None and not math.isclose(cfg.mechanism.sensitivity, server.clip_c):
-            raise ValueError(
-                f"mechanism sensitivity {cfg.mechanism.sensitivity} must equal the clip bound {server.clip_c}"
-            )
-    epochs = server.local_epochs_I
+    if len(clients.noise) and clients.clip_c != server.clip_c:
+        # The table checked each sensitivity against its own clip bound.
+        raise ValueError(f"mechanism sensitivity {clients.noise.delta[0, 0]} must equal the clip bound {server.clip_c}")
+    epochs, k = server.local_epochs_I, len(clients)
     starts, stops = np.asarray(spans).T
     offsets = np.concatenate([[0], np.cumsum(stops - starts)])
-    noised = np.array([cfg.mechanism is not None for cfg in cfgs])
-    want = (epochs, int(offsets[-1])), (epochs, int(noised.sum()), model.dim)
+    want = (epochs, int(offsets[-1])), (epochs, len(clients.noise), model.dim)
     if (uniforms.shape, noise.shape) != want:
         shapes = (*want, uniforms.shape, noise.shape)
         raise ValueError("masks and noise must have shapes {} and {}, got {} and {}".format(*shapes))
-    # The pool row of each mask column, and each client's row of the noise block.
-    pool_rows = np.arange(offsets[-1]) + np.repeat(starts - offsets[:-1], stops - starts)
-    slot = np.cumsum(noised) - 1
-    noise = noise[..., model.from_published]
-    lam = np.array([[heterogeneity_penalty(cfg.budget.epsilon, eps_max)] for cfg in cfgs])
-    stack = np.tile(server.global_model, (len(cfgs), 1))
-    draws = np.zeros(len(cfgs), dtype=int)
+    # Mask column i of client j's span is pool row i + shift[j].
+    shift = starts - offsets[:-1]
+    # The noised clients' rows of the stack: a slice when that is all of them.
+    noisy = slice(None) if len(clients.noise) == k else clients.noised
+    noise = noise.take(model.from_published, axis=-1)
+    lam = heterogeneity_penalty(clients.epsilon, eps_max)[:, None]
+    stack = np.repeat(server.global_model[None], k, axis=0)
+    draws = np.zeros(k, dtype=int)
     for epoch, hit in enumerate(uniforms < server.sample_rate_q):
         picked = hit.nonzero()[0]
         bounds = picked.searchsorted(offsets)
@@ -547,13 +624,14 @@ def local_updates(
         stepped = sizes > 0
         if not stepped.any():
             continue
-        idx = pool_rows[picked]
+        idx = picked + np.repeat(shift, sizes)
         summed = model.clipped_gradient_sum(
             stack, rows.augmented.take(idx, axis=0), rows.labels[idx], rows.ghost_term[idx], server.clip_c, bounds
         )
-        noisy = (noised & stepped).nonzero()[0]
-        summed[noisy] += noise[epoch, slot[noisy]]
-        draws[noisy] += 1
+        # Every noised client's sum takes its noise row, but only a client
+        # that steps uses its sum, so only its draw counts.
+        summed[noisy] += noise[epoch]
+        draws[noisy] += stepped[noisy]
         # An empty segment's sum is zero, and its client does not step.
         summed /= np.maximum(sizes, 1)[:, None]
         moved = heterogeneous_update(stack, summed, w_max, lam, server.learning_rate)
@@ -561,12 +639,16 @@ def local_updates(
     return stack, draws
 
 
-def heterogeneity_penalty(eps_k: float, eps_max: float) -> float:
-    if eps_max < eps_k:
-        raise ValueError(f"eps_max {eps_max} must dominate the client epsilon {eps_k}")
-    if math.isinf(eps_max):
-        return 0.0
-    return (eps_max - eps_k) / eps_max
+def heterogeneity_penalty(eps_k, eps_max: float):
+    """The pull ``lam_k = (eps_max - eps_k) / eps_max`` of a client budget
+    ``eps_k``, or of each of an array of them (an array back); 0 when
+    ``eps_max`` is inf."""
+    eps_k = np.asarray(eps_k, dtype=float)
+    over = eps_max < eps_k
+    if over.any():
+        raise ValueError(f"eps_max {eps_max} must dominate the client epsilon {eps_k[over].flat[0]}")
+    lam = np.zeros_like(eps_k) if math.isinf(eps_max) else (eps_max - eps_k) / eps_max
+    return lam if lam.ndim else float(lam)
 
 
 def heterogeneous_update(
@@ -575,8 +657,13 @@ def heterogeneous_update(
     """One penalized step ``w_k - eta (g + lam_k (w_k - w_max))``, with
     ``lam_k`` from :func:`heterogeneity_penalty`.  ``lam_k`` broadcasts
     against ``w_k``: a scalar for one ``(dim,)`` vector, a ``(k, 1)`` column
-    for a ``(k, dim)`` stack of client models."""
-    return w_k - eta * (g_clipped + lam_k * (w_k - w_max))
+    for a ``(k, dim)`` stack of client models.  The step is taken in one
+    buffer, each operation as the formula orders it."""
+    step = np.subtract(w_k, w_max)
+    step *= lam_k
+    step += g_clipped
+    step *= eta
+    return w_k - step
 
 
 def fedavg_aggregate(models, weights) -> np.ndarray:
@@ -614,7 +701,7 @@ def shuffle_updates(ids: np.ndarray, stack: np.ndarray, stream: NoiseStream) -> 
 
 def run_round(
     server: ServerState,
-    clients,
+    clients: ClientTable,
     model,
     ledger: RdpLedger,
     master_seed: int,
@@ -624,9 +711,12 @@ def run_round(
     selected client's ledger row cannot cover its noise applications, and
     then leaves every row as it was before the round.
 
-    Client j is ``clients[j]``, ledger row j (:func:`client_ledger`), rows
+    Client j is row j of ``clients``, the run's :class:`ClientTable` built
+    for the server's clip bound, ledger row j (:func:`client_ledger`), rows
     ``fed.bounds[j]:fed.bounds[j + 1]`` of ``fed.pool`` and weight
-    ``fed.weights[j]``; the three client counts must agree.  The selected
+    ``fed.weights[j]``; the three client counts must agree.  When fewer than
+    all clients are selected, the ``"client-selection"`` stream picks them;
+    otherwise every client takes part, in order.  The selected
     clients' local epochs run under the server's plan as one segmented batch
     of pool rows (:func:`local_updates`): the matmuls stay per client,
     everything else is shared.  Their randomness is drawn first by
@@ -635,7 +725,7 @@ def run_round(
     if any selected client is noised, the ``"local-noise"`` stream gives the
     noised clients' noise block, so the masks never depend on the mechanism,
     its scale or noise being on.  The noised clients may use different
-    mechanism kinds (see :func:`sample_noise_block`).  The noise
+    mechanism kinds (see :meth:`NoiseTable.sample`).  The noise
     applications made (an empty subsample discards its noise row) are
     charged in one all-or-nothing :meth:`RdpLedger.spend`, and the returned
     server state remembers the clients' models.  The whole plan is read from
@@ -651,17 +741,21 @@ def run_round(
     if len(set(counts)) != 1:
         raise ValueError("{} clients, {} ledger rows and {} client row ranges must agree".format(*counts))
     n_sel = selection_count(server.selection_fraction, len(clients))
-    sel_rng = NoiseStream(master_seed, server.round_t, 0, "client-selection").rng
-    chosen = np.sort(sel_rng.permutation(len(clients))[:n_sel])
-    selected = [clients[i] for i in chosen]
+    if n_sel == len(clients):
+        # Every client, in order: a sorted permutation of them all.
+        chosen, selected = np.arange(n_sel), clients
+    else:
+        sel_rng = NoiseStream(master_seed, server.round_t, 0, "client-selection").rng
+        chosen = np.sort(sel_rng.permutation(len(clients))[:n_sel])
+        selected = clients.take(chosen)
 
-    eps = [c.budget.epsilon for c in selected]
-    eps_max = max(eps)
     # The anchor is the first selected client with the largest budget.
-    w_max = server.client_models.get(int(chosen[eps.index(eps_max)]), server.global_model)
+    top = int(selected.epsilon.argmax())
+    eps_max = selected.epsilon[top]
+    w_max = server.client_models.get(int(chosen[top]), server.global_model)
 
-    spans = fed.bounds[np.stack([chosen, chosen + 1], axis=1)]
-    drawn = round_draws(master_seed, server, selected, int(np.diff(fed.bounds)[chosen].sum()), model.dim)
+    spans = fed.bounds[chosen[:, None] + (0, 1)]
+    drawn = round_draws(master_seed, server, selected, int((spans[:, 1] - spans[:, 0]).sum()), model.dim)
     stack, applied = local_updates(server, selected, fed.pool, spans, model, *drawn, w_max, eps_max)
 
     # A noise-disabled client draws no noise, so only noised clients are charged.
@@ -680,17 +774,14 @@ def run_round(
     else:
         curves = CurveTrainConfig(CURVE_TRAIN_STEPS, CURVE_TRAIN_LR, model, fed.validation)
         new_global = mode_connect_aggregate(stack, curves, NoiseStream(master_seed, server.round_t, 0, "curve-train"))
-    client_models = server.client_models | dict(zip(chosen.tolist(), stack))
 
-    noised = all(cfg.mechanism is not None for cfg in clients)
     metrics = RoundMetrics(
         round_index=server.round_t,
-        cumulative_epsilon=float(ledger.to_dp()[0].max()) if noised else math.inf,
+        cumulative_epsilon=float(ledger.to_dp()[0].max()) if len(clients.noise) == len(clients) else math.inf,
         train_loss=model.loss(new_global, fed.pool),
         eval_accuracy=model.accuracy(new_global, fed.eval),
     )
-    new_server = replace(server, global_model=new_global, round_t=server.round_t + 1, client_models=client_models)
-    return RoundResult(server=new_server, metrics=metrics)
+    return RoundResult(server=server.successor(new_global, chosen, stack), metrics=metrics)
 
 
 def client_ledger(clients) -> RdpLedger:

@@ -177,53 +177,99 @@ def density_as_published(params: MechanismParams, x) -> float | np.ndarray:
 
 def sample_noise_array(params: MechanismParams, stream: NoiseStream, size: int) -> np.ndarray:
     """Vectorized sampler; ``size`` i.i.d. draws from the mechanism's density:
-    the one-row case of :func:`sample_noise_block`."""
-    return sample_noise_block([params], stream, (1, size))[0]
+    the one-row case of :meth:`NoiseTable.sample`."""
+    return NoiseTable.of([params]).sample(stream.rng, (1, size))[0]
 
 
-def sample_noise_block(params, stream: NoiseStream, shape) -> np.ndarray:
-    """Draws of ``shape`` ``(..., k, d)`` with row j from ``params[j]``.  The
-    rows of one kind are drawn together, each kind in turn in the order it
-    first appears in ``params``, so a block of one kind is one draw of each
-    call its sampler makes."""
-    if shape[-2] != len(params):
-        raise ValueError(f"a noise block needs one parameter set per row: got {len(params)} for shape {shape}")
-    rows_of: dict[MechanismKind, list[int]] = {}
-    for j, p in enumerate(params):
-        rows_of.setdefault(p.kind, []).append(j)
-    block = np.empty(shape)
-    for rows in rows_of.values():
-        sets = [params[j] for j in rows]
-        block[..., rows, :] = _sample_one_kind(sets, stream.rng, (*shape[:-2], len(rows), shape[-1]))
-    return block
+_KINDS = tuple(MechanismKind)
 
 
-def _sample_one_kind(params, rng: np.random.Generator, shape) -> np.ndarray:
-    # Each field of the k sets becomes a (k, 1) column, so each draw call and
-    # the Staircase arithmetic run once over the whole block.  Gaussian and
-    # Laplace draw unit noise and scale it by the column.
-    def column(values) -> np.ndarray:
-        return np.array(values, dtype=float)[:, None]
+@dataclass(frozen=True, eq=False)
+class NoiseTable:
+    """k noise mechanisms as the constants their samplers read, row j for
+    the j-th parameter set and each a ``(k, 1)`` column, built once
+    (:meth:`of`) and drawn from by :meth:`sample`.
 
-    kind = params[0].kind
+    ``kind`` holds each row's :class:`MechanismKind` as its position in the
+    enum, ``scale`` and ``delta`` each row's scale and sensitivity.  A
+    Staircase row also holds ``1 - e^{-lam}`` (``band_p``), the inner-piece
+    probability ``nu / (nu + e^{-lam} (1 - nu))`` (``inner_p``) and ``nu``,
+    computed per set in Python floats, so a row's constants are those of its
+    set alone; other rows hold nan there.  ``groups`` lists each kind with
+    its rows, in the order the kind first appears.
+    """
+
+    kind: np.ndarray
+    scale: np.ndarray
+    delta: np.ndarray
+    band_p: np.ndarray
+    inner_p: np.ndarray
+    nu: np.ndarray
+    groups: tuple = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        codes = dict.fromkeys(self.kind.tolist())
+        object.__setattr__(self, "groups", tuple((_KINDS[code], (self.kind == code).nonzero()[0]) for code in codes))
+
+    @classmethod
+    def of(cls, params) -> "NoiseTable":
+        def column(values) -> np.ndarray:
+            return np.array(values, dtype=float).reshape(-1, 1)
+
+        stair = [p.kind is MechanismKind.STAIRCASE for p in params]
+        e = [math.exp(-p.scale) if s else math.nan for p, s in zip(params, stair)]
+        return cls(
+            kind=np.array([_KINDS.index(p.kind) for p in params], dtype=int),
+            scale=column([p.scale for p in params]),
+            delta=column([p.sensitivity for p in params]),
+            # band index: P(rho = i) = (1 - e^-lam) e^{-i lam}
+            band_p=column([1.0 - e_j for e_j in e]),
+            inner_p=column([p.nu / (p.nu + e_j * (1.0 - p.nu)) if s else math.nan
+                            for p, e_j, s in zip(params, e, stair)]),
+            nu=column([p.nu if s else math.nan for p, s in zip(params, stair)]),
+        )
+
+    def __len__(self) -> int:
+        return len(self.kind)
+
+    def take(self, rows) -> "NoiseTable":
+        """The table of ``rows``, in that order."""
+        return NoiseTable(
+            self.kind[rows], self.scale[rows], self.delta[rows], self.band_p[rows], self.inner_p[rows], self.nu[rows]
+        )
+
+    def sample(self, rng: np.random.Generator, shape) -> np.ndarray:
+        """Draws of ``shape`` ``(..., k, d)`` with row j from row j's
+        mechanism.  The rows of one kind are drawn together, each kind in turn
+        (``groups``), so a table of one kind is one draw of each call its
+        sampler makes."""
+        if shape[-2] != len(self):
+            raise ValueError(f"a noise block needs one parameter set per row: got {len(self)} for shape {shape}")
+        block = np.empty(shape)
+        for kind, rows in self.groups:
+            block[..., rows, :] = _sample_one_kind(kind, self.take(rows), rng, (*shape[:-2], len(rows), shape[-1]))
+        return block
+
+
+def _sample_one_kind(kind: MechanismKind, table: NoiseTable, rng: np.random.Generator, shape) -> np.ndarray:
+    # Each draw call and the Staircase arithmetic run once over the whole
+    # block, against the table's (k, 1) columns.  Gaussian and Laplace draw
+    # unit noise and scale it by the column.
     if kind is MechanismKind.GAUSSIAN:
-        return rng.standard_normal(shape) * column([p.scale for p in params])
+        return rng.standard_normal(shape) * table.scale
     if kind is MechanismKind.LAPLACE:
-        return rng.laplace(0.0, 1.0, shape) * column([p.scale for p in params])
-    # Built per set in Python floats, so each row's constants are those of one set alone.
-    e = [math.exp(-p.scale) for p in params]
-    nu = column([p.nu for p in params])
-    # band index: P(rho = i) = (1 - e^-lam) e^{-i lam}
-    rho = rng.geometric(column([1.0 - e_j for e_j in e]), shape) - 1.0
+        return rng.laplace(0.0, 1.0, shape) * table.scale
+    nu = table.nu
+    rho = rng.geometric(table.band_p, shape) - 1.0
     # One call draws the piece, the offset within it and the sign, in that
     # order: the same doubles as three calls of the block's size each.
     piece, u, coin = rng.random((3, *shape))
-    inner = piece < column([p.nu / (p.nu + e_j * (1.0 - p.nu)) for p, e_j in zip(params, e)])
+    inner = piece < table.inner_p
     # In bands of width delta, the inner piece is [rho, rho + nu), the outer
     # [rho + nu, rho + 1): the draw is (start + u * width) * delta, in place.
     u *= np.where(inner, nu, 1.0 - nu)
     u += np.where(inner, rho, rho + nu)
-    u *= column([p.sensitivity for p in params])
+    u *= table.delta
     return np.copysign(u, coin - 0.5, out=u)
 
 

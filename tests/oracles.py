@@ -385,3 +385,79 @@ def curve_loss_monte_carlo(spec, loss_fn, n=10_000, seed=123):
 
     rng = np.random.default_rng(seed)
     return float(np.mean([loss_fn(curve_point(spec, float(p))) for p in rng.random(n)]))
+
+
+def run_round_reference(server, clients, model, ledger, seed, fed):
+    """One FedAvg round of :func:`dpfed.fl_core.run_round`, taken as plain
+    loops over the selected clients and their epochs, in the published
+    ``[W | b]`` packing.
+
+    Selection is every client in order, or, for a fraction below 1, the
+    sorted head of the round's ``"client-selection"`` permutation.  The masks
+    and noise come from the same :func:`dpfed.fl_core.round_draws` arrays.
+    Per client and epoch: the sampled rows' per-example gradients
+    (:func:`published_softmax_oracle`), each clipped to l2 norm c by an
+    explicit norm, summed, the client's noise row added, divided by the
+    batch size, then one heterogeneous step toward the anchor.  An empty
+    subsample skips the epoch and its noise.  The charge is
+    :func:`sequential_spend`, and the global model a Python sum of the
+    renormalized FedAvg weights times the client models.
+
+    The inputs are not modified.  Returns ``(client models, global model,
+    gamma, composed, halting row or None)``: the models in the row layout,
+    client models keyed by position, and the global model None on a halt.
+    """
+    from dpfed.fl_core import ClientTable, round_draws, selection_count
+    from dpfed.mechanisms import NoiseStream
+
+    k_all, t = len(clients), server.round_t
+    n_sel = selection_count(server.selection_fraction, k_all)
+    if n_sel == k_all:
+        chosen = list(range(k_all))
+    else:
+        chosen = sorted(NoiseStream(seed, t, 0, "client-selection").rng.permutation(k_all)[:n_sel].tolist())
+    selected = [clients[j] for j in chosen]
+
+    def published(rows):
+        out = np.empty(model.dim)
+        out[model.from_published] = rows
+        return out
+
+    eps = [cfg.budget.epsilon for cfg in selected]
+    eps_max = max(eps)
+    anchor = chosen[eps.index(eps_max)]
+    w_max = published(server.client_models.get(anchor, server.global_model))
+    w0 = published(server.global_model)
+
+    sizes = [int(fed.bounds[j + 1] - fed.bounds[j]) for j in chosen]
+    uniforms, noise = round_draws(seed, server, ClientTable.build(selected, server.clip_c), sum(sizes), model.dim)
+    c, eta, q = server.clip_c, server.learning_rate, server.sample_rate_q
+    models, draws, col, slot = {}, [0] * k_all, 0, 0
+    for j, cfg, size in zip(chosen, selected, sizes):
+        lam = 0.0 if math.isinf(eps_max) else (eps_max - cfg.budget.epsilon) / eps_max
+        w = w0.copy()
+        start = int(fed.bounds[j])
+        for epoch in range(server.local_epochs_I):
+            rows = [start + i for i in range(size) if uniforms[epoch, col + i] < q]
+            if not rows:
+                continue
+            grads, _, _ = published_softmax_oracle(w, fed.pool.features[rows], fed.pool.labels[rows], model.classes)
+            total = np.zeros(model.dim)
+            for g in grads:
+                total += g * min(1.0, c / max(math.sqrt(float(g @ g)), 1e-300))
+            if cfg.mechanism is not None:
+                total += noise[epoch, slot]
+                draws[j] += 1
+            w = w - eta * (total / len(rows) + lam * (w - w_max))
+        models[j] = w[model.from_published]
+        col += size
+        slot += cfg.mechanism is not None
+
+    gamma, composed, halted = sequential_spend(
+        ledger.gamma, ledger.rounds_composed, ledger.curves, ledger.budgets, ledger.alpha_grid, draws
+    )
+    if halted is not None:
+        return models, None, gamma, composed, halted
+    total_weight = sum(float(fed.weights[j]) for j in chosen)
+    global_model = sum((float(fed.weights[j]) / total_weight) * models[j] for j in chosen)
+    return models, global_model, gamma, composed, None

@@ -15,6 +15,7 @@ from dpfed.fl_core import (
     Aggregator,
     BudgetExhaustedError,
     ClientConfig,
+    ClientTable,
     DatasetShard,
     Federation,
     LogisticRegressionModel,
@@ -36,7 +37,9 @@ from dpfed.mode_connectivity import CurveTrainConfig, mode_connect_aggregate
 from dpfed.mechanisms import MechanismKind, MechanismParams, NoiseStream
 from oracles import (
     central_difference_gradient,
+    cumulative_epsilon,
     published_softmax_oracle,
+    run_round_reference,
     softmax_loss_and_accuracy_reference,
     stacked_gradient_parent,
 )
@@ -68,7 +71,8 @@ def client_slices(uniforms, noise, cfgs, sizes):
 
 def solo_update(plan, cfg, shard, model, seed, **kw):
     """One client's ``local_update`` on the arrays a round of ``plan`` with it alone draws."""
-    return local_update(plan, cfg, shard, model, *round_draws(seed, plan, [cfg], shard.n, model.dim), **kw)
+    table = ClientTable.build([cfg], plan.clip_c)
+    return local_update(plan, cfg, shard, model, *round_draws(seed, plan, table, shard.n, model.dim), **kw)
 
 
 def make_plan(w0, **kw):
@@ -718,6 +722,24 @@ class TestServerState:
         assert sorted(server.client_models) == [0, 1, 2, 3]
         assert not any(w.flags.writeable for w in server.client_models.values())
 
+    def test_a_round_shares_the_models_it_left_alone(self):
+        # Half the clients train each round: only their models are new, each
+        # a read-only row of the round's stack, and the others are the very
+        # arrays the previous state held.
+        server, clients, model, ledger, fed = build_federation(n_clients=6, mech_kind=MechanismKind.GAUSSIAN)
+        server = dataclasses.replace(server, selection_fraction=0.5)
+        for t in range(4):
+            before = dict(server.client_models)
+            after = run_round(server, clients, model, ledger, 8, fed).server
+            chosen = set(NoiseStream(8, t, 0, "client-selection").rng.permutation(6)[:3].tolist())
+            assert set(after.client_models) == set(before) | chosen
+            for j, w in after.client_models.items():
+                assert (w is before.get(j)) == (j not in chosen)
+                assert not w.flags.writeable
+            assert not after.global_model.flags.writeable
+            assert (after.round_t, after.selection_fraction, after.clip_c) == (t + 1, 0.5, server.clip_c)
+            server = after
+
     def test_accepts_the_plan_edges(self):
         plan = make_plan(np.zeros(3), clip_c=1e-9, sample_rate_q=1.0, local_epochs_I=1, learning_rate=1e-9)
         assert (plan.clip_c, plan.sample_rate_q, plan.local_epochs_I, plan.learning_rate) == (1e-9, 1.0, 1, 1e-9)
@@ -727,6 +749,45 @@ class TestServerState:
         server = dataclasses.replace(server, clip_c=0.5)
         with pytest.raises(ValueError, match="must equal the clip bound 0.5$"):
             run_round(server, clients, model, ledger, 3, fed)
+
+
+class TestClientTable:
+    KINDS = [MechanismKind.LAPLACE, None, MechanismKind.STAIRCASE, MechanismKind.GAUSSIAN, MechanismKind.LAPLACE]
+
+    def mixed_clients(self):
+        budgets = [PrivacyBudget(eps, 1e-5, 40) for eps in (3.0, 8.0, 5.0, 8.0, 2.0)]
+        return [
+            make_client(None if kind is None else calibrate_noise(kind, 1.0, b).mechanism, b)
+            for kind, b in zip(self.KINDS, budgets)
+        ]
+
+    def test_build_checks_each_sensitivity(self):
+        table = ClientTable.build(self.mixed_clients(), 1.0)
+        assert table.epsilon.tolist() == [3.0, 8.0, 5.0, 8.0, 2.0]
+        assert table.noised.tolist() == [True, False, True, True, True] and len(table.noise) == 4
+        off = [make_client(), make_client(MechanismParams(MechanismKind.LAPLACE, 2.0, 1.0))]
+        with pytest.raises(ValueError, match="^mechanism sensitivity 2.0 must equal the clip bound 1.0$"):
+            ClientTable.build(off, 1.0)
+
+    def test_take_is_the_table_of_those_clients(self):
+        clients = self.mixed_clients()
+        table = ClientTable.build(clients, 1.0)
+        for rows in ([0, 1, 2, 3, 4], [1, 3], [1], [4, 2]):
+            got, want = table.take(np.array(rows)), ClientTable.build([clients[j] for j in rows], 1.0)
+            for name in ("epsilon", "noised"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+            for name in ("kind", "scale", "delta", "band_p", "inner_p", "nu"):
+                assert getattr(got.noise, name).tobytes() == getattr(want.noise, name).tobytes(), name
+
+    def test_a_round_rejects_a_table_built_for_another_clip_bound(self):
+        server, clients, model, ledger, fed = build_federation(mech_kind=MechanismKind.GAUSSIAN)
+        for clip in (0.5, 1.0 + 1e-12):
+            with pytest.raises(ValueError, match=f"^mechanism sensitivity 1.0 must equal the clip bound {clip}$"):
+                run_round(dataclasses.replace(server, clip_c=clip), clients, model, ledger, 3, fed)
+        assert ledger.rounds_composed.tolist() == [0, 0, 0, 0]
+        # A table with no noised client has no sensitivity to check.
+        server, clients, model, ledger, fed = build_federation()
+        run_round(dataclasses.replace(server, clip_c=0.5), clients, model, ledger, 3, fed)
 
 
 class TestLocalUpdates:
@@ -790,8 +851,9 @@ class TestLocalUpdates:
             # local_update's defaults: no pull, toward the broadcast model.
             w_max, eps_max, solo = w0, math.inf, {}
         sizes = [view.n for view in views]
-        uniforms, noise = round_draws(seed, plan, cfgs, sum(sizes), model.dim)
-        stack, draws = local_updates(plan, cfgs, fed.pool, spans, model, uniforms, noise, w_max, eps_max)
+        table = ClientTable.build(cfgs, plan.clip_c)
+        uniforms, noise = round_draws(seed, plan, table, sum(sizes), model.dim)
+        stack, draws = local_updates(plan, table, fed.pool, spans, model, uniforms, noise, w_max, eps_max)
         assert stack.shape == (len(cfgs), model.dim) and draws.shape == (len(cfgs),)
         assert np.issubdtype(draws.dtype, np.integer)
         slices = client_slices(uniforms, noise, cfgs, sizes)
@@ -809,13 +871,14 @@ class TestLocalUpdates:
         eps = np.linspace(8.0, 16.0, 10) if q < 0.5 else np.full(10, 8.0)
         budgets = [PrivacyBudget(e, 1e-5, 300) for e in eps]
         cfgs = [make_client(calibrate_noise(kind, 1.0, budget).mechanism, budget) for budget in budgets]
+        table = ClientTable.build(cfgs, 1.0)
         spans = np.stack([fed.bounds[:-1], fed.bounds[1:]], axis=1)
         w = np.random.default_rng(32).normal(scale=0.1, size=model.dim)
         w_max = np.random.default_rng(33).normal(scale=0.1, size=model.dim)
         for round_t in range(3):
             plan = make_plan(w, round_t=round_t, sample_rate_q=q, local_epochs_I=2)
-            uniforms, noise = round_draws(7, plan, cfgs, 2000, model.dim)
-            stack, draws = local_updates(plan, cfgs, fed.pool, spans, model, uniforms, noise, w_max, eps.max())
+            uniforms, noise = round_draws(7, plan, table, 2000, model.dim)
+            stack, draws = local_updates(plan, table, fed.pool, spans, model, uniforms, noise, w_max, eps.max())
             slices = client_slices(uniforms, noise, cfgs, [200] * 10)
             for j, (cfg, (masks, own), params, n_draws) in enumerate(zip(cfgs, slices, stack, draws)):
                 view = client_view(fed, j)
@@ -872,12 +935,13 @@ class TestLocalUpdates:
         cfgs = [make_client(mech, PrivacyBudget(2.0, 1e-5, 1)), make_client(mech)]
         w0 = np.random.default_rng(42).normal(size=model.dim)
         plan = make_plan(w0, sample_rate_q=q, local_epochs_I=epochs)
-        uniforms, noise = round_draws(3, plan, cfgs, 61, model.dim)
+        table = ClientTable.build(cfgs, plan.clip_c)
+        uniforms, noise = round_draws(3, plan, table, 61, model.dim)
         # The 1-row client's uniform is not below q in epochs 0 and 2; the
         # other client always samples its first row.
         uniforms[:, 0], uniforms[:, 1] = [q, 0.0, 1.0], 0.0
         spans = [(0, 1), (1, 61)]
-        stack, draws = local_updates(plan, cfgs, fed.pool, spans, model, uniforms, noise, np.zeros(model.dim), 8.0)
+        stack, draws = local_updates(plan, table, fed.pool, spans, model, uniforms, noise, np.zeros(model.dim), 8.0)
         # One step, on the one epoch it sampled its row: the same as a round whose
         # other two noise rows are any others.
         assert draws[0] == 1
@@ -892,7 +956,7 @@ class TestLocalUpdates:
         assert draws[1] == epochs and not np.array_equal(stack[1], w0)
         # Never sampled, the client neither steps nor draws.
         uniforms[:, 0] = 1.0
-        stack, draws = local_updates(plan, cfgs, fed.pool, spans, model, uniforms, noise, np.zeros(model.dim), 8.0)
+        stack, draws = local_updates(plan, table, fed.pool, spans, model, uniforms, noise, np.zeros(model.dim), 8.0)
         assert draws[0] == 0 and np.array_equal(stack[0], w0)
 
 
@@ -998,6 +1062,19 @@ class TestShuffle:
             shuffle_updates(np.arange(3), np.zeros((2, 2)), stream)
 
 
+def federation_clients(n_clients=4, mech_kind=None, epsilon=8.0, horizon=40, eps_list=None, horizons=None):
+    """The client configs of :func:`build_federation` under the same arguments."""
+    clients = []
+    for cid in range(n_clients):
+        eps_k = eps_list[cid] if eps_list else epsilon
+        budget = PrivacyBudget(eps_k if mech_kind else math.inf, 1e-5, horizons[cid] if horizons else horizon)
+        mech = None
+        if mech_kind is not None:
+            mech = calibrate_noise(mech_kind, 1.0, budget).mechanism
+        clients.append(ClientConfig(budget=budget, mechanism=mech))
+    return clients
+
+
 def build_federation(
     n_clients=4,
     mech_kind=None,
@@ -1008,21 +1085,16 @@ def build_federation(
     seed=100,
     horizons=None,
 ):
+    """A run's server, client table, model, ledger and federation; the table
+    is built for the server's clip bound, 1."""
     fed = make_synthetic_federation(n_clients, 60, 5, 3, seed=seed)
     model = LogisticRegressionModel(3, 5)
-    clients = []
-    for cid in range(n_clients):
-        eps_k = eps_list[cid] if eps_list else epsilon
-        budget = PrivacyBudget(eps_k if mech_kind else math.inf, 1e-5, horizons[cid] if horizons else horizon)
-        mech = None
-        if mech_kind is not None:
-            mech = calibrate_noise(mech_kind, 1.0, budget).mechanism
-        clients.append(ClientConfig(budget=budget, mechanism=mech))
+    clients = federation_clients(n_clients, mech_kind, epsilon, horizon, eps_list, horizons)
     ledger = client_ledger(clients)
     server = make_plan(
         model.init_params(), aggregator=aggregator, sample_rate_q=0.5, local_epochs_I=2, learning_rate=0.05
     )
-    return server, clients, model, ledger, fed
+    return server, ClientTable.build(clients, server.clip_c), model, ledger, fed
 
 
 class TestClientLedger:
@@ -1115,11 +1187,12 @@ class TestRunRound:
             mech_kind=MechanismKind.GAUSSIAN, eps_list=[2.0, 4.0, 6.0, 8.0]
         )
         kinds = [MechanismKind.GAUSSIAN, MechanismKind.LAPLACE, MechanismKind.STAIRCASE, MechanismKind.GAUSSIAN]
-        clients = [ClientConfig(c.budget, calibrate_noise(k, 1.0, c.budget).mechanism) for c, k in zip(clients, kinds)]
-        ledger = client_ledger(clients)
-        result = run_round(server, clients, model, ledger, 6, fed)
+        gauss = federation_clients(mech_kind=MechanismKind.GAUSSIAN, eps_list=[2.0, 4.0, 6.0, 8.0])
+        clients = [ClientConfig(c.budget, calibrate_noise(k, 1.0, c.budget).mechanism) for c, k in zip(gauss, kinds)]
+        ledger, table = client_ledger(clients), ClientTable.build(clients, server.clip_c)
+        result = run_round(server, table, model, ledger, 6, fed)
         sizes = [client_view(fed, j).n for j in range(4)]
-        slices = client_slices(*round_draws(6, server, clients, sum(sizes), model.dim), clients, sizes)
+        slices = client_slices(*round_draws(6, server, table, sum(sizes), model.dim), clients, sizes)
         for j, (masks, own) in enumerate(slices):
             want = local_update(server, clients[j], client_view(fed, j), model, masks, own, server.global_model, 8.0)
             assert want.noise_draws == 2
@@ -1134,11 +1207,13 @@ class TestRunRound:
         assert len(result.server.client_models) == 2
         # each trained on its own rows of the pool, with its own slices of the round's draws
         chosen = sorted(result.server.client_models)
-        selected, sizes = [clients[j] for j in chosen], [client_view(fed, j).n for j in chosen]
-        slices = client_slices(*round_draws(4, server, selected, sum(sizes), model.dim), selected, sizes)
+        cfgs = federation_clients(mech_kind=MechanismKind.LAPLACE)
+        selected, sizes = [cfgs[j] for j in chosen], [client_view(fed, j).n for j in chosen]
+        drawn = round_draws(4, server, clients.take(np.array(chosen)), sum(sizes), model.dim)
+        slices = client_slices(*drawn, selected, sizes)
         for j, (masks, own) in zip(chosen, slices):
             params = result.server.client_models[j]
-            want = local_update(server, clients[j], client_view(fed, j), model, masks, own, server.global_model, 8.0)
+            want = local_update(server, cfgs[j], client_view(fed, j), model, masks, own, server.global_model, 8.0)
             assert_matches_oracle(params, want.params)
 
     @pytest.mark.parametrize("fraction, want", [(0.07, 7), (0.14, 14), (0.28, 28), (0.55, 55), (0.56, 56)])
@@ -1196,10 +1271,10 @@ class TestRunRound:
                 np.random.default_rng(51).normal(scale=0.3, size=model.dim),
                 aggregator=aggregator, sample_rate_q=0.7, local_epochs_I=2, shuffle=True,
             )
-            ledger = client_ledger(clients)
-            result = run_round(server, clients, model, ledger, seed, fed)
+            ledger, table = client_ledger(clients), ClientTable.build(clients, server.clip_c)
+            result = run_round(server, table, model, ledger, seed, fed)
             models = result.server.client_models
-            slices = client_slices(*round_draws(seed, server, clients, sum(sizes), model.dim), clients, sizes)
+            slices = client_slices(*round_draws(seed, server, table, sum(sizes), model.dim), clients, sizes)
             for j, (cfg, (masks, own)) in enumerate(zip(clients, slices)):
                 want = local_update(server, cfg, client_view(fed, j), model, masks, own, server.global_model, 8.0)
                 assert_matches_oracle(models[j], want.params)
@@ -1220,9 +1295,12 @@ class TestRunRound:
 
     @pytest.mark.parametrize("noised", [True, False])
     @pytest.mark.parametrize("shuffle", [False, True])
-    def test_stream_count_does_not_grow_with_clients(self, monkeypatch, noised, shuffle):
-        # Selection, the masks and the noise block: three round-wide streams,
-        # one more with the shuffle, one fewer with noise disabled.
+    @pytest.mark.parametrize("fraction", [1.0, 0.5])
+    def test_stream_count_does_not_grow_with_clients(self, monkeypatch, noised, shuffle, fraction):
+        # The masks and the noise block: two round-wide streams, one more
+        # with the shuffle, one fewer with noise disabled, and one more, the
+        # selection, when fewer than all clients are selected.
+        partial = fraction < 1.0
         for n_clients in (4, 20):
             server, clients, model, ledger, fed = build_federation(
                 n_clients=n_clients, mech_kind=MechanismKind.GAUSSIAN if noised else None
@@ -1235,10 +1313,12 @@ class TestRunRound:
                     super().__post_init__()
 
             monkeypatch.setattr(fl_core, "NoiseStream", RecordingStream)
-            run_round(dataclasses.replace(server, shuffle=shuffle), clients, model, ledger, 14, fed)
-            assert len(built) == 3 + shuffle - (not noised), (n_clients, built)
+            plan = dataclasses.replace(server, shuffle=shuffle, selection_fraction=fraction)
+            run_round(plan, clients, model, ledger, 14, fed)
+            assert len(built) == 2 + partial + shuffle - (not noised), (n_clients, built)
             assert len(set(built)) == len(built) and "local-update" not in built
             assert ("local-noise" in built) == noised
+            assert ("client-selection" in built) == partial
 
     def test_mode_connect_round_trains_the_run_curves_on_the_validation_rows(self):
         # The aggregator alone asks for curve training: the round merges its
@@ -1262,7 +1342,7 @@ class TestRunRound:
         # system epsilon is the per-client maximum
         assert result.metrics.cumulative_epsilon == pytest.approx(ledger.to_dp()[0].max(), rel=1e-12)
         # weaker-budget clients got more noise
-        scales = [c.mechanism.scale for c in clients]
+        scales = clients.noise.scale.ravel().tolist()
         assert scales == sorted(scales, reverse=True)
 
     def test_shuffled_round_fedavg_invariant(self):
@@ -1293,6 +1373,7 @@ class TestRunRound:
             eps_list=eps_list,
             horizons=[r * epochs for r in rounds],
         )
+        cfgs = federation_clients(n, MechanismKind.GAUSSIAN, eps_list=eps_list, horizons=[r * epochs for r in rounds])
         # every epoch draws noise once
         server = dataclasses.replace(server, sample_rate_q=1.0, local_epochs_I=epochs)
         grid = default_alpha_grid()
@@ -1307,7 +1388,84 @@ class TestRunRound:
                     assert ledger.rounds_composed[j] == composed
                 return
             server = run_round(server, clients, model, ledger, 21, fed).server
-            for j, cfg in enumerate(clients):
+            for j, cfg in enumerate(cfgs):
                 charge = epochs * rdp_curve(cfg.mechanism, grid)
                 assert np.array_equal(ledger.gamma[j], before[j][0] + charge)
                 assert ledger.rounds_composed[j] == before[j][1] + 1
+
+
+class TestRoundReference:
+    """``run_round`` against the plain-loop round of ``oracles.run_round_reference``."""
+
+    KINDS = (None, MechanismKind.GAUSSIAN, MechanismKind.LAPLACE, MechanismKind.STAIRCASE)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        clients=st.lists(
+            st.tuples(
+                st.integers(1, 12),  # rows
+                st.floats(0.5, 8.0),  # epsilon
+                st.sampled_from(KINDS),  # mechanism, None for noise disabled
+                st.floats(0.3, 4.0),  # scale: sigma / c, b / c or lam
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        fraction=st.one_of(st.just(1.0), st.floats(0.1, 0.99)),
+        q=st.one_of(st.sampled_from([1e-3, 1.0]), st.floats(0.05, 1.0)),  # empty, all, between
+        epochs=st.integers(1, 3),
+        c=st.floats(0.05, 5.0),  # clip bound
+        lr=st.floats(0.01, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # Full selection over every kind, and a partial one whose later round
+    # pulls toward a remembered anchor.
+    @example(
+        clients=[(5, 2.0, MechanismKind.GAUSSIAN, 2.0), (3, 8.0, MechanismKind.STAIRCASE, 1.0),
+                 (7, 4.0, None, 1.0), (2, 6.0, MechanismKind.LAPLACE, 3.0)],
+        fraction=1.0, q=0.5, epochs=2, c=1.0, lr=0.3, seed=5,
+    )
+    @example(
+        clients=[(4, 3.0, MechanismKind.LAPLACE, 3.0), (6, 7.5, MechanismKind.LAPLACE, 3.5),
+                 (1, 5.0, MechanismKind.STAIRCASE, 2.0), (9, 7.5, MechanismKind.GAUSSIAN, 4.0)],
+        fraction=0.5, q=0.7, epochs=3, c=0.5, lr=0.2, seed=9,
+    )
+    def test_property_rounds_match_the_reference(self, clients, fraction, q, epochs, c, lr, seed):
+        rng = np.random.default_rng(seed)
+        model = LogisticRegressionModel(3, 4)
+        sizes = [n for n, *_ in clients]
+        n = sum(sizes) + 2
+        fed = Federation.deal(DatasetShard(rng.normal(size=(n, 4)), rng.integers(0, 3, n)), sizes, 1)
+        cfgs = []
+        for _, eps, kind, scale in clients:
+            if kind is MechanismKind.STAIRCASE:
+                mech = MechanismParams(kind, c, scale, nu=accountant.optimal_staircase_nu(scale))
+            else:
+                mech = None if kind is None else MechanismParams(kind, c, scale * c)
+            cfgs.append(ClientConfig(PrivacyBudget(eps, 1e-5, 1), mech))
+        ledger = client_ledger(cfgs)
+        server = make_plan(
+            rng.normal(scale=0.5, size=model.dim), selection_fraction=fraction, clip_c=c,
+            sample_rate_q=q, local_epochs_I=epochs, learning_rate=lr,
+        )
+        all_noised = all(cfg.mechanism is not None for cfg in cfgs)
+        table = ClientTable.build(cfgs, c)
+        for _ in range(3):
+            models, global_model, gamma, composed, halted = run_round_reference(server, cfgs, model, ledger, seed, fed)
+            if halted is not None:
+                with pytest.raises(BudgetExhaustedError, match=f"for client {halted}$"):
+                    run_round(server, table, model, ledger, seed, fed)
+                assert ledger.gamma.tobytes() == gamma.tobytes()
+                assert ledger.rounds_composed.tolist() == composed.tolist()
+                return
+            remembered = set(server.client_models)
+            result = run_round(server, table, model, ledger, seed, fed)
+            server = result.server
+            assert set(server.client_models) == remembered | set(models)
+            for j, w in models.items():
+                assert_matches_oracle(server.client_models[j], w)
+            assert_matches_oracle(server.global_model, global_model)
+            np.testing.assert_allclose(ledger.gamma, gamma, rtol=1e-12, atol=0.0)
+            assert ledger.rounds_composed.tolist() == composed.tolist()
+            want = cumulative_epsilon(gamma, ledger.budgets, ledger.alpha_grid) if all_noised else math.inf
+            assert result.metrics.cumulative_epsilon == pytest.approx(want, rel=1e-12)

@@ -12,6 +12,7 @@ from dpfed.mechanisms import (
     MechanismKind,
     MechanismParams,
     NoiseStream,
+    NoiseTable,
     density,
     density_as_published,
     expected_abs_noise,
@@ -19,7 +20,6 @@ from dpfed.mechanisms import (
     rdp,
     rdp_as_published,
     sample_noise_array,
-    sample_noise_block,
 )
 from oracles import (
     gaussian_logpdf,
@@ -254,7 +254,7 @@ class TestSampling:
     def test_block_rows_follow_their_own_parameters(self, sets):
         # Two epochs of three rows: each row's draws pass the KS test against
         # its own density and fail it against the next row's.
-        block = sample_noise_block(sets, NoiseStream(5, 2, 0, "local-noise"), (2, 3, 25_000))
+        block = NoiseTable.of(sets).sample(NoiseStream(5, 2, 0, "local-noise").rng, (2, 3, 25_000))
         assert block.shape == (2, 3, 25_000)
         critical = 1.95 / math.sqrt(50_000)
 
@@ -273,7 +273,7 @@ class TestSampling:
         # Every band index is the one numpy's geometric draws from the same
         # stream with the block's column of p = 1 - e^-lam.
         sets = [stair(lam, 0.4) for lam in lams]
-        got = sample_noise_block(sets, NoiseStream(3, 1, 0, "local-noise"), (2, 3, 400))
+        got = NoiseTable.of(sets).sample(NoiseStream(3, 1, 0, "local-noise").rng, (2, 3, 400))
         p = np.array([[1.0 - math.exp(-lam)] for lam in lams])
         rho = NoiseStream(3, 1, 0, "local-noise").rng.geometric(p, (2, 3, 400)) - 1
         assert np.array_equal(np.floor(np.abs(got)), rho)
@@ -283,15 +283,32 @@ class TestSampling:
         # rows are drawn first, as a block of their own, then the Laplace row
         # and the Staircase row, each from where the stream has got to.
         sets = [gauss(1.0), lap(2.0), gauss(3.0), stair(0.5, 0.3)]
-        got = sample_noise_block(sets, NoiseStream(4, 1, 0, "local-noise"), (2, 4, 50))
+        got = NoiseTable.of(sets).sample(NoiseStream(4, 1, 0, "local-noise").rng, (2, 4, 50))
         stream = NoiseStream(4, 1, 0, "local-noise")
         for rows in ([0, 2], [1], [3]):
-            want = sample_noise_block([sets[j] for j in rows], stream, (2, len(rows), 50))
+            want = NoiseTable.of([sets[j] for j in rows]).sample(stream.rng, (2, len(rows), 50))
             assert np.array_equal(got[:, rows], want)
+
+    def test_table_rows_draw_as_the_table_of_those_rows(self):
+        # A table built once and cut to some of its rows draws, bit for bit,
+        # what a table of those sets alone draws from the same stream; its
+        # Staircase constants are each set's own, in Python floats.
+        sets = [gauss(1.0), stair(0.5, 0.3), lap(2.0), stair(2.0, 0.6, delta=1.5), gauss(3.0)]
+        table = NoiseTable.of(sets)
+        assert table.inner_p[1, 0] == 0.3 / (0.3 + math.exp(-0.5) * (1.0 - 0.3))
+        assert table.band_p[3, 0] == 1.0 - math.exp(-2.0) and math.isnan(table.band_p[0, 0])
+        for rows in ([0, 1, 2, 3, 4], [1, 3], [4, 2, 0], [2], []):
+            shape = (2, len(rows), 30)
+            got = table.take(rows).sample(NoiseStream(6, 2, 0, "local-noise").rng, shape)
+            want = NoiseTable.of([sets[j] for j in rows]).sample(NoiseStream(6, 2, 0, "local-noise").rng, shape)
+            assert got.tobytes() == want.tobytes()
+        kinds = [MechanismKind.GAUSSIAN, MechanismKind.STAIRCASE, MechanismKind.LAPLACE]
+        assert [kind for kind, _ in table.groups] == kinds
+        assert [(kind, rows.tolist()) for kind, rows in table.take([3, 1]).groups] == [(kinds[1], [0, 1])]
 
     def test_block_needs_one_set_per_row(self):
         with pytest.raises(ValueError, match="^a noise block needs one parameter set per row: got 2 for shape"):
-            sample_noise_block([gauss(1.0), gauss(2.0)], NoiseStream(0, purpose="local-noise"), (1, 3, 4))
+            NoiseTable.of([gauss(1.0), gauss(2.0)]).sample(NoiseStream(0, purpose="local-noise").rng, (1, 3, 4))
 
     def test_scalar_draw_matches_stream(self):
         p = gauss(2.0)
