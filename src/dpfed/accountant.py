@@ -23,8 +23,8 @@ DP level gamma, N clients) are provided as a sandwich:
     gamma_l = log(1 + C(alpha,2) * (e^gamma - 1)^2 / (N e^gamma)) / (alpha - 1)
 
 They are reported, not used to calibrate: gamma must be the pure-DP level of
-a whole report, here a d-dimensional noisy update, while
-``mechanisms.pure_dp_epsilon`` is the level of one coordinate.
+a whole report, here a d-dimensional noisy update, not the level of one
+of its coordinates.
 """
 
 from __future__ import annotations
@@ -91,7 +91,7 @@ class SpendDecision:
     row: int | None = None
 
 
-@dataclass
+@dataclass(eq=False)
 class RdpLedger:
     """Composed Renyi divergence of every client, one row each, per grid order.
 
@@ -112,8 +112,8 @@ class RdpLedger:
     budgets: tuple[PrivacyBudget, ...]
     gamma: np.ndarray = field(init=False)
     rounds_composed: np.ndarray = field(init=False)
-    _epsilon: np.ndarray = field(init=False, repr=False, compare=False)
-    _log_conv: np.ndarray = field(init=False, repr=False, compare=False)
+    _epsilon: np.ndarray = field(init=False, repr=False)
+    _log_conv: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.alpha_grid = validate_alpha_grid(self.alpha_grid)
@@ -178,6 +178,9 @@ def cached_rdp_curve(params: MechanismParams, grid, memo: dict) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CalibrationResult:
+    """What :func:`calibrate_noise` found: the calibrated mechanism, its
+    composed epsilon and minimizing order, and the knobs it evaluated."""
+
     mechanism: MechanismParams
     achieved_epsilon: float
     minimizing_alpha: float

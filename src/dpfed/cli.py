@@ -124,6 +124,8 @@ def _apply_rule(rule: tuple, raw: str):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One run's settings, one field per config key, checked when built."""
+
     mechanism: str = "staircase"
     epsilon: float = 8.0
     delta: float = 1e-5
@@ -237,6 +239,8 @@ def _build_federation(cfg: ExperimentConfig) -> Federation:
 
 @dataclass
 class ExperimentResult:
+    """A run's exit code, its per-round metrics and its JSON summary."""
+
     exit_code: int
     metrics: list[RoundMetrics]
     summary: dict

@@ -118,7 +118,7 @@ class BudgetExhaustedError(RuntimeError):
     """Documented halt signal: a client's privacy budget cannot cover the round."""
 
 
-@dataclass
+@dataclass(eq=False)
 class DatasetShard:
     """Feature matrix plus integer labels.
 
@@ -133,8 +133,8 @@ class DatasetShard:
 
     features: np.ndarray
     labels: np.ndarray
-    augmented: np.ndarray = field(init=False, repr=False, compare=False)
-    ghost_term: np.ndarray = field(init=False, repr=False, compare=False)
+    augmented: np.ndarray = field(init=False, repr=False)
+    ghost_term: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.features = np.asarray(self.features, dtype=float)
@@ -441,7 +441,7 @@ class Aggregator(enum.Enum):
     MODE_CONNECT = "modeconnect"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ServerState:
     """The global model and round, each client's last trained model keyed by
     its position, and the run's whole plan: selection, the one local-training
@@ -504,20 +504,28 @@ class ServerState:
 
 @dataclass(frozen=True)
 class RoundMetrics:
+    """One CSV row's values: the round, the largest client epsilon so far
+    (inf if a client is not noised), and the new global model's pool loss
+    and eval accuracy."""
+
     round_index: int
     cumulative_epsilon: float
     train_loss: float
     eval_accuracy: float
 
 
-@dataclass
+@dataclass(eq=False)
 class ClientUpdate:
+    """One client's trained model and the noise draws it took."""
+
     params: np.ndarray
     noise_draws: int
 
 
 @dataclass
 class RoundResult:
+    """The state after a round and the round's metrics."""
+
     server: ServerState
     metrics: RoundMetrics
 
@@ -797,7 +805,7 @@ def client_ledger(clients) -> RdpLedger:
     return RdpLedger(grid, curves, [c.budget for c in clients])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Federation:
     """Every data role of a run as a row range of ``data``, whose rows are in
     role order: clients 0..K-1 (together, the ``pool``), the server's

@@ -341,20 +341,6 @@ def rdp_as_published(params: MechanismParams, alpha: float) -> float:
     return 0.5 * math.exp((alpha - 1.0) * lam) + 0.5 * math.exp(-alpha * lam) + bracket * factor
 
 
-def pure_dp_epsilon(params: MechanismParams) -> float:
-    """Pure-DP level of one coordinate of one application; ``math.inf`` for
-    Gaussian.
-
-    A d-dimensional release with l2 sensitivity c has a larger level (up to
-    sqrt(d) c / b for Laplace and d lam for Staircase).
-    """
-    if params.kind is MechanismKind.GAUSSIAN:
-        return math.inf
-    if params.kind is MechanismKind.LAPLACE:
-        return params.sensitivity / params.scale
-    return params.scale
-
-
 def expected_abs_noise(params: MechanismParams) -> float:
     """Expected noise amplitude E|X|.
 

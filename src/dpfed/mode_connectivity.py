@@ -13,14 +13,13 @@ theta (endpoints never move): sample p ~ U(0, 1), step along
 ``2(1-p)`` for the polygonal chain and ``2p(1-p)`` for the Bezier curve.
 
 Also provided: the closed-form optimal bend for L-smooth losses, the Bezier
-form of the averaged model update, pairwise merging along polygonal chains,
-and the worst-case extra-rounds diagnostic ``Delta^2 e^eps / (e^eps - 1)^2``.
+form of the averaged model update, and pairwise merging along polygonal
+chains.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +32,7 @@ class CurveKind(enum.Enum):
     QUADRATIC_BEZIER = "bezier"
 
 
-@dataclass
+@dataclass(eq=False)
 class CurveSpec:
     """Endpoints plus the bend; the bend defaults to the midpoint."""
 
@@ -196,13 +195,3 @@ def mode_connect_aggregate(models, cfg: CurveTrainConfig, stream: NoiseStream) -
         level = np.concatenate([_train_bends(spec, cfg, rngs), level[paired:]])
         merge_round += 1
     return level[0]
-
-
-def extra_rounds_bound(sensitivity: float, epsilon: float) -> float:
-    """Worst-case extra training rounds ``Delta^2 e^eps / (e^eps - 1)^2``."""
-    if not sensitivity > 0:
-        raise ValueError(f"sensitivity must be positive, got {sensitivity}")
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    # e^eps / (e^eps - 1)^2 == 1 / (4 sinh(eps/2)^2), stable for large eps
-    return sensitivity**2 / (4.0 * math.sinh(epsilon / 2.0) ** 2)

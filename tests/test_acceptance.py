@@ -322,24 +322,72 @@ def experiment_grid():
 GRID_MANIFEST = pathlib.Path(__file__).parent / "golden" / "grid.sha256"
 
 
+def running_toolchain() -> dict[str, str]:
+    """The numpy and BLAS this process runs, as the manifest header names them."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}"}
+
+
+def read_manifest(text: str) -> tuple[dict[str, str], dict[str, str]]:
+    """A manifest's ``# key value`` header lines, naming the toolchain it was
+    recorded on, and its ``run -> sha256`` lines."""
+    header, runs = {}, {}
+    for line in text.splitlines():
+        if line.startswith("#"):
+            key, value = line[1:].strip().split(" ", 1)
+            header[key] = value
+        else:
+            run, sha = line.rsplit(" ", 1)
+            runs[run] = sha
+    return header, runs
+
+
+def toolchain_note(recorded: dict[str, str], running: dict[str, str]) -> str:
+    """Whether the running toolchain differs from the recorded one, and where."""
+    differs = [
+        f"{key} {running.get(key)} (recorded {recorded.get(key)})"
+        for key in sorted(recorded.keys() | running.keys())
+        if running.get(key) != recorded.get(key)
+    ]
+    if differs:
+        return "the running toolchain differs from the recorded one: " + ", ".join(differs)
+    return "the running toolchain is the recorded one: " + ", ".join(f"{k} {v}" for k, v in running.items())
+
+
 def test_grid_csv_bytes_match_the_manifest(experiment_grid, tmp_path):
     # One line per grid CSV: mechanism, epsilon, seed and the sha256 of its
-    # bytes.  A change that moves a CSV on purpose commits the manifest this
-    # test writes, so the moved runs show as a reviewed diff.
+    # bytes, under a header naming the numpy and BLAS that wrote them.  A
+    # change that moves a CSV on purpose commits the manifest this test
+    # writes, so the moved runs, and any new toolchain, show as a reviewed diff.
     _, csvs, _ = experiment_grid
     got = {
         f"{mech} {eps:g} {seed}": hashlib.sha256(text.encode()).hexdigest()
         for (mech, eps, seed), text in csvs.items()
     }
+    running = running_toolchain()
     fresh = tmp_path / "grid.sha256"
-    fresh.write_text("".join(f"{run} {sha}\n" for run, sha in got.items()), encoding="utf-8")
+    fresh.write_text(
+        "".join(f"# {key} {value}\n" for key, value in running.items())
+        + "".join(f"{run} {sha}\n" for run, sha in got.items()),
+        encoding="utf-8",
+    )
     print(f"this run's manifest: {fresh}")
-    want = dict(line.rsplit(" ", 1) for line in GRID_MANIFEST.read_text(encoding="utf-8").splitlines())
+    recorded, want = read_manifest(GRID_MANIFEST.read_text(encoding="utf-8"))
     moved = sorted(run for run in got.keys() | want.keys() if got.get(run) != want.get(run))
     assert not moved, (
         f"{len(moved)} grid CSVs differ from {GRID_MANIFEST.name}: {moved}; "
-        f"this run's manifest is {fresh}"
+        f"{toolchain_note(recorded, running)}; this run's manifest is {fresh}"
     )
+
+
+def test_manifest_header_names_the_recorded_toolchain():
+    recorded, runs = read_manifest(GRID_MANIFEST.read_text(encoding="utf-8"))
+    assert set(recorded) == {"numpy", "blas"} and len(runs) == 102
+    other = {**recorded, "numpy": "1.26.4"}
+    assert toolchain_note(other, recorded) == (
+        f"the running toolchain differs from the recorded one: numpy {recorded['numpy']} (recorded 1.26.4)"
+    )
+    assert toolchain_note(recorded, recorded).startswith("the running toolchain is the recorded one: numpy ")
 
 
 def test_criterion_8_trend_reproduction(experiment_grid):

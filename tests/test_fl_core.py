@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dpfed import accountant, fl_core
-from dpfed.accountant import PrivacyBudget, calibrate_noise, default_alpha_grid, rdp_curve
+from dpfed.accountant import PrivacyBudget, RdpLedger, calibrate_noise, default_alpha_grid, rdp_curve
 from dpfed.fl_core import (
     CURVE_TRAIN_LR,
     CURVE_TRAIN_STEPS,
@@ -16,6 +16,7 @@ from dpfed.fl_core import (
     BudgetExhaustedError,
     ClientConfig,
     ClientTable,
+    ClientUpdate,
     DatasetShard,
     Federation,
     LogisticRegressionModel,
@@ -33,7 +34,7 @@ from dpfed.fl_core import (
     selection_count,
     shuffle_updates,
 )
-from dpfed.mode_connectivity import CurveTrainConfig, mode_connect_aggregate
+from dpfed.mode_connectivity import CurveKind, CurveSpec, CurveTrainConfig, mode_connect_aggregate
 from dpfed.mechanisms import MechanismKind, MechanismParams, NoiseStream
 from oracles import (
     central_difference_gradient,
@@ -751,6 +752,28 @@ class TestServerState:
             run_round(server, clients, model, ledger, 3, fed)
 
 
+class TestArrayRecords:
+    """Records that hold arrays compare and hash by identity: a generated
+    field-wise ``==`` would raise on the arrays, and so would ``hash``."""
+
+    MAKERS = {
+        "DatasetShard": lambda: tiny_shard(),
+        "Federation": lambda: make_synthetic_federation(2, 5, 3, 2, seed=0),
+        "RdpLedger": lambda: RdpLedger(default_alpha_grid(), np.ones((2, 66)), [PrivacyBudget(8.0, 1e-5, 1)] * 2),
+        "CurveSpec": lambda: CurveSpec(CurveKind.POLYGONAL_CHAIN, np.zeros(3), np.ones(3)),
+        "ServerState": lambda: make_plan(np.zeros(4), client_models={0: np.ones(4)}),
+        "ClientUpdate": lambda: ClientUpdate(np.zeros(3), 2),
+    }
+
+    @pytest.mark.parametrize("name", MAKERS)
+    def test_equal_arrays_are_distinct_records(self, name):
+        a, b = self.MAKERS[name](), self.MAKERS[name]()
+        assert type(a).__name__ == name
+        assert a == a and a != b and not a == b
+        assert hash(a) == object.__hash__(a)
+        assert len({a, b, a}) == 2
+
+
 class TestClientTable:
     KINDS = [MechanismKind.LAPLACE, None, MechanismKind.STAIRCASE, MechanismKind.GAUSSIAN, MechanismKind.LAPLACE]
 
@@ -1392,6 +1415,50 @@ class TestRunRound:
                 charge = epochs * rdp_curve(cfg.mechanism, grid)
                 assert np.array_equal(ledger.gamma[j], before[j][0] + charge)
                 assert ledger.rounds_composed[j] == before[j][1] + 1
+
+
+class TestNoClientAblation:
+    """Every client hands back the broadcast model unchanged, while its
+    draws and the ledger's charges stay those of a real round: FedAvg then
+    never leaves its initial model, and only mode-connect's server-side
+    curve training moves the global model."""
+
+    ROUNDS = 3
+
+    def run(self, aggregator, ablate):
+        server, clients, model, ledger, fed = build_federation(mech_kind=MechanismKind.STAIRCASE, aggregator=aggregator)
+        w0 = server.global_model
+        with pytest.MonkeyPatch.context() as mp:
+            if ablate:
+                real = fl_core.local_updates
+
+                def broadcast(server, *args):
+                    stack, applied = real(server, *args)
+                    return np.tile(server.global_model, (len(stack), 1)), applied
+
+                mp.setattr(fl_core, "local_updates", broadcast)
+            for _ in range(self.ROUNDS):
+                server = run_round(server, clients, model, ledger, 5, fed).server
+        return w0, server.global_model, ledger
+
+    @pytest.mark.parametrize("aggregator", list(Aggregator))
+    def test_charges_are_those_of_the_real_rounds(self, aggregator):
+        _, _, ablated = self.run(aggregator, ablate=True)
+        _, _, real = self.run(aggregator, ablate=False)
+        assert ablated.gamma.tobytes() == real.gamma.tobytes()
+        assert ablated.rounds_composed.tolist() == real.rounds_composed.tolist() == [self.ROUNDS] * 4
+
+    def test_fedavg_keeps_its_initial_model(self):
+        w0, w, _ = self.run(Aggregator.FEDAVG, ablate=True)
+        assert not w0.any()
+        assert w.tobytes() == w0.tobytes()
+        _, trained, _ = self.run(Aggregator.FEDAVG, ablate=False)
+        assert trained.any()
+
+    def test_mode_connect_moves_without_the_clients(self):
+        w0, w, _ = self.run(Aggregator.MODE_CONNECT, ablate=True)
+        assert not w0.any()
+        assert w.any()
 
 
 class TestRoundReference:

@@ -16,7 +16,6 @@ from dpfed.mechanisms import (
     density,
     density_as_published,
     expected_abs_noise,
-    pure_dp_epsilon,
     rdp,
     rdp_as_published,
     sample_noise_array,
@@ -423,13 +422,6 @@ class TestRdp:
     def test_as_published_gaussian_drops_the_square(self):
         p = gauss(2.0, delta=3.0)
         assert rdp_as_published(p, 2.0) == pytest.approx(rdp(p, 2.0) / 3.0, rel=1e-12)
-
-
-class TestPureDp:
-    def test_levels(self):
-        assert pure_dp_epsilon(stair(1.0, 0.5)) == 1.0
-        assert pure_dp_epsilon(lap(2.0)) == 0.5
-        assert math.isinf(pure_dp_epsilon(gauss(1.0)))
 
 
 class TestExpectedAbsNoise:

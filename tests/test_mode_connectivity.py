@@ -14,7 +14,6 @@ from dpfed.mode_connectivity import (
     CurveTrainConfig,
     bezier_fedavg_update,
     curve_point,
-    extra_rounds_bound,
     mode_connect_aggregate,
     theta_star,
     train_curve,
@@ -428,22 +427,3 @@ class TestModeConnectAggregate:
         for flat_or_deep in (np.zeros(3), np.zeros((2, 2, 2))):
             with pytest.raises(ValueError, match="non-empty \\(k, d\\) stack"):
                 mode_connect_aggregate(flat_or_deep, midpoints(), MERGE_STREAM)
-
-
-class TestExtraRounds:
-    def test_large_epsilon_limit(self):
-        assert extra_rounds_bound(1.0, 50.0) < 1e-20
-
-    def test_spot(self):
-        want = math.e / (math.e - 1.0) ** 2
-        assert extra_rounds_bound(1.0, 1.0) == pytest.approx(want, rel=1e-12)
-        assert want == pytest.approx(0.92067, abs=1e-5)
-
-    def test_quadratic_in_sensitivity(self):
-        assert extra_rounds_bound(2.0, 1.3) == pytest.approx(4.0 * extra_rounds_bound(1.0, 1.3), rel=1e-12)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            extra_rounds_bound(1.0, 0.0)
-        with pytest.raises(ValueError):
-            extra_rounds_bound(-1.0, 1.0)
